@@ -205,6 +205,34 @@ def _coerce(name: str, spec: _Param, raw, violations: list[str]):
     raise AssertionError(spec.kind)
 
 
+def _mesh_violations(kind: str, params: dict, rejected: set) -> list[str]:
+    """Constraints between mesh keys that the per-key schema cannot express.
+
+    Keys whose own value was rejected are left to that violation.
+    """
+    if kind == "tamed-em" and not rejected & {"ns", "fine_factor"}:
+        n_ref = params["fine_factor"] * max(params["ns"])
+        bad = [n for n in params["ns"] if n_ref % n]
+        if bad:
+            return [f"ns: every mesh must divide fine_factor * max(ns) = {n_ref}; "
+                    f"offending: {bad}"]
+    if kind == "quadrature" and not rejected & {"ns", "anchor_times"}:
+        ns = params["ns"]
+        out = []
+        bad = [n for n in ns if max(ns) % n]
+        if bad:
+            out.append(f"ns: every mesh must divide max(ns) = {max(ns)}; offending: {bad}")
+        for s in params["anchor_times"]:
+            if s >= 1.0:
+                out.append(f"anchor_times: must lie in [0, 1) (got {s!r})")
+                continue
+            off = [n for n in ns if abs(round(s * n) - s * n) > 1e-9]
+            if off:
+                out.append(f"anchor_times: {s!r} is not a mesh point of ns {off}")
+        return out
+    return []
+
+
 def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentConfig:
     violations: list[str] = []
     if kind not in KIND_SCHEMAS:
@@ -223,9 +251,12 @@ def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentCon
     if jobs_raw is not None:
         jobs = _coerce("jobs", _Param("int", 1, lo=1, hi=256), jobs_raw, violations)
     params = {}
+    rejected = set()
     for name, spec in schema.items():
         if name in raw_params:
             val = _coerce(name, spec, raw_params[name], violations)
+            if val is None:
+                rejected.add(name)
             params[name] = spec.default if val is None else val
         else:
             params[name] = spec.default if not isinstance(spec.default, list) else list(spec.default)
@@ -233,6 +264,7 @@ def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentCon
         if name not in schema:
             violations.append(f"{name}: unknown key for kind {kind!r} "
                               f"(known: {sorted(schema)})")
+    violations.extend(_mesh_violations(kind, params, rejected))
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(kind=kind, seed=seed, out=out.strip(), jobs=jobs, params=params)

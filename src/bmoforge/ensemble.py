@@ -20,10 +20,13 @@ _DEFAULT_MATERIALIZE_BYTES = 2**31  # 2 GiB
 class PathEnsemble:
     """Lazy ensemble of Brownian increments on a uniform grid over [0, horizon].
 
-    Increment arrays are regenerated on demand from the per-path streams, so
-    a chunked consumer never holds more than its chunk while a small ensemble
-    can still materialize everything at once. Path i always receives the same
-    increments for a given seed, independent of chunking or worker count.
+    Increment arrays are regenerated on demand from the per-path streams and
+    nothing is cached: every call draws afresh and returns a new array, so a
+    chunked consumer never holds more than its chunk while a small ensemble
+    can still materialize everything at once. Consumers that need several
+    functionals of the same paths compute them from one draw per chunk. Path
+    i always receives the same increments for a given seed, independent of
+    chunking or worker count.
     """
 
     n_paths: int
@@ -43,7 +46,6 @@ class PathEnsemble:
             raise ValueError(
                 f"resource cap exceeded: {total} normal draws requested, cap is {_MAX_TOTAL_DRAWS}"
             )
-        self._cache = None
 
     @property
     def dt(self) -> float:
@@ -65,15 +67,10 @@ class PathEnsemble:
                 f"resource cap exceeded: materializing {need} bytes of increments, "
                 f"cap is {self.max_bytes}; iterate in chunks instead"
             )
-        if self._cache is not None and start == 0 and stop == self.n_paths:
-            return self._cache
         out = np.empty((n, self.n_steps, self.dim))
-        scale = math.sqrt(self.dt)
         for offset in range(n):
-            rng = philox_stream(self.seed, PURPOSE_OUTER, start + offset)
-            out[offset] = rng.standard_normal((self.n_steps, self.dim)) * scale
-        if start == 0 and stop == self.n_paths:
-            self._cache = out
+            philox_stream(self.seed, PURPOSE_OUTER, start + offset).standard_normal(out=out[offset])
+        out *= math.sqrt(self.dt)
         return out
 
     def paths(self, start: int = 0, stop: int | None = None) -> np.ndarray:

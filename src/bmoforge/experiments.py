@@ -249,8 +249,7 @@ def _run_davie(config: ExperimentConfig, out_dir: Path):
     rows = []
     m2 = {}
     ratios = {}
-    for shift in shifts:
-        samples = davie_functional(g, shift, ensemble)
+    for shift, samples in zip(shifts, davie_functional(g, shifts, ensemble)):
         moments = davie_moments(samples, ms=p["moments"])
         for m, est in moments.items():
             rows.append((shift, m, est.value, est.stderr))

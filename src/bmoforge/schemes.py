@@ -42,28 +42,21 @@ def _mesh_ratio(n_fine: int, n_coarse: int) -> int:
     return n_fine // n_coarse
 
 
-def _solve_on_increments(
-    model: SdeModel,
-    level: float | None,
-    n: int,
-    inc: np.ndarray,
-    horizon: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _euler_blocks(model: SdeModel, level: float | None, n: int, w: np.ndarray, horizon: float):
     """Explicit Euler with coefficients frozen at the coarse anchor state.
 
-    Within each coarse block the drift and diffusion are evaluated once, at
-    the block's opening time and state, so the solution on the fine grid is
-    affine in the accumulated Brownian increments of the block.
+    ``w`` holds the Brownian paths on the fine grid including time 0, shape
+    (paths, n_fine + 1, dim). Within each coarse block the drift and diffusion
+    are evaluated once, at the block's opening time and state, so the solution
+    on the fine grid is affine in the accumulated Brownian increments of the
+    block. Yields ``(a, ratio, seg)`` per coarse step, where ``seg`` is the
+    solution at fine points a + 1 .. a + ratio; the solution at time 0 is x0.
+    The caller may overwrite ``seg``: the next step reads a copy of its end.
     """
-    n_paths, n_fine, dim = inc.shape
+    n_paths, n_points = w.shape[:2]
+    n_fine = n_points - 1
     ratio = _mesh_ratio(n_fine, n)
     h_fine = horizon / n_fine
-    if out is None:
-        out = np.empty((n_paths, n_fine + 1, dim))
-    w = np.zeros((n_paths, n_fine + 1, dim))
-    np.cumsum(inc, axis=1, out=w[:, 1:, :])
-    out[:, 0, :] = model.x0
     state = model.initial_states(n_paths)
     drift_times = h_fine * np.arange(1, ratio + 1)
     for j in range(n):
@@ -82,8 +75,17 @@ def _solve_on_increments(
             + b_vals[:, None, :] * drift_times[None, :, None]
             + s_vals[:, None, :] * w[:, a + 1 : a + ratio + 1, :]
         )
-        out[:, a + 1 : a + ratio + 1, :] = seg
         state = seg[:, -1, :].copy()
+        yield a, ratio, seg
+
+
+def _euler_fill(model: SdeModel, level: float | None, n: int, w: np.ndarray,
+                horizon: float) -> np.ndarray:
+    """The Euler solution of :func:`_euler_blocks` on the whole fine grid."""
+    out = np.empty_like(w)
+    out[:, 0, :] = model.x0
+    for a, ratio, seg in _euler_blocks(model, level, n, w, horizon):
+        out[:, a + 1 : a + ratio + 1, :] = seg
     return out
 
 
@@ -102,9 +104,7 @@ def tamed_euler_solve(
     if ensemble.dim != model.dim:
         raise ValueError(f"ensemble dim {ensemble.dim} != model dim {model.dim}")
     level = None if taming is None else taming.clip_level(n)
-    return _solve_on_increments(
-        model, level, n, ensemble.increments(), ensemble.horizon
-    )
+    return _euler_fill(model, level, n, ensemble.paths(), ensemble.horizon)
 
 
 # -- quadrature error --------------------------------------------------------
@@ -139,13 +139,15 @@ def quadrature_error(f, ensemble: PathEnsemble, n: int, chunk_size: int = 2048) 
 
 def davie_functional(
     g,
-    shift: float,
+    shifts,
     ensemble: PathEnsemble,
     enforce_bound: bool = True,
     chunk_size: int = 4096,
 ) -> np.ndarray:
-    """Per-path samples of integral_0^1 [g(t, B_t + shift) - g(t, B_t)] dt.
+    """Per-path samples of integral_0^1 [g(t, B_t + x) - g(t, B_t)] dt for
+    every shift x in ``shifts``, shape (len(shifts), n_paths).
 
+    Each path chunk is drawn once and g(t, B_t) evaluated once for all shifts.
     The averaging bound needs |g| <= 1; out-of-range values are clipped with a
     warning unless ``enforce_bound`` is False (useful for exact test fields
     like g(t, y) = y where the integral telescopes to the shift itself).
@@ -154,28 +156,38 @@ def davie_functional(
         raise ValueError("davie_functional expects a one-dimensional ensemble")
     if abs(ensemble.horizon - 1.0) > 1e-12:
         raise ValueError("davie_functional is defined over the unit horizon")
+    shifts = list(shifts)
+    if not shifts:
+        raise ValueError("shifts must be nonempty")
     h = ensemble.dt
     left_times = ensemble.times[:-1]
-    samples = np.empty(ensemble.n_paths)
+    samples = np.empty((len(shifts), ensemble.n_paths))
     warned = False
     for start, inc in ensemble.iter_chunks(chunk_size):
         m = inc.shape[0]
         b = np.zeros((m, ensemble.n_steps))
         np.cumsum(inc[:, :-1, 0], axis=1, out=b[:, 1:])
-        shifted = np.asarray(g(left_times, b + shift), dtype=float)
+        del inc
         plain = np.asarray(g(left_times, b), dtype=float)
-        if enforce_bound:
-            peak = max(np.abs(shifted).max(initial=0.0), np.abs(plain).max(initial=0.0))
-            if peak > 1.0 + 1e-12:
-                if not warned:
-                    warnings.warn(
-                        f"integrand exceeds magnitude 1 (max {peak:.6g}); clipping",
-                        stacklevel=2,
-                    )
-                    warned = True
-                np.clip(shifted, -1.0, 1.0, out=shifted)
-                np.clip(plain, -1.0, 1.0, out=plain)
-        samples[start : start + m] = (shifted - plain).sum(axis=1) * h
+        if np.may_share_memory(plain, b):
+            plain = plain.copy()  # the clip below must not reach b
+        plain_peak = np.abs(plain).max(initial=0.0)
+        for k, shift in enumerate(shifts):
+            shifted = np.asarray(g(left_times, b + shift), dtype=float)
+            if enforce_bound:
+                peak = max(np.abs(shifted).max(initial=0.0), plain_peak)
+                if peak > 1.0 + 1e-12:
+                    if not warned:
+                        warnings.warn(
+                            f"integrand exceeds magnitude 1 (max {peak:.6g}); clipping",
+                            stacklevel=2,
+                        )
+                        warned = True
+                    np.clip(shifted, -1.0, 1.0, out=shifted)
+                    np.clip(plain, -1.0, 1.0, out=plain)
+            shifted -= plain
+            samples[k, start : start + m] = shifted.sum(axis=1) * h
+            del shifted
     return samples
 
 
@@ -257,6 +269,8 @@ def strong_error(
         raise ValueError("ns must be positive integers")
     if fine_factor < 2:
         raise ValueError("fine_factor must be >= 2")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     n_ref = fine_factor * ns[-1]
     if ensemble.n_steps != n_ref:
         raise ValueError(
@@ -266,20 +280,20 @@ def strong_error(
     for n in ns:
         _mesh_ratio(n_ref, n)
     level_ref = None if taming is None else taming.clip_level(n_ref)
+    levels = [None if taming is None else taming.clip_level(n) for n in ns]
     sup_err = np.empty((len(ns), ensemble.n_paths))
-    ref_buf = None
-    coarse_buf = None
-    for start, inc in ensemble.iter_chunks(chunk_size):
-        m = inc.shape[0]
-        if ref_buf is None or ref_buf.shape[0] != m:
-            ref_buf = np.empty((m, n_ref + 1, model.dim))
-            coarse_buf = np.empty_like(ref_buf)
-        ref = _solve_on_increments(model, level_ref, n_ref, inc, ensemble.horizon, out=ref_buf)
+    for start in range(0, ensemble.n_paths, chunk_size):
+        stop = min(start + chunk_size, ensemble.n_paths)
+        w = ensemble.paths(start, stop)
+        ref = _euler_fill(model, level_ref, n_ref, w, ensemble.horizon)
         for k, n in enumerate(ns):
-            level = None if taming is None else taming.clip_level(n)
-            coarse = _solve_on_increments(model, level, n, inc, ensemble.horizon, out=coarse_buf)
-            err = np.abs(coarse - ref).max(axis=(1, 2))
-            sup_err[k, start : start + m] = err
+            # Both solutions start at x0, so the running sup starts at 0.
+            err = sup_err[k, start:stop]
+            err[:] = 0.0
+            for a, ratio, seg in _euler_blocks(model, levels[k], n, w, ensemble.horizon):
+                seg -= ref[:, a + 1 : a + ratio + 1, :]
+                np.maximum(err, np.abs(seg, out=seg).max(axis=(1, 2)), out=err)
+        del w, ref  # before the next chunk is drawn
     means, errs, l2s, l4s = [], [], [], []
     n_paths = ensemble.n_paths
     for k in range(len(ns)):

@@ -206,8 +206,8 @@ def davie_run():
     ensemble = PathEnsemble(n_paths=10**5, n_steps=10**3, dim=1, horizon=1.0, seed=seed)
     g = scalar_field_registry["sign"]
     m2, ratios = {}, {}
-    for shift in shifts:
-        moments = davie_moments(davie_functional(g, shift, ensemble), ms=(2, 4))
+    for shift, samples in zip(shifts, davie_functional(g, shifts, ensemble)):
+        moments = davie_moments(samples, ms=(2, 4))
         m2[shift] = moments[2].value
         ratios[shift] = moments[4].value / (2.0 * moments[2].value ** 2)
     fit = loglog_fit(np.log(shifts), np.log([m2[s] for s in shifts]))

@@ -122,3 +122,17 @@ def test_report_missing_manifest(tmp_path, capsys):
     code = main(["report", str(tmp_path / "nope.json")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,section", [
+    ("tamed-em", "ns = 3, 5\nfine_factor = 2\n"),
+    ("quadrature", "ns = 3, 8\n"),
+])
+def test_mesh_mismatch_exits_two(tmp_path, capsys, kind, section):
+    cfg = write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[{kind}]\n{section}")
+    code = main([kind, "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "ns: every mesh must divide" in err
+    assert not (tmp_path / "run").exists()

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bmoforge.config import (
@@ -136,3 +138,39 @@ def test_hash_tracks_science_only():
     assert config_hash(reseeded) != h
     tweaked = parse_config(DAVIE_TEXT.replace("n_steps = 1000", "n_steps = 500"))
     assert config_hash(tweaked) != h
+
+
+def mesh_violations(kind, params):
+    doc = {"kind": kind, "seed": 1, "params": params}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    return exc.value.violations
+
+
+def test_tamed_em_meshes_must_divide_the_reference():
+    assert mesh_violations("tamed-em", {"ns": [3, 5], "fine_factor": 2}) == [
+        "ns: every mesh must divide fine_factor * max(ns) = 10; offending: [3]"]
+    cfg = parse_config(json.dumps(
+        {"kind": "tamed-em", "seed": 1, "params": {"ns": [3, 5], "fine_factor": 3}}))
+    assert cfg.param("ns") == [3, 5]
+
+
+def test_quadrature_meshes_and_anchors():
+    violations = mesh_violations("quadrature", {"ns": [3, 8], "anchor_times": [0.0, 0.5]})
+    assert violations == [
+        "ns: every mesh must divide max(ns) = 8; offending: [3]",
+        "anchor_times: 0.5 is not a mesh point of ns [3]",
+    ]
+    violations = mesh_violations("quadrature", {"ns": [4, 8], "anchor_times": [0.125, 1.0]})
+    assert violations == [
+        "anchor_times: 0.125 is not a mesh point of ns [4]",
+        "anchor_times: must lie in [0, 1) (got 1.0)",
+    ]
+
+
+def test_mesh_checks_skip_rejected_keys():
+    # A rejected key reports its own violation, not a mesh problem of its default.
+    violations = mesh_violations("quadrature", {"ns": [8], "anchor_times": "x"})
+    assert len(violations) == 1 and violations[0].startswith("anchor_times: expected")
+    violations = mesh_violations("tamed-em", {"ns": [3, 5], "fine_factor": 1})
+    assert len(violations) == 1 and violations[0].startswith("fine_factor: must lie")

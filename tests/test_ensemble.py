@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bmoforge.ensemble import PathEnsemble, brownian_paths
+from bmoforge.rng import PURPOSE_OUTER, philox_stream
 
 
 def test_regeneration_is_bit_identical():
@@ -19,6 +20,24 @@ def test_chunks_equal_full_materialization():
     for chunk_size in (1, 3, 10):
         pieces = [inc for _, inc in ens.iter_chunks(chunk_size)]
         np.testing.assert_array_equal(np.concatenate(pieces, axis=0), full)
+
+
+def test_increments_are_scaled_per_path_streams():
+    ens = PathEnsemble(n_paths=4, n_steps=9, dim=2, horizon=3.0, seed=12)
+    expect = np.stack([
+        philox_stream(12, PURPOSE_OUTER, 1 + i).standard_normal((9, 2)) * math.sqrt(ens.dt)
+        for i in range(3)
+    ])
+    assert ens.increments(1, 4).tobytes() == expect.tobytes()
+
+
+def test_full_range_calls_draw_afresh():
+    # No cache: each call returns a new array holding the same draws.
+    ens = PathEnsemble(n_paths=5, n_steps=7, dim=2, horizon=1.0, seed=6)
+    first, second = ens.increments(), ens.increments()
+    assert first is not second
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, second)
 
 
 def test_path_subsets_are_stable():

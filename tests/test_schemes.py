@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,27 +116,29 @@ def test_quadrature_error_validation(unit_ensemble):
 # -- shift averaging ----------------------------------------------------------
 
 def test_davie_constant_field_cancels(unit_ensemble):
-    samples = davie_functional(scalar_field_registry["one"], 0.7, unit_ensemble)
+    samples = davie_functional(scalar_field_registry["one"], [0.7], unit_ensemble)
     assert np.all(samples == 0.0)
 
 
 def test_davie_linear_field_telescopes(unit_ensemble):
     g = scalar_field_registry["coordinate"]
-    samples = davie_functional(g, 0.5, unit_ensemble, enforce_bound=False)
-    np.testing.assert_array_equal(samples, np.full(16, 0.5))
+    samples = davie_functional(g, [0.5], unit_ensemble, enforce_bound=False)
+    np.testing.assert_array_equal(samples, np.full((1, 16), 0.5))
 
 
 def test_davie_clip_warns_once(unit_ensemble):
     g = lambda t, y: 2.0 * np.ones_like(y)
-    with pytest.warns(UserWarning, match="clipping"):
-        samples = davie_functional(g, 0.5, unit_ensemble, chunk_size=4)
+    with pytest.warns(UserWarning, match="clipping") as record:
+        samples = davie_functional(g, [0.5, 0.25], unit_ensemble, chunk_size=4)
+    # Four chunks and two shifts clip, but the call warns once.
+    assert len(record) == 1
     # After the clip both terms saturate at 1, so the diff cancels.
     assert np.all(samples == 0.0)
 
 
 def test_davie_sign_field_bounded(unit_ensemble):
-    samples = davie_functional(scalar_field_registry["sign"], 0.3, unit_ensemble)
-    assert samples.shape == (16,)
+    samples = davie_functional(scalar_field_registry["sign"], [0.3], unit_ensemble)
+    assert samples.shape == (1, 16)
     assert np.all(np.abs(samples) <= 2.0 + 1e-12)
 
 
@@ -141,10 +146,42 @@ def test_davie_validation(unit_ensemble):
     g = scalar_field_registry["sign"]
     long = PathEnsemble(n_paths=2, n_steps=8, dim=1, horizon=2.0, seed=0)
     with pytest.raises(ValueError, match="unit horizon"):
-        davie_functional(g, 0.1, long)
+        davie_functional(g, [0.1], long)
     wide = PathEnsemble(n_paths=2, n_steps=8, dim=2, horizon=1.0, seed=0)
     with pytest.raises(ValueError, match="one-dimensional"):
-        davie_functional(g, 0.1, wide)
+        davie_functional(g, [0.1], wide)
+    with pytest.raises(ValueError, match="nonempty"):
+        davie_functional(g, [], unit_ensemble)
+
+
+def per_shift_davie(g, shift, ensemble):
+    """One shift at a time, drawing the whole ensemble per call."""
+    inc = ensemble.increments()
+    b = np.zeros((ensemble.n_paths, ensemble.n_steps))
+    np.cumsum(inc[:, :-1, 0], axis=1, out=b[:, 1:])
+    left_times = ensemble.times[:-1]
+    shifted = np.asarray(g(left_times, b + shift), dtype=float)
+    plain = np.asarray(g(left_times, b), dtype=float)
+    # The clip is the identity where |g| <= 1, so clipping always is the same.
+    np.clip(shifted, -1.0, 1.0, out=shifted)
+    np.clip(plain, -1.0, 1.0, out=plain)
+    return (shifted - plain).sum(axis=1) * ensemble.dt
+
+
+@pytest.mark.parametrize("field", ["sign", "coordinate", "inv-abs-clip"])
+@pytest.mark.parametrize("chunk_size", [4096, 5])
+def test_davie_multi_shift_matches_per_shift_formula(field, chunk_size):
+    # "coordinate" hands back its argument and exceeds 1, so the clip of the
+    # unshifted term must not leak into the paths the next shift reads.
+    ens = PathEnsemble(n_paths=23, n_steps=50, dim=1, horizon=1.0, seed=4)
+    g = scalar_field_registry[field]
+    shifts = [0.05, 0.1, 0.2, 0.4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fused = davie_functional(g, shifts, ens, chunk_size=chunk_size)
+        expect = np.stack([per_shift_davie(g, x, ens) for x in shifts])
+    assert fused.shape == (4, 23)
+    assert fused.tobytes() == expect.tobytes()
 
 
 def test_davie_moments_frozen():
@@ -183,6 +220,49 @@ def test_strong_error_zero_drift_is_exactly_zero(unit_ensemble):
     assert res.reference_n == 64
 
 
+def full_buffer_strong_error(model, taming, ns, fine_factor, ensemble):
+    """Every solution written out on the whole fine grid, then one sup."""
+    n_ref = fine_factor * max(ns)
+    w = ensemble.paths()
+
+    def solve(n):
+        level = taming.clip_level(n)
+        ratio = n_ref // n
+        out = np.empty_like(w)
+        out[:, 0, :] = model.x0
+        state = model.initial_states(ensemble.n_paths)
+        drift_times = ensemble.dt * np.arange(1, ratio + 1)
+        for j in range(n):
+            t_j = j / n
+            b_vals = np.clip(model.drift(t_j, state), -level, level)
+            s_vals = model.diffusion(t_j, state)
+            a = j * ratio
+            c = state - s_vals * w[:, a, :]
+            out[:, a + 1 : a + ratio + 1, :] = (
+                c[:, None, :]
+                + b_vals[:, None, :] * drift_times[None, :, None]
+                + s_vals[:, None, :] * w[:, a + 1 : a + ratio + 1, :]
+            )
+            state = out[:, a + ratio, :].copy()
+        return out
+
+    ref = solve(n_ref)
+    return [np.abs(solve(n) - ref).max(axis=(1, 2)) for n in ns]
+
+
+def test_strong_error_matches_full_buffer_reference():
+    ens = PathEnsemble(n_paths=13, n_steps=4 * 32, dim=1, horizon=1.0, seed=8)
+    model = SdeModel(drift=lambda t, x: np.sign(x), diffusion=unit_diffusion, x0=0.0)
+    ns = [2, 8, 32]
+    res = strong_error(model, TamingPolicy(), ns, fine_factor=4, ensemble=ens, chunk_size=5)
+    sup = full_buffer_strong_error(model, TamingPolicy(), ns, 4, ens)
+    assert res.mean_sup_error == [float(e.mean()) for e in sup]
+    assert res.stderr == [float(e.std(ddof=1) / math.sqrt(13)) for e in sup]
+    assert res.l2 == [float(np.sqrt(np.mean(e**2))) for e in sup]
+    assert res.l4 == [float(np.mean(e**4) ** 0.25) for e in sup]
+    assert all(v > 0.0 for v in res.mean_sup_error)
+
+
 def test_strong_error_linear_ode_rate(unit_ensemble):
     model = SdeModel(drift=lambda t, x: -x, diffusion=zero_drift, x0=1.0)
     res = strong_error(model, None, [4, 8, 16], fine_factor=4, ensemble=unit_ensemble)
@@ -206,6 +286,36 @@ def test_strong_error_validation(unit_ensemble):
         strong_error(model, None, [4], fine_factor=1, ensemble=unit_ensemble)
     with pytest.raises(ValueError, match="mesh mismatch"):
         strong_error(model, None, [4, 8], fine_factor=4, ensemble=unit_ensemble)
+
+
+# -- one draw per path chunk --------------------------------------------------
+
+@pytest.fixture
+def count_draws(monkeypatch):
+    calls = []
+    increments = PathEnsemble.increments
+
+    def counted(self, start=0, stop=None):
+        calls.append((start, stop))
+        return increments(self, start, stop)
+
+    monkeypatch.setattr(PathEnsemble, "increments", counted)
+    return calls
+
+
+def test_davie_draws_each_chunk_once(count_draws):
+    ens = PathEnsemble(n_paths=23, n_steps=20, dim=1, horizon=1.0, seed=2)
+    davie_functional(scalar_field_registry["sign"], [0.05, 0.1, 0.2, 0.4], ens, chunk_size=5)
+    assert len(count_draws) == math.ceil(23 / 5)
+    assert count_draws == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+
+
+def test_strong_error_draws_each_chunk_once(count_draws):
+    ens = PathEnsemble(n_paths=11, n_steps=4 * 16, dim=1, horizon=1.0, seed=2)
+    model = SdeModel(drift=lambda t, x: np.sign(x), diffusion=unit_diffusion)
+    strong_error(model, TamingPolicy(), [4, 8, 16], fine_factor=4, ensemble=ens, chunk_size=4)
+    assert len(count_draws) == math.ceil(11 / 4)
+    assert count_draws == [(0, 4), (4, 8), (8, 11)]
 
 
 # -- quadrature modulus proxy -------------------------------------------------
