@@ -7,25 +7,18 @@ checkers that report machine-verifiable witnesses. Monte Carlo side:
 counter-based Brownian ensembles, nested conditional-moment estimators, the
 tamed explicit Euler scheme, quadrature-error and shift-averaging
 functionals, and rate fits with acceptance bands.
+
+The package namespace re-exports only what the CLI kinds and the acceptance
+criteria use; everything else is imported from its module.
 """
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundParameters,
-    PartitionTooCoarseError,
-    holder_exp_bound,
-    jn_moment_bound,
-    khasminskii_product,
-    vmo_exp_bound,
-    vmo_moment_bound,
-)
+from .bounds import PartitionTooCoarseError
 from .checks import (
     CheckReport,
-    check_tolerance,
     control_domination_check,
     energy_check,
-    energy_constant,
     exp_vmoa_check,
     garsia_check,
     jn_moment_check,
@@ -41,66 +34,75 @@ from .checks import (
     triangle_check,
     write_summary_csv,
 )
-from .config import ExperimentConfig, config_hash, parse_config, serialize_config
-from .controls import OscillationControl, variation_control, vmo_alpha_seminorm
-from .ensemble import PathEnsemble, brownian_paths
+from .config import ExperimentConfig, config_hash
+from .controls import variation_control
+from .ensemble import PathEnsemble
 from .estimators import (
-    EmpiricalOscillationGrid,
-    ExpMomentResult,
-    MomentEstimate,
     RateFit,
     empirical_rho_grid,
-    exp_moment,
     holder_exponent_fit,
     loglog_fit,
     markov_conditional_moment,
     pooled_slope,
-    rate_fit,
     scalar_field_registry,
 )
-from .experiments import RunManifest, run_experiment
-from .oscillation import (
-    OscillationData,
-    deterministic_modulus,
-    jump_modulus,
-    oscillation_grid,
-    oscillation_modulus,
-    pair_oscillation,
-)
-from .processes import (
-    AdaptedProcess,
-    deterministic_process,
-    maximal_process,
-    random_nondecreasing_process,
-    random_process,
-    random_space,
-)
-from .rng import PURPOSE_INNER, PURPOSE_MODEL, PURPOSE_OUTER, philox_stream
+from .experiments import run_experiment
+from .oscillation import oscillation_grid
+from .processes import random_nondecreasing_process, random_process, random_space
+from .rng import PURPOSE_MODEL, philox_stream
 from .schemes import (
-    QuadratureModulusResult,
-    StrongErrorResult,
     davie_functional,
     davie_moments,
     quadrature_error,
     quadrature_modulus_proxy,
     strong_error,
-    sup_process_moment,
-    tamed_euler_solve,
 )
-from .sde import SdeModel, TamedDrift, TamingPolicy, ellipticity_check, tame_drift
-from .space import (
-    FiniteFilteredSpace,
-    build_tree,
-    cond_expectation,
-    load_space,
-    save_space,
-)
-from .stopping import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationInfeasibleError,
-    StoppingTime,
-    enumerate_stopping_pairs,
-    enumerate_stopping_times,
-    subtree_rule_count,
-    window_rule_count_log,
-)
+from .sde import SdeModel, TamingPolicy, ellipticity_check
+
+__all__ = [
+    "__version__",
+    "PartitionTooCoarseError",
+    "CheckReport",
+    "control_domination_check",
+    "energy_check",
+    "exp_vmoa_check",
+    "garsia_check",
+    "jn_moment_check",
+    "jump_kappa_check",
+    "khasminskii_check",
+    "maximal_check",
+    "monotonicity_check",
+    "pathwise_increment_check",
+    "reports_to_jsonl",
+    "stopping_pair_bound_check",
+    "summarize_reports",
+    "superadditivity_check",
+    "triangle_check",
+    "write_summary_csv",
+    "ExperimentConfig",
+    "config_hash",
+    "variation_control",
+    "PathEnsemble",
+    "RateFit",
+    "empirical_rho_grid",
+    "holder_exponent_fit",
+    "loglog_fit",
+    "markov_conditional_moment",
+    "pooled_slope",
+    "scalar_field_registry",
+    "run_experiment",
+    "oscillation_grid",
+    "random_nondecreasing_process",
+    "random_process",
+    "random_space",
+    "PURPOSE_MODEL",
+    "philox_stream",
+    "davie_functional",
+    "davie_moments",
+    "quadrature_error",
+    "quadrature_modulus_proxy",
+    "strong_error",
+    "SdeModel",
+    "TamingPolicy",
+    "ellipticity_check",
+]

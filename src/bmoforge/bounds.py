@@ -8,16 +8,12 @@ parameters saturate to ``inf`` instead of raising overflow errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "BoundParameters",
     "PartitionTooCoarseError",
     "jn_moment_bound",
     "khasminskii_product",
     "vmo_exp_bound",
-    "vmo_moment_bound",
-    "holder_exp_bound",
 ]
 
 _LOG_MAX = math.log(1.7976931348623157e308)
@@ -30,29 +26,6 @@ class PartitionTooCoarseError(ValueError):
 
 def _exp_or_inf(log_value: float) -> float:
     return math.inf if log_value > _LOG_MAX else math.exp(log_value)
-
-
-@dataclass(frozen=True)
-class BoundParameters:
-    """Validated parameter bundle for the bound formulas."""
-
-    p: float = 2.0
-    m: int = 2
-    lam: float = 1.0
-    alpha: float = 0.5
-    c_p: float = 1.0
-
-    def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError("alpha must lie in (0, 1/2]")
-        if self.c_p <= 0.0:
-            raise ValueError("c_p must be > 0")
 
 
 def jn_moment_bound(rho: float, p: int) -> float:
@@ -96,39 +69,3 @@ def vmo_exp_bound(lam: float, p: float, w_total: float) -> float:
     if p < 1.0:
         raise ValueError("p must be >= 1")
     return _exp_or_inf(_LN2 * (1.0 + (22.0 * lam) ** p * w_total))
-
-
-def vmo_moment_bound(m: int, p: float, w_total: float, c_p: float = 1.0) -> float:
-    """Moment bound c_p * Gamma(m (1 - 1/p) + 1) * w_total^(m/p).
-
-    Only meaningful for p > 1; at p = 1 the Gamma factor degenerates and the
-    sharp statement is the pathwise increment bound, so direct users are sent
-    to that check instead.
-    """
-    if p <= 1.0:
-        raise ValueError(
-            "p must be > 1; for p = 1 use the pathwise increment check "
-            "(|V_t - V_s| <= 22 w) instead of a moment bound"
-        )
-    if m < 1 or int(m) != m:
-        raise ValueError("m must be a positive integer")
-    if w_total < 0.0 or c_p <= 0.0:
-        raise ValueError("w_total must be >= 0 and c_p > 0")
-    if w_total == 0.0:
-        return 0.0
-    log_val = math.log(c_p) + math.lgamma(m * (1.0 - 1.0 / p) + 1.0) + (m / p) * math.log(w_total)
-    return _exp_or_inf(log_val)
-
-
-def holder_exp_bound(lam: float, alpha: float, seminorm: float, tau: float) -> float:
-    """Exponential bound 2^(1 + (22 seminorm lam)^(1/alpha) * tau).
-
-    Specialization of :func:`vmo_exp_bound` to a process whose window modulus
-    is controlled by ``seminorm * (t - s)^alpha``: then p = 1/alpha and the
-    total control over [0, tau] is ``seminorm^(1/alpha) * tau``.
-    """
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError("alpha must lie in (0, 1/2]")
-    if lam < 0.0 or seminorm < 0.0 or tau < 0.0:
-        raise ValueError("lam, seminorm, tau must be >= 0")
-    return _exp_or_inf(_LN2 * (1.0 + (22.0 * seminorm * lam) ** (1.0 / alpha) * tau))

@@ -3,8 +3,8 @@
 Experiment subcommands take --config (sectioned key/value or JSON), with
 --seed / --out / --jobs overriding the config fields; a bare run without
 --config uses the kind's documented defaults and still needs a seed from
---seed or BMOFORGE_SEED. Exit status is 0 iff every acceptance-grade check in
-the run holds.
+--seed or BMOFORGE_SEED. --jobs is accepted and ignored: case batteries run
+serially. Exit status is 0 iff every acceptance-grade check in the run holds.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config file (sectioned text or JSON)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--jobs", type=int, help="worker count (overrides config)")
+        p.add_argument("--jobs", type=int,
+                       help="worker count; accepted and ignored (runs are serial)")
     rep = sub.add_parser("report", help="aggregate manifests into one table")
     rep.add_argument("manifests", nargs="*", help="manifest.json paths")
     rep.add_argument("--out", help="also write the aggregate table as CSV here")

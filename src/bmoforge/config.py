@@ -17,8 +17,9 @@ Example::
     n_steps = 1000
 
 Parameter keys live in a section named after the kind. Unknown keys and
-out-of-range values are rejected with one message per violation. ``out`` and
-``jobs`` affect where and how work runs, not what is computed, so they are
+out-of-range values are rejected with one message per violation. ``out`` says
+where outputs go; ``jobs`` is validated but has no effect, since case
+batteries run serially. Neither changes what is computed, so both are
 excluded from the config hash.
 """
 
@@ -29,6 +30,8 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field as dc_field
+
+from .stopping import subtree_rule_count
 
 __all__ = [
     "ConfigError",
@@ -205,11 +208,20 @@ def _coerce(name: str, spec: _Param, raw, violations: list[str]):
     raise AssertionError(spec.kind)
 
 
-def _mesh_violations(kind: str, params: dict, rejected: set) -> list[str]:
-    """Constraints between mesh keys that the per-key schema cannot express.
+def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]:
+    """Constraints between keys that the per-key schema cannot express.
 
     Keys whose own value was rejected are left to that violation.
     """
+    if (kind in ("verify-finite", "jn-check")
+            and not rejected & {"depth", "branching", "enumeration_cap"}):
+        # The window [0, depth] holds the most stopping times of any window.
+        depth, cap = params["depth"], params["enumeration_cap"]
+        count = subtree_rule_count(params["branching"], depth)
+        if count > cap:
+            return [f"enumeration_cap: depth {depth} with branching "
+                    f"{params['branching']} gives {count:.4g} stopping times on "
+                    f"[0, {depth}], over the cap {cap}; lower the depth or raise the cap"]
     if kind == "tamed-em" and not rejected & {"ns", "fine_factor"}:
         n_ref = params["fine_factor"] * max(params["ns"])
         bad = [n for n in params["ns"] if n_ref % n]
@@ -264,7 +276,7 @@ def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentCon
         if name not in schema:
             violations.append(f"{name}: unknown key for kind {kind!r} "
                               f"(known: {sorted(schema)})")
-    violations.extend(_mesh_violations(kind, params, rejected))
+    violations.extend(_cross_field_violations(kind, params, rejected))
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(kind=kind, seed=seed, out=out.strip(), jobs=jobs, params=params)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .oscillation import OscillationData
 
-__all__ = ["OscillationControl", "variation_control", "vmo_alpha_seminorm"]
+__all__ = ["OscillationControl", "variation_control"]
 
 
 def _rho_matrix(rho) -> np.ndarray:
@@ -62,18 +62,3 @@ def variation_control(rho, p: float) -> OscillationControl:
                 best = max(best, w[s, u] + w[u, t])
             w[s, t] = best
     return OscillationControl(w=w, p=float(p))
-
-
-def vmo_alpha_seminorm(rho, alpha: float, dt: float = 1.0) -> float:
-    """Largest ratio rho[s, t] / ((t - s) * dt)^alpha over grid pairs s < t."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    rho = _rho_matrix(rho)
-    d = rho.shape[0] - 1
-    best = 0.0
-    for s in range(d):
-        for t in range(s + 1, d + 1):
-            best = max(best, float(rho[s, t]) / ((t - s) * dt) ** alpha)
-    return best

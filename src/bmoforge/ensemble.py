@@ -9,7 +9,7 @@ import numpy as np
 
 from .rng import PURPOSE_OUTER, philox_stream
 
-__all__ = ["PathEnsemble", "brownian_paths"]
+__all__ = ["PathEnsemble"]
 
 # Hard cap on total draws at construction; full materialization has its own cap.
 _MAX_TOTAL_DRAWS = 2**33
@@ -87,17 +87,3 @@ class PathEnsemble:
         for start in range(0, self.n_paths, chunk_size):
             stop = min(start + chunk_size, self.n_paths)
             yield start, self.increments(start, stop)
-
-
-def brownian_paths(
-    n_paths: int,
-    n_steps: int,
-    dim: int = 1,
-    horizon: float = 1.0,
-    seed: int = 0,
-    max_bytes: int = _DEFAULT_MATERIALIZE_BYTES,
-) -> PathEnsemble:
-    """Construct a reproducible Brownian increment ensemble."""
-    return PathEnsemble(
-        n_paths=n_paths, n_steps=n_steps, dim=dim, horizon=horizon, seed=seed, max_bytes=max_bytes
-    )

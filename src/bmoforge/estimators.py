@@ -1,10 +1,11 @@
-"""Monte Carlo estimators: nested conditional moments, exponential moments,
-empirical modulus grids, and log-log rate fits.
+"""Monte Carlo estimators: nested conditional moments, empirical modulus
+grids, and log-log rate fits.
 
 Scalar integrand fields are vectorized callables ``f(times, states)`` where
 ``times`` has shape (m,) and ``states`` shape (..., m, dim); the result has
-shape (..., m). ``scalar_field_registry`` provides the standard named fields
-operating on the first coordinate.
+shape (..., m). ``scalar_field_registry`` provides the standard named fields,
+applied elementwise; :func:`state_functional` lifts one to the first
+coordinate of a state array, and the tamed scheme uses them as drifts.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from .rng import PURPOSE_INNER, PURPOSE_OUTER, philox_stream
 __all__ = [
     "MomentEstimate",
     "RateFit",
-    "ExpMomentResult",
     "EmpiricalOscillationGrid",
     "scalar_field_registry",
     "state_functional",
     "markov_conditional_moment",
     "empirical_rho_grid",
     "holder_exponent_fit",
-    "exp_moment",
     "rate_fit",
     "loglog_fit",
     "pooled_slope",
@@ -52,12 +51,6 @@ class RateFit:
     table: list[tuple[float, float]] = field(default_factory=list)
 
 
-@dataclass
-class ExpMomentResult:
-    estimate: MomentEstimate
-    truncated_fraction: float
-
-
 # -- integrand fields -------------------------------------------------------
 
 def _inv_abs_clip(t, x, clip=100.0):
@@ -66,8 +59,11 @@ def _inv_abs_clip(t, x, clip=100.0):
 
 
 scalar_field_registry = {
+    "zero": lambda t, x: np.zeros_like(x),
     "one": lambda t, x: np.ones_like(x),
+    "const": lambda t, x: np.ones_like(x),
     "coordinate": lambda t, x: np.asarray(x, dtype=float),
+    "neg-linear": lambda t, x: -x,
     "sign": lambda t, x: np.sign(x),
     "inv-abs-clip": _inv_abs_clip,
 }
@@ -244,31 +240,6 @@ def holder_exponent_fit(grid: EmpiricalOscillationGrid) -> RateFit:
     fit = loglog_fit(np.array(xs), np.array(ys))
     fit.table = [(float(math.exp(x)), float(math.exp(y))) for x, y in zip(xs, ys)]
     return fit
-
-
-# -- exponential moments -----------------------------------------------------
-
-def exp_moment(samples, lam: float, truncation: float | None = None) -> ExpMomentResult:
-    """Empirical E[exp(lam * X)] with optional hard truncation of the integrand."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("samples must be nonempty")
-    with np.errstate(over="ignore"):
-        vals = np.exp(lam * samples)
-    if truncation is not None:
-        if truncation <= 0.0:
-            raise ValueError("truncation must be > 0")
-        hit = vals >= truncation
-        vals = np.minimum(vals, truncation)
-    else:
-        hit = np.isinf(vals)
-    n = samples.size
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 and np.all(np.isfinite(vals)) else math.inf
-    if not math.isfinite(mean):
-        stderr = math.inf
-    est = MomentEstimate(value=mean, stderr=stderr, n_outer=n, n_inner=1)
-    return ExpMomentResult(estimate=est, truncated_fraction=float(hit.mean()))
 
 
 # -- rate fitting ------------------------------------------------------------

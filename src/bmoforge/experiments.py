@@ -3,16 +3,14 @@
 Each kind writes its outputs (CSV tables, a JSON-lines check report where
 applicable) plus a manifest.json into the config's output directory. Output
 bytes are a pure function of (config, seed, tool version): CSV files carry no
-timestamps and floats are written with repr. Worker count only changes how
-case batteries are scheduled, never what is computed.
+timestamps and floats are written with repr. Case batteries run serially;
+the config's worker count is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,6 +46,7 @@ from .estimators import (
     holder_exponent_fit,
     loglog_fit,
     scalar_field_registry,
+    state_functional,
 )
 from .oscillation import oscillation_grid
 from .processes import random_nondecreasing_process, random_process, random_space
@@ -59,17 +58,8 @@ from .schemes import (
     strong_error,
 )
 from .sde import SdeModel, TamingPolicy, ellipticity_check
-from .stopping import window_rule_count_log
 
-__all__ = ["RunManifest", "run_experiment", "drift_registry"]
-
-
-drift_registry = {
-    "zero": lambda t, x: np.zeros_like(x),
-    "sign": lambda t, x: np.sign(x),
-    "neg-linear": lambda t, x: -x,
-    "const": lambda t, x: np.ones_like(x),
-}
+__all__ = ["RunManifest", "run_experiment"]
 
 
 @dataclass
@@ -139,7 +129,7 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
     depth = space.depth
     grid = oscillation_grid(proc, cap=cap)
     reports = [
-        jump_kappa_check(proc),
+        jump_kappa_check(grid),
         monotonicity_check(grid),
         triangle_check(grid),
         pathwise_increment_check(proc, cap=cap),
@@ -176,24 +166,7 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
 
 def _run_cases(config: ExperimentConfig, battery, out_dir: Path):
     p = config.params
-    feas = window_rule_count_log(
-        random_space(philox_stream(config.seed, PURPOSE_MODEL, 0),
-                     p["depth"], p["branching"]),
-        0, p["depth"],
-    )
-    if feas > math.log(p["enumeration_cap"]):
-        raise ValueError(
-            f"depth {p['depth']} with branching {p['branching']} exceeds the "
-            f"enumeration cap {p['enumeration_cap']}; lower the depth or raise the cap"
-        )
-    indices = range(p["n_processes"])
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(battery, config, i) for i in indices]
-            per_case = [f.result() for f in futures]
-    else:
-        per_case = [battery(config, i) for i in indices]
-    reports = [rep for case in per_case for rep in case]
+    reports = [rep for i in range(p["n_processes"]) for rep in battery(config, i)]
     reports_to_jsonl(reports, out_dir / "checks.jsonl")
     rows = summarize_reports(reports)
     write_summary_csv(rows, out_dir / "summary.csv")
@@ -210,14 +183,10 @@ def _run_cases(config: ExperimentConfig, battery, out_dir: Path):
 
 def _run_rho_grid(config: ExperimentConfig, out_dir: Path):
     p = config.params
-    f = scalar_field_registry[p["field"]]
-
-    def lifted(times, states):
-        return f(times, states[..., 0])
-
     grid = empirical_rho_grid(
-        lifted, p["grid_times"], n_outer=p["n_outer"], n_inner=p["n_inner"],
-        steps_per_unit=p["steps_per_unit"], seed=config.seed, proxy=p["proxy"],
+        state_functional(p["field"]), p["grid_times"], n_outer=p["n_outer"],
+        n_inner=p["n_inner"], steps_per_unit=p["steps_per_unit"], seed=config.seed,
+        proxy=p["proxy"],
     )
     rows = []
     n = len(grid.times)
@@ -294,7 +263,7 @@ def _run_tamed_em(config: ExperimentConfig, out_dir: Path):
     p = config.params
     sigma = float(p["sigma"])
     model = SdeModel(
-        drift=drift_registry[p["drift"]],
+        drift=scalar_field_registry[p["drift"]],
         diffusion=lambda t, x: np.full_like(x, sigma),
         dim=1,
         x0=p["x0"],

@@ -77,14 +77,12 @@ class AdaptedProcess:
 
 def maximal_process(space: FiniteFilteredSpace, process: AdaptedProcess) -> AdaptedProcess:
     """Running maximum of ``|V_k - V_0|`` along each path, as a process."""
-    out = [np.zeros(1)]
-    v0 = process.values[0][0] if space.depth >= 0 else 0.0
+    v0 = process.values[0][0]
     # V_0 is a single root value; |V_0 - V_0| = 0 seeds the running max.
-    prev = np.zeros(1)
+    out = [np.zeros(1)]
     for k in range(1, space.depth + 1):
         dev = np.abs(process.values[k] - v0)
-        prev = np.maximum(np.repeat(prev, space.branching), dev)
-        out.append(prev)
+        out.append(np.maximum(np.repeat(out[-1], space.branching), dev))
     return AdaptedProcess(space=space, values=out)
 
 

@@ -1,6 +1,6 @@
-"""Numerical schemes on Brownian ensembles: the tamed explicit Euler solver,
-the quadrature-error process, the shift-averaging functional, and the coupled
-strong-error experiment.
+"""Numerical schemes on Brownian ensembles: the quadrature-error process, the
+shift-averaging functional, and the coupled strong-error experiment for the
+tamed explicit Euler scheme.
 
 All solvers consume increments from a :class:`~bmoforge.ensemble.PathEnsemble`
 and evaluate solutions on the ensemble's fine grid; coarse meshes must divide
@@ -21,11 +21,9 @@ from .rng import PURPOSE_INNER, PURPOSE_OUTER, philox_stream
 from .sde import SdeModel, TamingPolicy
 
 __all__ = [
-    "tamed_euler_solve",
     "quadrature_error",
     "davie_functional",
     "davie_moments",
-    "sup_process_moment",
     "strong_error",
     "StrongErrorResult",
     "quadrature_modulus_proxy",
@@ -87,24 +85,6 @@ def _euler_fill(model: SdeModel, level: float | None, n: int, w: np.ndarray,
     for a, ratio, seg in _euler_blocks(model, level, n, w, horizon):
         out[:, a + 1 : a + ratio + 1, :] = seg
     return out
-
-
-def tamed_euler_solve(
-    model: SdeModel,
-    taming: TamingPolicy | None,
-    n: int,
-    ensemble: PathEnsemble,
-) -> np.ndarray:
-    """Solve the model on the coarse mesh {j/n}, evaluated on the fine grid.
-
-    Returns an array of shape (n_paths, n_steps + 1, dim). The drift is
-    clipped at the policy's level for this n; ``taming=None`` disables the
-    clip entirely.
-    """
-    if ensemble.dim != model.dim:
-        raise ValueError(f"ensemble dim {ensemble.dim} != model dim {model.dim}")
-    level = None if taming is None else taming.clip_level(n)
-    return _euler_fill(model, level, n, ensemble.paths(), ensemble.horizon)
 
 
 # -- quadrature error --------------------------------------------------------
@@ -211,23 +191,6 @@ def davie_moments(samples: np.ndarray, ms=(2, 4)) -> dict[int, MomentEstimate]:
     return out
 
 
-def sup_process_moment(trajectories: np.ndarray, m: int) -> MomentEstimate:
-    """Empirical m-th moment of the pathwise running-sup of |trajectory|."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    traj = np.asarray(trajectories, dtype=float)
-    if traj.ndim == 3:
-        sup = np.abs(traj).max(axis=(1, 2))
-    elif traj.ndim == 2:
-        sup = np.abs(traj).max(axis=1)
-    else:
-        raise ValueError("trajectories must be (paths, times) or (paths, times, dim)")
-    powered = sup ** float(m)
-    n = powered.size
-    stderr = float(powered.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return MomentEstimate(value=float(powered.mean()), stderr=stderr, n_outer=n, n_inner=1)
-
-
 # -- coupled strong error ----------------------------------------------------
 
 @dataclass
@@ -271,6 +234,8 @@ def strong_error(
         raise ValueError("fine_factor must be >= 2")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
+    if ensemble.dim != model.dim:
+        raise ValueError(f"ensemble dim {ensemble.dim} != model dim {model.dim}")
     n_ref = fine_factor * ns[-1]
     if ensemble.n_steps != n_ref:
         raise ValueError(

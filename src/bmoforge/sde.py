@@ -1,4 +1,4 @@
-"""SDE model containers and drift taming.
+"""SDE model containers and the drift taming policy.
 
 Coefficient callables are vectorized: ``drift(t, x)`` and ``diffusion(t, x)``
 take a scalar time and a state array of shape (n, dim) and return (n, dim).
@@ -19,8 +19,6 @@ from .rng import PURPOSE_MODEL, philox_stream
 __all__ = [
     "SdeModel",
     "TamingPolicy",
-    "TamedDrift",
-    "tame_drift",
     "ellipticity_check",
 ]
 
@@ -116,19 +114,3 @@ class TamingPolicy:
     def decay_diagnostic(self, n_steps: int) -> float:
         """M_n / sqrt(n); must tend to zero as the grid refines."""
         return self.clip_level(n_steps) / math.sqrt(n_steps)
-
-
-@dataclass
-class TamedDrift:
-    """Componentwise clip of a drift field at a fixed level."""
-
-    base: CoefficientFn
-    level: float
-
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(self.base(t, x), dtype=float), -self.level, self.level)
-
-
-def tame_drift(drift: CoefficientFn, n_steps: int, policy: TamingPolicy | None = None) -> TamedDrift:
-    policy = policy or TamingPolicy()
-    return TamedDrift(base=drift, level=policy.clip_level(n_steps))

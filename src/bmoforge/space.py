@@ -8,21 +8,13 @@ sum, so conditional expectations are exact up to floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "FiniteFilteredSpace",
-    "build_tree",
-    "cond_expectation",
-    "save_space",
-    "load_space",
-]
+__all__ = ["FiniteFilteredSpace", "build_tree"]
 
 _PROB_TOL = 1e-12
-SCHEMA = "bmoforge/space-v1"
 
 
 @dataclass
@@ -116,26 +108,6 @@ class FiniteFilteredSpace:
     def atom_probability(self, level: int, index: int) -> float:
         return float(self.atom_probs[level][index])
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "depth": self.depth,
-            "branching": self.branching,
-            "transitions": [t.tolist() for t in self.transitions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FiniteFilteredSpace":
-        if data.get("schema") != SCHEMA:
-            raise ValueError(f"unrecognized schema {data.get('schema')!r}")
-        return cls(
-            depth=int(data["depth"]),
-            branching=int(data["branching"]),
-            transitions=[np.asarray(t, dtype=float) for t in data["transitions"]],
-        )
-
 
 def build_tree(
     depth: int,
@@ -170,33 +142,3 @@ def build_tree(
                 raise ValueError(f"expected {depth} per-level transition arrays")
             levels = [np.asarray(t, dtype=float) for t in seq]
     return FiniteFilteredSpace(depth=depth, branching=branching, transitions=levels)
-
-
-def cond_expectation(space: FiniteFilteredSpace, leaf_values, level: int) -> np.ndarray:
-    """Functional form of :meth:`FiniteFilteredSpace.cond_expectation`."""
-    return space.cond_expectation(leaf_values, level)
-
-
-def save_space(path, space: FiniteFilteredSpace, processes: dict | None = None) -> None:
-    """Write a space, and optionally named adapted processes, as JSON."""
-    payload = space.to_dict()
-    if processes:
-        payload["processes"] = {
-            name: [np.asarray(v, dtype=float).tolist() for v in values]
-            for name, values in processes.items()
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_space(path) -> tuple[FiniteFilteredSpace, dict[str, list[np.ndarray]]]:
-    """Read a space JSON file; returns the space and any stored processes."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    space = FiniteFilteredSpace.from_dict(data)
-    processes = {
-        name: [np.asarray(v, dtype=float) for v in values]
-        for name, values in data.get("processes", {}).items()
-    }
-    return space, processes

@@ -121,7 +121,7 @@ def test_criterion_3_exact_structural_suite(corpus):
         d = space.depth
         grid = oscillation_grid(proc)
         reports = [
-            jump_kappa_check(proc),
+            jump_kappa_check(grid),
             monotonicity_check(grid),
             triangle_check(grid),
             pathwise_increment_check(proc),

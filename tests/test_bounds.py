@@ -3,13 +3,10 @@ import math
 import pytest
 
 from bmoforge.bounds import (
-    BoundParameters,
     PartitionTooCoarseError,
-    holder_exp_bound,
     jn_moment_bound,
     khasminskii_product,
     vmo_exp_bound,
-    vmo_moment_bound,
 )
 
 
@@ -49,42 +46,7 @@ def test_vmo_exp_bound_values():
     assert vmo_exp_bound(5.0, 2.0, 0.0) == pytest.approx(2.0)
 
 
-def test_vmo_moment_bound_values():
-    # Gamma(m(1-1/p)+1) w^(m/p): m=2, p=2, w=1 -> Gamma(2) = 1.
-    assert vmo_moment_bound(2, 2.0, 1.0) == pytest.approx(1.0)
-    assert vmo_moment_bound(3, 2.0, 4.0) == pytest.approx(math.gamma(2.5) * 8.0)
-    assert vmo_moment_bound(2, 2.0, 0.0) == 0.0
-
-
-def test_vmo_moment_bound_rejects_p_one():
-    with pytest.raises(ValueError, match="pathwise increment"):
-        vmo_moment_bound(2, 1.0, 1.0)
-
-
-def test_holder_bound_specializes_the_vmo_bound():
-    # alpha = 1/2 is p = 2 with total control seminorm^2 * tau.
-    assert holder_exp_bound(0.3, 0.5, 2.0, 1.5) == pytest.approx(
-        vmo_exp_bound(0.3 * 2.0, 2.0, 1.5)
-    )
-    with pytest.raises(ValueError, match="alpha"):
-        holder_exp_bound(1.0, 0.7, 1.0, 1.0)
-
-
 def test_bounds_saturate_to_inf():
     assert vmo_exp_bound(10.0, 2.0, 1e6) == math.inf
     assert jn_moment_bound(1e200, 3) == math.inf
     assert khasminskii_product(1.0, [1.0 - 1e-16] * 5000) > 0
-
-
-def test_bound_parameters_validation():
-    BoundParameters()  # defaults are valid
-    with pytest.raises(ValueError, match="p"):
-        BoundParameters(p=0.5)
-    with pytest.raises(ValueError, match="m"):
-        BoundParameters(m=0)
-    with pytest.raises(ValueError, match="lam"):
-        BoundParameters(lam=0.0)
-    with pytest.raises(ValueError, match="alpha"):
-        BoundParameters(alpha=0.6)
-    with pytest.raises(ValueError, match="c_p"):
-        BoundParameters(c_p=-1.0)

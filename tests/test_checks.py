@@ -210,7 +210,7 @@ def test_structural_checks_on_corpus():
     for seed in (11, 12):
         v = random_case(seed, "heavy")
         grid = oscillation_grid(v)
-        assert jump_kappa_check(v).holds
+        assert jump_kappa_check(grid).holds
         assert monotonicity_check(grid).holds
         assert triangle_check(grid).holds
         assert pathwise_increment_check(v).holds
@@ -235,7 +235,7 @@ def test_exp_vmoa_random_corpus():
 
 
 def test_report_serialization(tmp_path):
-    reps = [jn_moment_check(fair_walk(), 0, 1), jump_kappa_check(fair_walk())]
+    reps = [jn_moment_check(fair_walk(), 0, 1), jump_kappa_check(oscillation_grid(fair_walk()))]
     path = tmp_path / "checks.jsonl"
     reports_to_jsonl(reps, path)
     lines = path.read_text().strip().split("\n")
@@ -248,7 +248,7 @@ def test_report_serialization(tmp_path):
 
 def test_summarize_and_csv(tmp_path):
     reps = [jn_moment_check(fair_walk(), 0, p) for p in (1, 2)]
-    reps.append(jump_kappa_check(fair_walk()))
+    reps.append(jump_kappa_check(oscillation_grid(fair_walk())))
     rows = summarize_reports(reps)
     assert [r["check"] for r in rows] == ["jn-moment", "jump-kappa"]
     assert rows[0]["n_cases"] == 2

@@ -136,3 +136,16 @@ def test_mesh_mismatch_exits_two(tmp_path, capsys, kind, section):
     assert "Traceback" not in err
     assert "ns: every mesh must divide" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_enumeration_cap_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, JN_TINY.replace("depth = 1", "depth = 4").replace(
+        "branching = 2", "branching = 3"))
+    code = main(["jn-check", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    problems = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert len(problems) == 1
+    assert problems[0].startswith("  - enumeration_cap: depth 4 with branching 3")
+    assert not (tmp_path / "run").exists()

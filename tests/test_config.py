@@ -168,6 +168,24 @@ def test_quadrature_meshes_and_anchors():
     ]
 
 
+def test_enumeration_cap_is_a_config_error():
+    for kind in ("verify-finite", "jn-check"):
+        assert mesh_violations(kind, {"depth": 4, "branching": 3}) == [
+            "enumeration_cap: depth 4 with branching 3 gives 3.89e+08 stopping "
+            "times on [0, 4], over the cap 1000000; lower the depth or raise the cap"]
+        # 458,330 rules at depth 5 on a binary tree fit under the default cap.
+        cfg = parse_config(json.dumps(
+            {"kind": kind, "seed": 1, "params": {"depth": 5, "branching": 2}}))
+        assert cfg.param("depth") == 5
+        assert len(mesh_violations(kind, {"depth": 5, "branching": 2,
+                                          "enumeration_cap": 458329})) == 1
+        parse_config(json.dumps({"kind": kind, "seed": 1, "params": {
+            "depth": 5, "branching": 2, "enumeration_cap": 458330}}))
+    # A rejected depth reports only its own violation.
+    violations = mesh_violations("jn-check", {"depth": 9, "branching": 3})
+    assert len(violations) == 1 and violations[0].startswith("depth: must lie")
+
+
 def test_mesh_checks_skip_rejected_keys():
     # A rejected key reports its own violation, not a mesh problem of its default.
     violations = mesh_violations("quadrature", {"ns": [8], "anchor_times": "x"})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bmoforge.controls import variation_control, vmo_alpha_seminorm
+from bmoforge.controls import variation_control
 from bmoforge.oscillation import oscillation_grid
 from bmoforge.processes import random_process, random_space
 
@@ -52,25 +52,3 @@ def test_variation_control_validation():
         variation_control(grid_matrix(), 0.5)
     with pytest.raises(ValueError, match="square"):
         variation_control(np.zeros((2, 3)), 2.0)
-
-
-def test_vmo_alpha_seminorm_exact():
-    # rho[s,t] = ((t-s) dt)^alpha has seminorm exactly 1.
-    d = 4
-    alpha = 0.5
-    dt = 0.25
-    rho = np.zeros((d + 1, d + 1))
-    for s in range(d + 1):
-        for t in range(s + 1, d + 1):
-            rho[s, t] = ((t - s) * dt) ** alpha
-    assert vmo_alpha_seminorm(rho, alpha, dt) == pytest.approx(1.0)
-
-
-def test_vmo_alpha_seminorm_scaling_and_validation():
-    rho = np.array([[0.0, 3.0], [np.nan, 0.0]])
-    assert vmo_alpha_seminorm(rho, 0.5, 1.0) == pytest.approx(3.0)
-    assert vmo_alpha_seminorm(rho, 0.5, 4.0) == pytest.approx(1.5)
-    with pytest.raises(ValueError, match="alpha"):
-        vmo_alpha_seminorm(rho, 0.0)
-    with pytest.raises(ValueError, match="dt"):
-        vmo_alpha_seminorm(rho, 0.5, 0.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bmoforge.ensemble import PathEnsemble, brownian_paths
+from bmoforge.ensemble import PathEnsemble
 from bmoforge.rng import PURPOSE_OUTER, philox_stream
 
 
@@ -97,9 +97,3 @@ def test_validation_and_caps():
         small.increments(5, 3)
     with pytest.raises(ValueError, match="chunk_size"):
         next(small.iter_chunks(0))
-
-
-def test_brownian_paths_helper():
-    ens = brownian_paths(2, 3, dim=1, horizon=1.0, seed=7)
-    assert isinstance(ens, PathEnsemble)
-    assert ens.n_paths == 2

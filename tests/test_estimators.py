@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bmoforge.config import KIND_SCHEMAS
 from bmoforge.estimators import (
     empirical_rho_grid,
-    exp_moment,
     holder_exponent_fit,
     loglog_fit,
     markov_conditional_moment,
@@ -28,6 +28,15 @@ def test_registry_fields():
     )
     with pytest.raises(KeyError, match="unknown field"):
         state_functional("sine")
+    # Every field and drift a config can name resolves here.
+    named = {choice for schema in KIND_SCHEMAS.values()
+             for key, spec in schema.items() if key in ("field", "drift")
+             for choice in spec.choices}
+    assert {"zero", "neg-linear", "const", "inv-abs-clip"} <= named
+    assert named <= set(scalar_field_registry)
+    np.testing.assert_array_equal(scalar_field_registry["zero"](t, x), [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(scalar_field_registry["const"](t, x), [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(scalar_field_registry["neg-linear"](t, x), -x)
 
 
 def test_state_functional_uses_first_coordinate():
@@ -148,33 +157,6 @@ def test_holder_fit_needs_positive_values():
                               steps_per_unit=4, seed=0)
     with pytest.raises(ValueError, match="positive grid values"):
         holder_exponent_fit(grid)
-
-
-def test_exp_moment_frozen():
-    r = exp_moment([0.0, 1.0, 2.0], 1.0)
-    assert r.estimate.value == pytest.approx((1 + math.e + math.e**2) / 3)
-    assert r.truncated_fraction == 0.0
-    r = exp_moment([0.0, 1.0, 2.0], 1.0, truncation=5.0)
-    assert r.estimate.value == pytest.approx((1 + math.e + 5.0) / 3)
-    assert r.truncated_fraction == pytest.approx(1.0 / 3.0)
-
-
-def test_exp_moment_half_normal():
-    # E exp(|Z|/2) = 2 e^(1/8) Phi(1/2).
-    rng = np.random.default_rng(17)
-    r = exp_moment(np.abs(rng.standard_normal(200000)), 0.5)
-    exact = 1.5670592366928566
-    assert abs(r.estimate.value - exact) <= 3.0 * r.estimate.stderr
-
-
-def test_exp_moment_overflow_and_validation():
-    r = exp_moment([1e6], 1.0)
-    assert r.estimate.value == math.inf
-    assert r.truncated_fraction == 1.0
-    with pytest.raises(ValueError, match="nonempty"):
-        exp_moment([], 1.0)
-    with pytest.raises(ValueError, match="truncation"):
-        exp_moment([1.0], 1.0, truncation=0.0)
 
 
 def test_loglog_fit_exact_line():

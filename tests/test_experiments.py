@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bmoforge.config import config_hash, parse_config
+from bmoforge.config import ConfigError, config_hash, parse_config
 from bmoforge.experiments import run_experiment
 
 
@@ -80,7 +80,7 @@ process_kind = gaussian
     assert all(json.loads(line)["holds"] for line in lines)
 
 
-def test_enumeration_cap_guard(tmp_path):
+def test_enumeration_cap_guard():
     text = """
 [experiment]
 kind = verify-finite
@@ -91,10 +91,8 @@ depth = 5
 branching = 3
 n_processes = 1
 """
-    cfg = parse_config(text)
-    cfg.out = str(tmp_path / "big")
-    with pytest.raises(ValueError, match="enumeration cap"):
-        run_experiment(cfg)
+    with pytest.raises(ConfigError, match="enumeration_cap"):
+        parse_config(text)
 
 
 def test_rho_grid_constant_field(tmp_path):

@@ -7,13 +7,12 @@ import pytest
 from bmoforge.ensemble import PathEnsemble
 from bmoforge.estimators import scalar_field_registry
 from bmoforge.schemes import (
+    _euler_fill,
     davie_functional,
     davie_moments,
     quadrature_error,
     quadrature_modulus_proxy,
     strong_error,
-    sup_process_moment,
-    tamed_euler_solve,
 )
 from bmoforge.sde import SdeModel, TamingPolicy
 
@@ -33,22 +32,27 @@ def unit_diffusion(t, x):
 
 # -- solver -------------------------------------------------------------------
 
+def solve(model, level, n, ensemble):
+    """The Euler kernel behind strong_error, on the whole fine grid."""
+    return _euler_fill(model, level, n, ensemble.paths(), ensemble.horizon)
+
+
 def test_solver_identity_on_brownian(unit_ensemble):
     model = SdeModel(drift=zero_drift, diffusion=unit_diffusion, x0=0.0)
-    sol = tamed_euler_solve(model, None, 8, unit_ensemble)
+    sol = solve(model, None, 8, unit_ensemble)
     assert np.array_equal(sol, unit_ensemble.paths())
 
 
 def test_solver_constant_drift(unit_ensemble):
     model = SdeModel(drift=lambda t, x: 2.0 * np.ones_like(x), diffusion=unit_diffusion, x0=0.5)
-    sol = tamed_euler_solve(model, None, 16, unit_ensemble)
+    sol = solve(model, None, 16, unit_ensemble)
     expect = 0.5 + 2.0 * unit_ensemble.times[None, :, None] + unit_ensemble.paths()
     np.testing.assert_allclose(sol, expect, atol=1e-12)
 
 
 def test_solver_linear_ode_nodes(unit_ensemble):
     model = SdeModel(drift=lambda t, x: -x, diffusion=zero_drift, x0=1.0)
-    sol = tamed_euler_solve(model, None, 4, unit_ensemble)
+    sol = solve(model, None, 4, unit_ensemble)
     nodes = sol[:, ::16, 0]
     expect = [(1.0 - 0.25) ** j for j in range(5)]
     np.testing.assert_allclose(nodes, np.tile(expect, (16, 1)), rtol=1e-12)
@@ -57,7 +61,7 @@ def test_solver_linear_ode_nodes(unit_ensemble):
 def test_solver_applies_clip(unit_ensemble):
     model = SdeModel(drift=lambda t, x: 100.0 * np.ones_like(x), diffusion=unit_diffusion, x0=0.0)
     policy = TamingPolicy(scale=1.0, exponent=0.25, log_power=0.0)  # level 2 at n=16
-    sol = tamed_euler_solve(model, policy, 16, unit_ensemble)
+    sol = solve(model, policy.clip_level(16), 16, unit_ensemble)
     expect = 2.0 * unit_ensemble.times[None, :, None] + unit_ensemble.paths()
     np.testing.assert_allclose(sol, expect, atol=1e-12)
 
@@ -65,10 +69,13 @@ def test_solver_applies_clip(unit_ensemble):
 def test_solver_dim_mismatch(unit_ensemble):
     model = SdeModel(drift=zero_drift, diffusion=unit_diffusion, dim=2)
     with pytest.raises(ValueError, match="dim"):
-        tamed_euler_solve(model, None, 8, unit_ensemble)
+        strong_error(model, None, [4, 8, 16], fine_factor=4, ensemble=unit_ensemble)
+    flat = SdeModel(drift=zero_drift, diffusion=unit_diffusion)
+    wide = PathEnsemble(n_paths=8, n_steps=64, dim=2, horizon=1.0, seed=1)
+    with pytest.raises(ValueError, match="dim"):
+        strong_error(flat, None, [4, 8, 16], fine_factor=4, ensemble=wide)
     with pytest.raises(ValueError, match="mesh mismatch"):
-        model1 = SdeModel(drift=zero_drift, diffusion=unit_diffusion)
-        tamed_euler_solve(model1, None, 5, unit_ensemble)
+        solve(flat, None, 5, unit_ensemble)
 
 
 # -- quadrature error ---------------------------------------------------------
@@ -194,18 +201,6 @@ def test_davie_moments_frozen():
         davie_moments(np.array([1.0]))
     with pytest.raises(ValueError, match="even"):
         davie_moments(np.array([1.0, 2.0]), ms=(3,))
-
-
-def test_sup_process_moment():
-    traj = np.array([[0.0, 0.5, 1.0], [0.0, -2.0, 0.5]])
-    assert sup_process_moment(traj, 1).value == pytest.approx(1.5)
-    assert sup_process_moment(traj, 2).value == pytest.approx(2.5)
-    cube = traj[:, :, None]
-    assert sup_process_moment(cube, 2).value == pytest.approx(2.5)
-    with pytest.raises(ValueError, match="m must be"):
-        sup_process_moment(traj, 0)
-    with pytest.raises(ValueError, match="paths"):
-        sup_process_moment(np.ones(4), 2)
 
 
 # -- coupled strong error -----------------------------------------------------

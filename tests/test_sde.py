@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bmoforge.sde import SdeModel, TamedDrift, TamingPolicy, ellipticity_check, tame_drift
+from bmoforge.sde import SdeModel, TamingPolicy, ellipticity_check
 
 
 def unit_diffusion(t, x):
@@ -74,23 +74,3 @@ def test_taming_policy_validation():
         TamingPolicy(exponent=0.5, log_power=0.0)
     with pytest.raises(ValueError, match="n_steps"):
         TamingPolicy().clip_level(0)
-
-
-def test_tamed_drift_clips_componentwise():
-    base = lambda t, x: np.asarray(x) ** 3
-    tamed = TamedDrift(base=base, level=2.0)
-    x = np.array([[-3.0, 0.5], [1.0, 10.0]])
-    out = tamed(0.0, x)
-    np.testing.assert_allclose(out, [[-2.0, 0.125], [1.0, 2.0]])
-    # Inside the clip level the field is untouched.
-    small = np.array([[0.1, -0.2]])
-    np.testing.assert_array_equal(tamed(0.0, small), base(0.0, small))
-
-
-def test_tame_drift_uses_policy_level():
-    drift = lambda t, x: 100.0 * np.ones_like(x)
-    tamed = tame_drift(drift, n_steps=16, policy=TamingPolicy(scale=1.0, exponent=0.25, log_power=0.0))
-    assert tamed.level == pytest.approx(2.0)
-    np.testing.assert_allclose(tamed(0.0, np.zeros((2, 1))), 2.0)
-    default = tame_drift(drift, n_steps=9)
-    assert default.level == pytest.approx(3.0 / math.log(10.0))

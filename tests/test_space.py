@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from bmoforge.space import FiniteFilteredSpace, build_tree, cond_expectation, load_space, save_space
+from bmoforge.space import FiniteFilteredSpace, build_tree
 
 
 def test_uniform_tree_shapes():
@@ -61,12 +59,6 @@ def test_cond_expectation_of_measurable_is_identity():
     np.testing.assert_allclose(sp.cond_expectation(lifted, 2), v)
 
 
-def test_functional_form_matches_method():
-    sp = build_tree(2, 2)
-    x = np.arange(4.0)
-    np.testing.assert_allclose(cond_expectation(sp, x, 1), sp.cond_expectation(x, 1))
-
-
 def test_per_level_transition_lists():
     # Ragged per-level arrays: one (1,2) row then a (2,2) block.
     levels = [np.array([[0.5, 0.5]]), np.array([[0.2, 0.8], [0.6, 0.4]])]
@@ -109,24 +101,3 @@ def test_level_and_leaf_errors():
     with pytest.raises(ValueError, match="no parent"):
         sp.parent_index(0, 0)
     assert sp.parent_index(2, 3) == 1
-
-
-def test_serialization_roundtrip(tmp_path):
-    sp = build_tree(2, 2, [0.3, 0.7])
-    procs = {"v": [np.zeros(1), np.array([1.0, -1.0]), np.arange(4.0)]}
-    path = tmp_path / "space.json"
-    save_space(path, sp, procs)
-    loaded, loaded_procs = load_space(path)
-    assert loaded.depth == sp.depth
-    assert loaded.branching == sp.branching
-    for a, b in zip(loaded.transitions, sp.transitions):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(loaded_procs["v"], procs["v"]):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_serialization_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "nope", "depth": 1, "branching": 2, "transitions": []}))
-    with pytest.raises(ValueError, match="schema"):
-        load_space(path)
