@@ -27,7 +27,6 @@ from .oscillation import (
     _snell_levels,
     deterministic_modulus,
     deterministic_pair_modulus,
-    oscillation_grid,
     oscillation_modulus,
 )
 from .processes import AdaptedProcess, maximal_process
@@ -129,9 +128,12 @@ def _cond_log_mean_exp(space, leaf_exponents: np.ndarray, level: int) -> np.ndar
 # -- moment and exponential checks ----------------------------------------
 
 
-def jn_moment_check(process: AdaptedProcess, r: int, p: int,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> CheckReport:
-    """Conditional p-th moment of the forward running maximum vs p!(11 rho)^p."""
+def jn_moment_check(process: AdaptedProcess, grid: OscillationData, r: int,
+                    p: int) -> CheckReport:
+    """Conditional p-th moment of the forward running maximum vs p!(11 rho)^p.
+
+    ``rho`` is the modulus over [r, depth], read from ``grid``.
+    """
     space = process.space
     tau = space.depth
     if not 0 <= r <= tau:
@@ -140,7 +142,7 @@ def jn_moment_check(process: AdaptedProcess, r: int, p: int,
     anchor = process.value_at_leaves(r)
     dev = np.abs(paths[:, r:] - anchor[:, None]).max(axis=1) ** p
     lhs_atoms = space.cond_expectation(dev, r)
-    rho = oscillation_modulus(process, r, tau, cap=cap)
+    rho = grid.window(r, tau)
     rhs = jn_moment_bound(rho, p)
     worst = int(np.argmax(lhs_atoms))
     return _report(
@@ -151,15 +153,17 @@ def jn_moment_check(process: AdaptedProcess, r: int, p: int,
     )
 
 
-def maximal_check(process: AdaptedProcess, s: int, t: int,
+def maximal_check(process: AdaptedProcess, grid: OscillationData, s: int, t: int,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> CheckReport:
     """Window modulus of the running maximum vs 11x the modulus of V.
 
-    Also verifies the intermediate bound: the conditional expected sup of
-    |V_r - V_{s-}| over the window is at most 4x the window modulus.
+    The modulus of V is read from ``grid``; the running maximum's is computed
+    on its window under ``cap``. Also verifies the intermediate bound: the
+    conditional expected sup of |V_r - V_{s-}| over the window is at most 4x
+    the window modulus.
     """
     space = process.space
-    rho_v = oscillation_modulus(process, s, t, cap=cap)
+    rho_v = grid.window(s, t)
     rho_star = oscillation_modulus(maximal_process(space, process), s, t, cap=cap)
     paths = process.path_matrix()
     anchor = space.broadcast_to_leaves(process.left_limit(s), s)
@@ -344,20 +348,19 @@ def khasminskii_check(process: AdaptedProcess, r: int, lam: float, partition,
     )
 
 
-def exp_vmoa_check(process: AdaptedProcess, lam: float, p: float,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> CheckReport:
+def exp_vmoa_check(process: AdaptedProcess, control: OscillationControl,
+                   lam: float) -> CheckReport:
     """Uniform conditional exponential moment of the forward running sup.
 
     For every level r, ess-sup E_r exp(lam * sup_{r<=k<=tau} |V_k - V_r|)
-    must stay below 2^(1 + (22 lam)^p * w_total) with w_total the total
-    p-variation control of the exact modulus grid.
+    must stay below 2^(1 + (22 lam)^p * w_total) with w_total the total of
+    ``control``, the p-variation control of the exact modulus grid.
     """
     space = process.space
     tau = space.depth
     if lam <= 0.0:
         raise ValueError("lam must be > 0")
-    grid = oscillation_grid(process, cap=cap)
-    control = variation_control(grid, p)
+    p = control.p
     rhs = vmo_exp_bound(lam, p, control.total)
     log_rhs = math.log(2.0) * (1.0 + (22.0 * lam) ** p * control.total)
     paths = process.path_matrix()
@@ -380,10 +383,8 @@ def exp_vmoa_check(process: AdaptedProcess, lam: float, p: float,
 # -- structural checks -----------------------------------------------------
 
 
-def pathwise_increment_check(process: AdaptedProcess,
-                             cap: int = DEFAULT_ENUMERATION_CAP) -> CheckReport:
-    """Pathwise |V_t - V_s| <= 22 * w[s, t] with the 1-variation control."""
-    grid = oscillation_grid(process, cap=cap)
+def pathwise_increment_check(process: AdaptedProcess, grid: OscillationData) -> CheckReport:
+    """Pathwise |V_t - V_s| <= 22 * w[s, t] with the 1-variation control of ``grid``."""
     w = variation_control(grid, 1.0).w
     paths = process.path_matrix()
     d = process.depth
@@ -402,15 +403,15 @@ def pathwise_increment_check(process: AdaptedProcess,
     return report
 
 
-def stopping_pair_bound_check(process: AdaptedProcess, s: int, t: int,
-                              cap: int = DEFAULT_ENUMERATION_CAP) -> CheckReport:
+def stopping_pair_bound_check(process: AdaptedProcess, grid: OscillationData,
+                              s: int, t: int) -> CheckReport:
     """Stopping-pair modulus vs 2B + 3C from deterministic data only.
 
     B is the deterministic-pair modulus (left-limit anchors) and C the
     largest single jump inside the window; the supremum over stopping pairs
-    (left-limit anchors) must not exceed 2B + 3C.
+    (left-limit anchors), ``grid.rho_left[s, t]``, must not exceed 2B + 3C.
     """
-    lhs = oscillation_modulus(process, s, t, include_intra=False, cap=cap)
+    lhs = grid.window(s, t, left_limit=True)
     b_det = deterministic_modulus(process, s, t, left_limit=True)
     jumps = [float(np.max(np.abs(inc))) for inc in process.increments()]
     window_jumps = [jumps[j - 1] for j in range(max(s, 1), t + 1)]

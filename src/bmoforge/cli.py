@@ -18,6 +18,7 @@ from .config import (
     KINDS,
     ConfigError,
     ExperimentConfig,
+    apply_overrides,
     parse_config_file,
 )
 from .experiments import run_experiment
@@ -60,15 +61,18 @@ def _resolve_config(args) -> ExperimentConfig:
         if args.seed is None and SEED_ENV not in os.environ:
             raise ConfigError(["seed: required (use --config, --seed, or "
                                f"the {SEED_ENV} environment variable)"])
-    # Precedence: config < environment < explicit flag.
-    if SEED_ENV in os.environ:
-        config.seed = int(os.environ[SEED_ENV])
+    # Precedence: config < environment < explicit flag. Only the seed that
+    # takes effect is checked.
+    overrides = []
     if args.seed is not None:
-        config.seed = args.seed
+        overrides.append(("--seed", "seed", args.seed))
+    elif SEED_ENV in os.environ:
+        overrides.append((SEED_ENV, "seed", os.environ[SEED_ENV]))
+    if args.jobs is not None:
+        overrides.append(("--jobs", "jobs", args.jobs))
+    apply_overrides(config, overrides)
     if args.out is not None:
         config.out = args.out
-    if args.jobs is not None:
-        config.jobs = args.jobs
     return config
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "KINDS",
+    "apply_overrides",
     "parse_config",
     "parse_config_file",
     "serialize_config",
@@ -62,6 +63,12 @@ class _Param:
     hi: float | None = None
     choices: tuple | None = None
 
+
+# Top-level keys that carry a range; command-line overrides obey the same rules.
+_TOP_LEVEL = {
+    "seed": _Param("int", 0, lo=0, hi=_U64_MAX),
+    "jobs": _Param("int", 1, lo=1, hi=256),
+}
 
 _FIELD_CHOICES = ("one", "coordinate", "sign", "inv-abs-clip")
 
@@ -254,14 +261,14 @@ def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentCon
         violations.append("seed: required")
         seed = 0
     else:
-        seed = _coerce("seed", _Param("int", 0, lo=0, hi=_U64_MAX), seed_raw, violations)
+        seed = _coerce("seed", _TOP_LEVEL["seed"], seed_raw, violations)
     out = out_raw if out_raw is not None else "runs"
     if not isinstance(out, str) or not out.strip():
         violations.append(f"out: expected a nonempty path (got {out!r})")
         out = "runs"
     jobs = 1
     if jobs_raw is not None:
-        jobs = _coerce("jobs", _Param("int", 1, lo=1, hi=256), jobs_raw, violations)
+        jobs = _coerce("jobs", _TOP_LEVEL["jobs"], jobs_raw, violations)
     params = {}
     rejected = set()
     for name, spec in schema.items():
@@ -329,6 +336,22 @@ def parse_config(text: str) -> ExperimentConfig:
                                f"{kind!r} belong in [{kind}]"])
         params.update(dict(cp[section]))
     return _build(kind, seed, out, jobs, params)
+
+
+def apply_overrides(config: ExperimentConfig, overrides) -> None:
+    """Set ``seed``/``jobs`` from ``(source, key, raw)`` triples, in order.
+
+    Each value is checked by the same rule as the config key; ``source``
+    (a flag or variable name) labels the violation. Nothing is set unless
+    every value is valid.
+    """
+    violations: list[str] = []
+    values = [(key, _coerce(source, _TOP_LEVEL[key], raw, violations))
+              for source, key, raw in overrides]
+    if violations:
+        raise ConfigError(violations)
+    for key, val in values:
+        setattr(config, key, val)
 
 
 def parse_config_file(path) -> ExperimentConfig:

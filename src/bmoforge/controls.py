@@ -48,6 +48,7 @@ def variation_control(rho, p: float) -> OscillationControl:
     """Interval dynamic program for the p-variation control of a modulus grid.
 
     w[s, t] = max( rho[s, t]^p, max over s < u < t of w[s, u] + w[u, t] ).
+    ``p`` is stored as given, so an integer exponent stays an integer.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
@@ -61,4 +62,4 @@ def variation_control(rho, p: float) -> OscillationControl:
             for u in range(s + 1, t):
                 best = max(best, w[s, u] + w[u, t])
             w[s, t] = best
-    return OscillationControl(w=w, p=float(p))
+    return OscillationControl(w=w, p=p)

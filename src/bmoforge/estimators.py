@@ -58,10 +58,16 @@ def _inv_abs_clip(t, x, clip=100.0):
         return np.minimum(1.0 / np.abs(x), clip)
 
 
+def _one(t, x):
+    return np.ones_like(x)
+
+
+# ``one`` (a ``field`` choice) and ``const`` (a ``drift`` choice) name the same
+# field; both spellings stay because config files and hashes carry them.
 scalar_field_registry = {
     "zero": lambda t, x: np.zeros_like(x),
-    "one": lambda t, x: np.ones_like(x),
-    "const": lambda t, x: np.ones_like(x),
+    "one": _one,
+    "const": _one,
     "coordinate": lambda t, x: np.asarray(x, dtype=float),
     "neg-linear": lambda t, x: -x,
     "sign": lambda t, x: np.sign(x),

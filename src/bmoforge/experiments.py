@@ -114,12 +114,9 @@ def _make_case(config: ExperimentConfig, index: int):
 
 def _jn_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
     _, space, proc = _make_case(config, index)
-    cap = config.params["enumeration_cap"]
-    reports = []
-    for pp in config.params["p_list"]:
-        for r in range(space.depth):
-            reports.append(jn_moment_check(proc, r, pp, cap=cap))
-    return reports
+    grid = oscillation_grid(proc, cap=config.params["enumeration_cap"])
+    return [jn_moment_check(proc, grid, r, pp)
+            for pp in config.params["p_list"] for r in range(space.depth)]
 
 
 def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
@@ -132,17 +129,17 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
         jump_kappa_check(grid),
         monotonicity_check(grid),
         triangle_check(grid),
-        pathwise_increment_check(proc, cap=cap),
-        stopping_pair_bound_check(proc, 0, depth, cap=cap),
-        maximal_check(proc, 0, depth, cap=cap),
+        pathwise_increment_check(proc, grid),
+        stopping_pair_bound_check(proc, grid, 0, depth),
+        maximal_check(proc, grid, 0, depth, cap=cap),
     ]
     for pp in p["p_list"]:
         control = variation_control(grid, pp)
         reports.append(superadditivity_check(control))
         reports.append(control_domination_check(proc, control))
-        reports.append(jn_moment_check(proc, 0, pp, cap=cap))
+        reports.append(jn_moment_check(proc, grid, 0, pp))
         for lam in p["lambda_list"]:
-            reports.append(exp_vmoa_check(proc, lam, pp, cap=cap))
+            reports.append(exp_vmoa_check(proc, control, lam))
 
     # Appendix-style checks need a nondecreasing companion process.
     a = random_nondecreasing_process(space, rng)

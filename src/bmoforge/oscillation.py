@@ -62,6 +62,20 @@ def _anchored_payoffs(process: AdaptedProcess, anchors: np.ndarray, j: int, t: i
     return out
 
 
+def _stop_level_modulus(space: FiniteFilteredSpace, payoffs: list[np.ndarray], j: int, t: int) -> float:
+    """One Snell pass: the largest value over level-j stop atoms of the best
+    continuation in [j, t]. ``payoffs`` starts at level j and reaches t or beyond."""
+    return float(np.max(_snell_levels(space, payoffs, j, t)))
+
+
+def _anchor_sets(process: AdaptedProcess, j: int, include_intra: bool) -> list[np.ndarray]:
+    """Stop-atom anchors at level j: the left limit, then the own value."""
+    anchors = [process.left_limit(j)]
+    if include_intra:
+        anchors.append(process.values[j])
+    return anchors
+
+
 def oscillation_modulus(
     process: AdaptedProcess,
     s: int,
@@ -76,12 +90,9 @@ def oscillation_modulus(
     _check_cap(space, s, t, cap)
     best = 0.0
     for j in range(s, t + 1):
-        anchor_sets = [process.left_limit(j)]
-        if include_intra:
-            anchor_sets.append(process.values[j])
-        for anchors in anchor_sets:
+        for anchors in _anchor_sets(process, j, include_intra):
             payoffs = _anchored_payoffs(process, anchors, j, t)
-            best = max(best, float(np.max(_snell_levels(space, payoffs, j, t))))
+            best = max(best, _stop_level_modulus(space, payoffs, j, t))
     return best
 
 
@@ -164,11 +175,14 @@ class OscillationData:
     """Window moduli for every grid pair, plus jump summaries.
 
     ``rho[s, t]`` is the exact modulus over [s, t] for s <= t (NaN below the
-    diagonal). Diagonal entries are the single-time jump terms E_S|V_S - V_{S-}|
-    with S = s, zero at s = 0 by the ``V_{0-} = V_0`` convention.
+    diagonal), with both anchor conventions; ``rho_left[s, t]`` takes the
+    left-limit anchor only. Diagonal entries are the single-time jump terms
+    E_S|V_S - V_{S-}| with S = s, zero at s = 0 by the ``V_{0-} = V_0``
+    convention.
     """
 
     rho: np.ndarray
+    rho_left: np.ndarray
     kappa: float
     max_jump: float
 
@@ -176,8 +190,11 @@ class OscillationData:
     def depth(self) -> int:
         return self.rho.shape[0] - 1
 
-    def window(self, s: int, t: int) -> float:
-        return float(self.rho[s, t])
+    def window(self, s: int, t: int, left_limit: bool = False) -> float:
+        """Modulus over [s, t]; ``left_limit`` selects ``rho_left``."""
+        if not 0 <= s <= t <= self.depth:
+            raise ValueError(f"window [{s}, {t}] outside [0, {self.depth}]")
+        return float((self.rho_left if left_limit else self.rho)[s, t])
 
     def cell_moduli(self, partition) -> list[float]:
         """Moduli of consecutive cells of a grid partition."""
@@ -185,20 +202,38 @@ class OscillationData:
         return [float(self.rho[a, b]) for a, b in zip(pts[:-1], pts[1:])]
 
 
-def oscillation_grid(
-    process: AdaptedProcess,
-    include_intra: bool = True,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> OscillationData:
-    """Exact window modulus for every grid pair 0 <= s <= t <= depth."""
+def oscillation_grid(process: AdaptedProcess, cap: int = DEFAULT_ENUMERATION_CAP) -> OscillationData:
+    """Exact window modulus for every grid pair 0 <= s <= t <= depth.
+
+    The modulus over [s, t] is the max over stop levels j in [s, t] of the
+    Snell value ``M[j, t]`` of stopping at level j and continuing up to t, so
+    each ``M[j, t]`` is computed once per anchor convention and ``rho`` and
+    ``rho_left`` are its exact maxima over j (suffix maxima down each
+    column). That is (d+1)(d+2) Snell passes and d(d+1)(d+2)/3
+    ``step_expectation`` calls at depth d (42 and 70 at depth 5), and every
+    entry equals :func:`oscillation_modulus` on its window bit for bit. The
+    cap is checked once, on [0, depth], which holds the most stopping times
+    of any window.
+    """
+    space = process.space
     d = process.depth
+    _check_cap(space, 0, d, cap)
+    # stop[c, j, t]: Snell value M[j, t] under convention c (0 left limit, 1 own value).
+    stop = np.full((2, d + 1, d + 1), np.nan)
+    for j in range(d + 1):
+        for c, anchors in enumerate(_anchor_sets(process, j, include_intra=True)):
+            payoffs = _anchored_payoffs(process, anchors, j, d)
+            for t in range(j, d + 1):
+                stop[c, j, t] = _stop_level_modulus(space, payoffs, j, t)
     rho = np.full((d + 1, d + 1), np.nan)
-    for s in range(d + 1):
-        for t in range(s, d + 1):
-            rho[s, t] = oscillation_modulus(process, s, t, include_intra=include_intra, cap=cap)
+    rho_left = np.full((d + 1, d + 1), np.nan)
+    for t in range(d + 1):
+        left, own = (np.maximum.accumulate(m[t::-1, t])[::-1] for m in stop)
+        rho_left[:t + 1, t] = left
+        rho[:t + 1, t] = np.maximum(left, own)
     kappa = jump_modulus(process)
     # Independent route for the same quantity: pathwise jumps off the full
     # trajectory matrix, rather than per-level increment arrays.
     paths = process.path_matrix()
     max_jump = float(np.max(np.abs(np.diff(paths, axis=1)))) if d > 0 else 0.0
-    return OscillationData(rho=rho, kappa=kappa, max_jump=max_jump)
+    return OscillationData(rho=rho, rho_left=rho_left, kappa=kappa, max_jump=max_jump)

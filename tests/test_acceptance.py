@@ -84,10 +84,11 @@ def test_criterion_1_exact_jn_suite(corpus):
     start = time.monotonic()
     n_checks = violations = 0
     for space, proc, _, _, _ in corpus:
+        grid = oscillation_grid(proc)
         for p in (1, 2, 3):
             for r in range(space.depth):
                 n_checks += 1
-                violations += not jn_moment_check(proc, r, p).holds
+                violations += not jn_moment_check(proc, grid, r, p).holds
     elapsed = time.monotonic() - start
     ok = violations == 0 and elapsed < 120.0
     announce(1, ok, f"{n_checks} moment checks, {violations} violations, {elapsed:.1f}s")
@@ -124,9 +125,9 @@ def test_criterion_3_exact_structural_suite(corpus):
             jump_kappa_check(grid),
             monotonicity_check(grid),
             triangle_check(grid),
-            pathwise_increment_check(proc),
-            stopping_pair_bound_check(proc, 0, d),
-            maximal_check(proc, 0, d),
+            pathwise_increment_check(proc, grid),
+            stopping_pair_bound_check(proc, grid, 0, d),
+            maximal_check(proc, grid, 0, d),
         ]
         for p in (1, 2, 3):
             control = variation_control(grid, p)
@@ -146,7 +147,9 @@ def test_criterion_4_exponential_bounds(corpus):
         d = space.depth
         partition = list(range(d + 1))
         cells_a = max(float(oscillation_grid(companion).rho[k, k + 1]) for k in range(d))
-        cells_v = max(float(oscillation_grid(proc).rho[k, k + 1]) for k in range(d))
+        grid_v = oscillation_grid(proc)
+        cells_v = max(float(grid_v.rho[k, k + 1]) for k in range(d))
+        controls = [variation_control(grid_v, p) for p in (1, 2, 3)]
         lams = [0.02, 0.2]
         if cells_a > 0.0:
             lams.append(0.9 / (11.0 * cells_a))
@@ -157,9 +160,9 @@ def test_criterion_4_exponential_bounds(corpus):
             else:
                 skipped += 1
             if 11.0 * lam * cells_v < 1.0:
-                for p in (1, 2, 3):
+                for control in controls:
                     n_checks += 1
-                    violations += not exp_vmoa_check(proc, lam, p).holds
+                    violations += not exp_vmoa_check(proc, control, lam).holds
             else:
                 skipped += 1
     ok = violations == 0 and n_checks > 0

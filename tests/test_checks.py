@@ -44,6 +44,10 @@ def fair_walk():
     )
 
 
+def jn(process, r, p):
+    return jn_moment_check(process, oscillation_grid(process), r, p)
+
+
 def random_case(seed, kind="gaussian", depth=3):
     rng = np.random.default_rng(seed)
     sp = random_space(rng, depth=depth, branching=2, random_transitions=True)
@@ -58,28 +62,29 @@ def test_check_tolerance():
 
 def test_jn_moment_fair_walk_frozen():
     # E max_k |V_k - V_0| = (2 + 1 + 1 + 2)/4 = 1.5 against 1! (11 * 1)^1.
-    rep = jn_moment_check(fair_walk(), 0, 1)
+    rep = jn(fair_walk(), 0, 1)
     assert rep.holds
     assert rep.lhs == pytest.approx(1.5)
     assert rep.rhs == pytest.approx(11.0)
     assert rep.witness["rho"] == pytest.approx(1.0)
-    rep2 = jn_moment_check(fair_walk(), 0, 2)
+    rep2 = jn(fair_walk(), 0, 2)
     assert rep2.lhs == pytest.approx(2.5)
     assert rep2.rhs == pytest.approx(242.0)
 
 
 def test_jn_moment_validation():
     with pytest.raises(ValueError, match="outside"):
-        jn_moment_check(fair_walk(), 5, 1)
+        jn(fair_walk(), 5, 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("kind", ["gaussian", "walk", "integers"])
 def test_jn_moment_random_corpus(seed, kind):
     v = random_case(seed, kind)
+    grid = oscillation_grid(v)
     for r in range(v.depth):
         for p in (1, 2, 3):
-            assert jn_moment_check(v, r, p).holds
+            assert jn_moment_check(v, grid, r, p).holds
 
 
 def test_khasminskii_frozen():
@@ -201,7 +206,7 @@ def test_garsia_random_corpus(seed):
 def test_maximal_check_holds_on_corpus():
     for seed in (9, 10):
         v = random_case(seed, "walk")
-        rep = maximal_check(v, 0, v.depth)
+        rep = maximal_check(v, oscillation_grid(v), 0, v.depth)
         assert rep.holds
         assert rep.witness["sup_holds"]
 
@@ -213,8 +218,8 @@ def test_structural_checks_on_corpus():
         assert jump_kappa_check(grid).holds
         assert monotonicity_check(grid).holds
         assert triangle_check(grid).holds
-        assert pathwise_increment_check(v).holds
-        assert stopping_pair_bound_check(v, 0, v.depth).holds
+        assert pathwise_increment_check(v, grid).holds
+        assert stopping_pair_bound_check(v, grid, 0, v.depth).holds
         for p in (1.0, 2.0):
             control = variation_control(grid, p)
             assert control_domination_check(v, control).holds
@@ -223,19 +228,20 @@ def test_structural_checks_on_corpus():
 def test_exp_vmoa_on_small_deterministic():
     sp = build_tree(2, 2)
     v = deterministic_process(sp, [0.0, 0.01, 0.02])
-    rep = exp_vmoa_check(v, lam=1.0, p=2.0)
+    rep = exp_vmoa_check(v, variation_control(oscillation_grid(v), 2.0), lam=1.0)
     assert rep.holds
     assert rep.rhs >= 2.0
 
 
 def test_exp_vmoa_random_corpus():
     v = random_case(13, "walk")
+    control = variation_control(oscillation_grid(v), 2.0)
     for lam in (0.25, 0.5):
-        assert exp_vmoa_check(v, lam=lam, p=2.0).holds
+        assert exp_vmoa_check(v, control, lam=lam).holds
 
 
 def test_report_serialization(tmp_path):
-    reps = [jn_moment_check(fair_walk(), 0, 1), jump_kappa_check(oscillation_grid(fair_walk()))]
+    reps = [jn(fair_walk(), 0, 1), jump_kappa_check(oscillation_grid(fair_walk()))]
     path = tmp_path / "checks.jsonl"
     reports_to_jsonl(reps, path)
     lines = path.read_text().strip().split("\n")
@@ -247,7 +253,7 @@ def test_report_serialization(tmp_path):
 
 
 def test_summarize_and_csv(tmp_path):
-    reps = [jn_moment_check(fair_walk(), 0, p) for p in (1, 2)]
+    reps = [jn(fair_walk(), 0, p) for p in (1, 2)]
     reps.append(jump_kappa_check(oscillation_grid(fair_walk())))
     rows = summarize_reports(reps)
     assert [r["check"] for r in rows] == ["jn-moment", "jump-kappa"]

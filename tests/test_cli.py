@@ -149,3 +149,22 @@ def test_enumeration_cap_exits_two(tmp_path, capsys):
     assert len(problems) == 1
     assert problems[0].startswith("  - enumeration_cap: depth 4 with branching 3")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags,env,problem", [
+    (["--jobs", "0"], None, "--jobs: must lie in [1, 256] (got 0)"),
+    (["--jobs", "100000"], None, "--jobs: must lie in [1, 256] (got 100000)"),
+    (["--seed", "-1"], None, "--seed: must lie in [0, 18446744073709551615] (got -1)"),
+    ([], "abc", f"{SEED_ENV}: expected int (got 'abc')"),
+], ids=["jobs-zero", "jobs-huge", "seed-negative", "env-seed-text"])
+def test_bad_override_exits_two(tmp_path, capsys, monkeypatch, flags, env, problem):
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV, env)
+    seed = [] if env is not None or "--seed" in flags else ["--seed", "3"]
+    code = main(["jn-check", *seed, *flags, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    problems = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert problems == [f"  - {problem}"]
+    assert not (tmp_path / "run").exists()

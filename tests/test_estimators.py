@@ -36,6 +36,7 @@ def test_registry_fields():
     assert named <= set(scalar_field_registry)
     np.testing.assert_array_equal(scalar_field_registry["zero"](t, x), [0.0, 0.0, 0.0])
     np.testing.assert_array_equal(scalar_field_registry["const"](t, x), [1.0, 1.0, 1.0])
+    assert scalar_field_registry["const"] is scalar_field_registry["one"]
     np.testing.assert_array_equal(scalar_field_registry["neg-linear"](t, x), -x)
 
 

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from bmoforge import experiments
 from bmoforge.config import ConfigError, config_hash, parse_config
 from bmoforge.experiments import run_experiment
 
@@ -78,6 +80,29 @@ process_kind = gaussian
     lines = (tmp_path / "v" / "checks.jsonl").read_text().strip().split("\n")
     assert len(lines) == manifest.extra["n_checks"]
     assert all(json.loads(line)["holds"] for line in lines)
+
+
+def test_verify_battery_builds_one_grid(monkeypatch):
+    cfg = parse_config("""
+[experiment]
+kind = verify-finite
+seed = 1
+
+[verify-finite]
+depth = 5
+n_processes = 1
+""")
+    built = []
+    for name, module in list(sys.modules.items()):
+        fn = getattr(module, "oscillation_grid", None)
+        if name.startswith("bmoforge") and fn is not None:
+            def counted(*args, _fn=fn, **kwargs):
+                built.append(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, "oscillation_grid", counted)
+    reports = experiments._verify_battery(cfg, 0)
+    assert len(built) == 1
+    assert len(reports) > 10
 
 
 def test_enumeration_cap_guard():

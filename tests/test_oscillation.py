@@ -10,7 +10,7 @@ from bmoforge.oscillation import (
     pair_oscillation,
 )
 from bmoforge.processes import AdaptedProcess, deterministic_process, random_process, random_space
-from bmoforge.space import build_tree
+from bmoforge.space import FiniteFilteredSpace, build_tree
 from bmoforge.stopping import EnumerationInfeasibleError, StoppingTime, enumerate_stopping_pairs
 
 
@@ -41,8 +41,46 @@ def test_modulus_matches_enumeration_ternary():
     rng = np.random.default_rng(7)
     sp = random_space(rng, depth=2, branching=3, random_transitions=True)
     v = random_process(sp, rng, kind="uniform")
-    fast = oscillation_modulus(v, 0, 2)
-    assert fast == pytest.approx(brute_force_modulus(v, 0, 2, True), abs=1e-12)
+    for include_intra in (True, False):
+        for s in range(3):
+            for t in range(s, 3):
+                fast = oscillation_modulus(v, s, t, include_intra=include_intra)
+                brute = brute_force_modulus(v, s, t, include_intra)
+                assert fast == pytest.approx(brute, abs=1e-12)
+
+
+@pytest.mark.parametrize("depth,branching,kind,seed", [
+    (5, 2, "gaussian", 21),
+    (5, 2, "heavy", 22),
+    (3, 3, "walk", 23),
+])
+def test_grid_equals_window_moduli_bitwise(depth, branching, kind, seed):
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
+    v = random_process(sp, rng, kind=kind)
+    data = oscillation_grid(v)
+    for s in range(depth + 1):
+        for t in range(s, depth + 1):
+            assert data.rho[s, t] == oscillation_modulus(v, s, t)
+            assert data.rho_left[s, t] == oscillation_modulus(v, s, t, include_intra=False)
+
+
+def test_grid_step_expectation_count(monkeypatch):
+    # One Snell pass per (stop level, horizon, convention): 70 backward steps
+    # at depth 5, against 140 for one pass per (window, stop level).
+    rng = np.random.default_rng(5)
+    sp = random_space(rng, depth=5, branching=2, random_transitions=True)
+    v = random_process(sp, rng, kind="gaussian")
+    calls = []
+    step = FiniteFilteredSpace.step_expectation
+
+    def counted(self, values, k):
+        calls.append(k)
+        return step(self, values, k)
+
+    monkeypatch.setattr(FiniteFilteredSpace, "step_expectation", counted)
+    oscillation_grid(v)
+    assert len(calls) == 70
 
 
 def test_fair_walk_modulus():
@@ -109,6 +147,10 @@ def test_grid_shape_and_conventions():
     # Two independent routes to the largest jump agree.
     assert data.max_jump == pytest.approx(data.kappa)
     assert data.cell_moduli([0, 2, 3]) == [data.rho[0, 2], data.rho[2, 3]]
+    assert data.window(1, 3, left_limit=True) == data.rho_left[1, 3]
+    for s, t in ((2, 1), (-1, 2), (0, 4)):
+        with pytest.raises(ValueError, match="outside"):
+            data.window(s, t)
 
 
 def test_modulus_monotone_in_window_inclusion():
@@ -150,6 +192,8 @@ def test_modulus_respects_cap():
     v = deterministic_process(sp, [0.0, 1.0, 2.0, 3.0])
     with pytest.raises(EnumerationInfeasibleError):
         oscillation_modulus(v, 0, 3, cap=10)
+    with pytest.raises(EnumerationInfeasibleError, match=r"\[0, 3\]"):
+        oscillation_grid(v, cap=10)
 
 
 def test_constant_process_zero_modulus():
