@@ -21,16 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import jn_moment_bound, khasminskii_product, vmo_exp_bound
-from .controls import OscillationControl, variation_control
+from .controls import OscillationControl
 from .oscillation import (
     OscillationData,
     _snell_levels,
     deterministic_modulus,
-    deterministic_pair_modulus,
     oscillation_modulus,
 )
 from .processes import AdaptedProcess, maximal_process
-from .stopping import DEFAULT_ENUMERATION_CAP
 
 __all__ = [
     "CheckReport",
@@ -96,6 +94,24 @@ def _report(name, lhs, rhs, witness=None) -> CheckReport:
     )
 
 
+def _worst_case_report(name, key, cases, first=None) -> CheckReport:
+    """Report over ``(lhs, rhs, where)`` cases: holds iff every case does.
+
+    The reported case is the first with the largest lhs - rhs, starting
+    from lhs = rhs = 0 at ``first``; its ``where`` is the witness under ``key``.
+    """
+    worst = (0.0, 0.0, first)
+    holds = True
+    for lhs, rhs, where in cases:
+        if lhs > rhs + check_tolerance(rhs):
+            holds = False
+        if lhs - rhs > worst[0] - worst[1]:
+            worst = (float(lhs), float(rhs), where)
+    report = _report(name, worst[0], worst[1], {key: worst[2]})
+    report.holds = holds
+    return report
+
+
 def _saturating_exp(x: float) -> float:
     return math.inf if x > 709.0 else math.exp(x)
 
@@ -153,18 +169,18 @@ def jn_moment_check(process: AdaptedProcess, grid: OscillationData, r: int,
     )
 
 
-def maximal_check(process: AdaptedProcess, grid: OscillationData, s: int, t: int,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> CheckReport:
+def maximal_check(process: AdaptedProcess, grid: OscillationData, s: int,
+                  t: int) -> CheckReport:
     """Window modulus of the running maximum vs 11x the modulus of V.
 
     The modulus of V is read from ``grid``; the running maximum's is computed
-    on its window under ``cap``. Also verifies the intermediate bound: the
+    on its window. Also verifies the intermediate bound: the
     conditional expected sup of |V_r - V_{s-}| over the window is at most 4x
     the window modulus.
     """
     space = process.space
     rho_v = grid.window(s, t)
-    rho_star = oscillation_modulus(maximal_process(space, process), s, t, cap=cap)
+    rho_star = oscillation_modulus(maximal_process(space, process), s, t)
     paths = process.path_matrix()
     anchor = space.broadcast_to_leaves(process.left_limit(s), s)
     sup_dev = np.abs(paths[:, s:t + 1] - anchor[:, None]).max(axis=1)
@@ -314,8 +330,7 @@ def energy_check(process: AdaptedProcess, s: int, c: float | None = None,
     )
 
 
-def khasminskii_check(process: AdaptedProcess, r: int, lam: float, partition,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> CheckReport:
+def khasminskii_check(process: AdaptedProcess, r: int, lam: float, partition) -> CheckReport:
     """Conditional exponential moment vs the per-cell product bound.
 
     rhs multiplies (1 - lam * rho_cell)^(-1) over the partition cells to the
@@ -334,7 +349,7 @@ def khasminskii_check(process: AdaptedProcess, r: int, lam: float, partition,
     if pts != sorted(set(pts)) or pts[0] != 0 or pts[-1] != tau:
         raise ValueError("partition must be strictly increasing grid points from 0 to depth")
     cells = [(max(a, r), b) for a, b in zip(pts[:-1], pts[1:]) if b > r]
-    moduli = [oscillation_modulus(process, a, b, cap=cap) for a, b in cells]
+    moduli = [oscillation_modulus(process, a, b) for a, b in cells]
     rhs = khasminskii_product(lam, moduli)  # raises PartitionTooCoarseError
     log_rhs = -sum(math.log1p(-lam * rho) for rho in moduli)
     a_tau = process.value_at_leaves(tau)
@@ -383,24 +398,15 @@ def exp_vmoa_check(process: AdaptedProcess, control: OscillationControl,
 # -- structural checks -----------------------------------------------------
 
 
-def pathwise_increment_check(process: AdaptedProcess, grid: OscillationData) -> CheckReport:
-    """Pathwise |V_t - V_s| <= 22 * w[s, t] with the 1-variation control of ``grid``."""
-    w = variation_control(grid, 1.0).w
+def pathwise_increment_check(process: AdaptedProcess, control: OscillationControl) -> CheckReport:
+    """Pathwise |V_t - V_s| <= 22 * w[s, t] with ``control`` the 1-variation control."""
+    if control.p != 1:
+        raise ValueError(f"needs the p = 1 variation control (got p = {control.p})")
     paths = process.path_matrix()
     d = process.depth
-    worst = (0.0, 0.0, (0, 0))
-    holds = True
-    for s in range(d):
-        for t in range(s + 1, d + 1):
-            lhs = float(np.max(np.abs(paths[:, t] - paths[:, s])))
-            rhs = 22.0 * float(w[s, t])
-            if lhs > rhs + check_tolerance(rhs):
-                holds = False
-            if lhs - rhs > worst[0] - worst[1]:
-                worst = (lhs, rhs, (s, t))
-    report = _report("pathwise-increment", worst[0], worst[1], {"window": list(worst[2])})
-    report.holds = bool(holds)
-    return report
+    return _worst_case_report("pathwise-increment", "window", (
+        (float(np.max(np.abs(paths[:, t] - paths[:, s]))), 22.0 * float(control.w[s, t]), [s, t])
+        for s in range(d) for t in range(s + 1, d + 1)), first=[0, 0])
 
 
 def stopping_pair_bound_check(process: AdaptedProcess, grid: OscillationData,
@@ -438,78 +444,39 @@ def jump_kappa_check(grid: OscillationData) -> CheckReport:
 
 def monotonicity_check(grid: OscillationData) -> CheckReport:
     """Window modulus is monotone under window inclusion."""
-    d = grid.depth
-    worst = (0.0, 0.0, None)
-    holds = True
-    for s in range(d + 1):
-        for t in range(s, d + 1):
-            outer = grid.rho[s, t]
-            for u in range(s, t + 1):
-                for v in range(u, t + 1):
-                    inner = grid.rho[u, v]
-                    if inner > outer + check_tolerance(outer):
-                        holds = False
-                    if inner - outer > worst[0] - worst[1]:
-                        worst = (float(inner), float(outer), [s, t, u, v])
-    report = _report("modulus-monotone", worst[0], worst[1], {"windows": worst[2]})
-    report.holds = bool(holds)
-    return report
+    d, rho = grid.depth, grid.rho
+    return _worst_case_report("modulus-monotone", "windows", (
+        (rho[u, v], rho[s, t], [s, t, u, v])
+        for s in range(d + 1) for t in range(s, d + 1)
+        for u in range(s, t + 1) for v in range(u, t + 1)))
 
 
 def triangle_check(grid: OscillationData) -> CheckReport:
     """Window modulus satisfies rho[s,t] <= rho[s,u] + rho[u,t]."""
-    d = grid.depth
-    worst = (0.0, 0.0, None)
-    holds = True
-    for s in range(d + 1):
-        for t in range(s, d + 1):
-            lhs = grid.rho[s, t]
-            for u in range(s, t + 1):
-                rhs = grid.rho[s, u] + grid.rho[u, t]
-                if lhs > rhs + check_tolerance(rhs):
-                    holds = False
-                if lhs - rhs > worst[0] - worst[1]:
-                    worst = (float(lhs), float(rhs), [s, u, t])
-    report = _report("modulus-triangle", worst[0], worst[1], {"split": worst[2]})
-    report.holds = bool(holds)
-    return report
+    d, rho = grid.depth, grid.rho
+    return _worst_case_report("modulus-triangle", "split", (
+        (rho[s, t], rho[s, u] + rho[u, t], [s, u, t])
+        for s in range(d + 1) for t in range(s, d + 1) for u in range(s, t + 1)))
 
 
 def superadditivity_check(control: OscillationControl) -> CheckReport:
     """w[s,u] + w[u,t] <= w[s,t] for every split point."""
+    d, w = control.depth, control.w
+    return _worst_case_report("control-superadditive", "split", (
+        (w[s, u] + w[u, t], w[s, t], [s, u, t])
+        for s in range(d + 1) for t in range(s, d + 1) for u in range(s, t + 1)))
+
+
+def control_domination_check(pairs: np.ndarray, control: OscillationControl) -> CheckReport:
+    """Deterministic conditional increments obey E_s|V_t - V_s| <= w[s,t]^(1/p).
+
+    ``pairs`` is the own-value-anchor grid of
+    :func:`~bmoforge.oscillation.deterministic_pair_grid`.
+    """
     d = control.depth
-    worst = (0.0, 0.0, None)
-    holds = True
-    for s in range(d + 1):
-        for t in range(s, d + 1):
-            rhs = control.w[s, t]
-            for u in range(s, t + 1):
-                lhs = control.w[s, u] + control.w[u, t]
-                if lhs > rhs + check_tolerance(rhs):
-                    holds = False
-                if lhs - rhs > worst[0] - worst[1]:
-                    worst = (float(lhs), float(rhs), [s, u, t])
-    report = _report("control-superadditive", worst[0], worst[1], {"split": worst[2]})
-    report.holds = bool(holds)
-    return report
-
-
-def control_domination_check(process: AdaptedProcess, control: OscillationControl) -> CheckReport:
-    """Deterministic conditional increments obey E_s|V_t - V_s| <= w[s,t]^(1/p)."""
-    d = process.depth
-    worst = (0.0, 0.0, None)
-    holds = True
-    for s in range(d):
-        for t in range(s + 1, d + 1):
-            lhs = deterministic_pair_modulus(process, s, t, left_limit=False)
-            rhs = float(control.w[s, t]) ** (1.0 / control.p)
-            if lhs > rhs + check_tolerance(rhs):
-                holds = False
-            if lhs - rhs > worst[0] - worst[1]:
-                worst = (lhs, rhs, [s, t])
-    report = _report("control-dominates-increments", worst[0], worst[1], {"window": worst[2]})
-    report.holds = bool(holds)
-    return report
+    return _worst_case_report("control-dominates-increments", "window", (
+        (float(pairs[s, t]), float(control.w[s, t]) ** (1.0 / control.p), [s, t])
+        for s in range(d) for t in range(s + 1, d + 1)))
 
 
 # -- report IO -------------------------------------------------------------

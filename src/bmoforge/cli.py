@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from .config import (
     KIND_SCHEMAS,
@@ -73,6 +74,13 @@ def _resolve_config(args) -> ExperimentConfig:
     apply_overrides(config, overrides)
     if args.out is not None:
         config.out = args.out
+    # The output directory, or its nearest existing ancestor, must be a directory.
+    for path in (Path(config.out), *Path(config.out).parents):
+        if path.exists():
+            if not path.is_dir():
+                source = "--out" if args.out is not None else "out"
+                raise ConfigError([f"{source}: {path} exists and is not a directory"])
+            break
     return config
 
 
@@ -81,7 +89,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         try:
             _, text = report_summary(args.manifests, out_path=args.out)
-        except FileNotFoundError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         sys.stdout.write(text)

@@ -27,11 +27,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field as dc_field
-
-from .stopping import subtree_rule_count
 
 __all__ = [
     "ConfigError",
@@ -40,7 +37,6 @@ __all__ = [
     "apply_overrides",
     "parse_config",
     "parse_config_file",
-    "serialize_config",
     "config_hash",
 ]
 
@@ -72,18 +68,21 @@ _TOP_LEVEL = {
 
 _FIELD_CHOICES = ("one", "coordinate", "sign", "inv-abs-clip")
 
+# Keys of the finite-tree case batteries. The largest tree, 4**5 leaves, keeps
+# every case small, so no work bound is needed.
+_CASE_PARAMS = {
+    "depth": _Param("int", 3, lo=1, hi=5),
+    "branching": _Param("int", 2, lo=2, hi=4),
+    "n_processes": _Param("int", 50, lo=1, hi=100000),
+    "p_list": _Param("int_list", [1, 2, 3], lo=1, hi=6),
+    "lambda_list": _Param("float_list", [0.3], lo=1e-9, hi=100.0),
+    "process_kind": _Param("str", "gaussian",
+                           choices=("gaussian", "walk", "uniform", "integers", "heavy")),
+    "random_transitions": _Param("bool", True),
+}
+
 KIND_SCHEMAS: dict[str, dict[str, _Param]] = {
-    "verify-finite": {
-        "depth": _Param("int", 3, lo=1, hi=5),
-        "branching": _Param("int", 2, lo=2, hi=4),
-        "n_processes": _Param("int", 50, lo=1, hi=100000),
-        "p_list": _Param("int_list", [1, 2, 3], lo=1, hi=6),
-        "lambda_list": _Param("float_list", [0.3], lo=1e-9, hi=100.0),
-        "process_kind": _Param("str", "gaussian",
-                               choices=("gaussian", "walk", "uniform", "integers", "heavy")),
-        "random_transitions": _Param("bool", True),
-        "enumeration_cap": _Param("int", 10**6, lo=1, hi=10**9),
-    },
+    "verify-finite": _CASE_PARAMS,
     "rho-grid": {
         "field": _Param("str", "sign", choices=_FIELD_CHOICES),
         "grid_times": _Param("float_list", [0.25, 0.5, 0.75, 1.0], lo=0.0, hi=100.0),
@@ -92,16 +91,7 @@ KIND_SCHEMAS: dict[str, dict[str, _Param]] = {
         "steps_per_unit": _Param("int", 256, lo=1, hi=10**6),
         "proxy": _Param("str", "max", choices=("max", "quantile")),
     },
-    "jn-check": {
-        "depth": _Param("int", 3, lo=1, hi=5),
-        "branching": _Param("int", 2, lo=2, hi=4),
-        "n_processes": _Param("int", 50, lo=1, hi=100000),
-        "p_list": _Param("int_list", [1, 2, 3], lo=1, hi=6),
-        "process_kind": _Param("str", "gaussian",
-                               choices=("gaussian", "walk", "uniform", "integers", "heavy")),
-        "random_transitions": _Param("bool", True),
-        "enumeration_cap": _Param("int", 10**6, lo=1, hi=10**9),
-    },
+    "jn-check": {k: v for k, v in _CASE_PARAMS.items() if k != "lambda_list"},
     "davie": {
         "field": _Param("str", "sign", choices=_FIELD_CHOICES),
         "shifts": _Param("float_list", [0.05, 0.1, 0.2, 0.4], lo=1e-6, hi=10.0),
@@ -141,9 +131,6 @@ class ExperimentConfig:
     out: str = "runs"
     jobs: int = 1
     params: dict = dc_field(default_factory=dict)
-
-    def param(self, name: str):
-        return self.params[name]
 
 
 def _coerce(name: str, spec: _Param, raw, violations: list[str]):
@@ -220,15 +207,6 @@ def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]
 
     Keys whose own value was rejected are left to that violation.
     """
-    if (kind in ("verify-finite", "jn-check")
-            and not rejected & {"depth", "branching", "enumeration_cap"}):
-        # The window [0, depth] holds the most stopping times of any window.
-        depth, cap = params["depth"], params["enumeration_cap"]
-        count = subtree_rule_count(params["branching"], depth)
-        if count > cap:
-            return [f"enumeration_cap: depth {depth} with branching "
-                    f"{params['branching']} gives {count:.4g} stopping times on "
-                    f"[0, {depth}], over the cap {cap}; lower the depth or raise the cap"]
     if kind == "tamed-em" and not rejected & {"ns", "fine_factor"}:
         n_ref = params["fine_factor"] * max(params["ns"])
         bad = [n for n in params["ns"] if n_ref % n]
@@ -355,32 +333,15 @@ def apply_overrides(config: ExperimentConfig, overrides) -> None:
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, list):
-        return ", ".join(_format_value(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical sectioned text; parse(serialize(c)) == c."""
-    buf = io.StringIO()
-    buf.write("[experiment]\n")
-    buf.write(f"kind = {config.kind}\n")
-    buf.write(f"seed = {config.seed}\n")
-    buf.write(f"out = {config.out}\n")
-    buf.write(f"jobs = {config.jobs}\n\n")
-    buf.write(f"[{config.kind}]\n")
-    for name in KIND_SCHEMAS[config.kind]:
-        buf.write(f"{name} = {_format_value(config.params[name])}\n")
-    return buf.getvalue()
+    """Parse a config file; an unreadable or non-UTF-8 file is a ``config:`` violation."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError([f"config: cannot read {path}: {exc.strerror or exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config: {path} is not UTF-8 text (byte {exc.start})"]) from exc
+    return parse_config(text)
 
 
 def config_hash(config: ExperimentConfig) -> str:

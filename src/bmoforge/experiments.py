@@ -48,7 +48,7 @@ from .estimators import (
     scalar_field_registry,
     state_functional,
 )
-from .oscillation import oscillation_grid
+from .oscillation import deterministic_pair_grid, oscillation_grid
 from .processes import random_nondecreasing_process, random_process, random_space
 from .rng import PURPOSE_MODEL, philox_stream
 from .schemes import (
@@ -114,7 +114,7 @@ def _make_case(config: ExperimentConfig, index: int):
 
 def _jn_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
     _, space, proc = _make_case(config, index)
-    grid = oscillation_grid(proc, cap=config.params["enumeration_cap"])
+    grid = oscillation_grid(proc)
     return [jn_moment_check(proc, grid, r, pp)
             for pp in config.params["p_list"] for r in range(space.depth)]
 
@@ -122,21 +122,23 @@ def _jn_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
 def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
     rng, space, proc = _make_case(config, index)
     p = config.params
-    cap = p["enumeration_cap"]
     depth = space.depth
-    grid = oscillation_grid(proc, cap=cap)
+    grid = oscillation_grid(proc)
+    controls = {pp: variation_control(grid, pp) for pp in p["p_list"]}
+    unit_control = controls[1] if 1 in controls else variation_control(grid, 1)
     reports = [
         jump_kappa_check(grid),
         monotonicity_check(grid),
         triangle_check(grid),
-        pathwise_increment_check(proc, grid),
+        pathwise_increment_check(proc, unit_control),
         stopping_pair_bound_check(proc, grid, 0, depth),
-        maximal_check(proc, grid, 0, depth, cap=cap),
+        maximal_check(proc, grid, 0, depth),
     ]
+    pairs = deterministic_pair_grid(proc, left_limit=False)
     for pp in p["p_list"]:
-        control = variation_control(grid, pp)
+        control = controls[pp]
         reports.append(superadditivity_check(control))
-        reports.append(control_domination_check(proc, control))
+        reports.append(control_domination_check(pairs, control))
         reports.append(jn_moment_check(proc, grid, 0, pp))
         for lam in p["lambda_list"]:
             reports.append(exp_vmoa_check(proc, control, lam))
@@ -147,7 +149,7 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
     partition = list(range(depth + 1))
     for lam in p["lambda_list"]:
         try:
-            reports.append(khasminskii_check(a, 0, lam, partition, cap=cap))
+            reports.append(khasminskii_check(a, 0, lam, partition))
         except PartitionTooCoarseError:
             pass  # inequality not applicable at this lam; not a violation
 

@@ -15,9 +15,9 @@ The supremum over pairs factors through stop atoms: every node u at a level
 j in [s, t] is a stop atom of some S, and conditionally on stopping at u the
 supremum over continuations T is a finite optimal-stopping problem solved
 exactly by backward induction. The result therefore equals the brute-force
-supremum over the full enumeration, at polynomial cost. The enumeration cap
-is still enforced so that the engine only reports values inside the regime
-where the claim can be re-checked by literal enumeration.
+supremum over the full enumeration, at polynomial cost, on a tree of any
+size. The enumeration cap guards only the literal enumeration in
+:mod:`bmoforge.stopping`, the oracle this engine is tested against.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ import numpy as np
 
 from .processes import AdaptedProcess
 from .space import FiniteFilteredSpace
-from .stopping import DEFAULT_ENUMERATION_CAP, StoppingTime, _check_cap
+from .stopping import StoppingTime
 
 __all__ = [
     "oscillation_modulus",
     "jump_modulus",
     "deterministic_modulus",
     "deterministic_pair_modulus",
+    "deterministic_pair_grid",
     "oscillation_grid",
     "pair_oscillation",
     "OscillationData",
@@ -81,13 +82,11 @@ def oscillation_modulus(
     s: int,
     t: int,
     include_intra: bool = True,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Exact window modulus of ``process`` over levels [s, t]."""
     space = process.space
     if not 0 <= s <= t <= space.depth:
         raise ValueError(f"window [{s}, {t}] outside [0, {space.depth}]")
-    _check_cap(space, s, t, cap)
     best = 0.0
     for j in range(s, t + 1):
         for anchors in _anchor_sets(process, j, include_intra):
@@ -121,15 +120,24 @@ def deterministic_pair_modulus(
     return float(np.max(vals))
 
 
+def deterministic_pair_grid(process: AdaptedProcess, left_limit: bool = True) -> np.ndarray:
+    """``pairs[j, k]`` is :func:`deterministic_pair_modulus` for every pair
+    0 <= j <= k <= depth, NaN below the diagonal as in :class:`OscillationData`."""
+    d = process.depth
+    pairs = np.full((d + 1, d + 1), np.nan)
+    for j in range(d + 1):
+        for k in range(j, d + 1):
+            pairs[j, k] = deterministic_pair_modulus(process, j, k, left_limit)
+    return pairs
+
+
 def deterministic_modulus(
     process: AdaptedProcess, s: int, t: int, left_limit: bool = True
 ) -> float:
     """Max of the deterministic-pair moduli over s <= j <= k <= t."""
-    best = 0.0
-    for j in range(s, t + 1):
-        for k in range(j, t + 1):
-            best = max(best, deterministic_pair_modulus(process, j, k, left_limit))
-    return best
+    if not 0 <= s <= t <= process.depth:
+        raise ValueError(f"window [{s}, {t}] outside [0, {process.depth}]")
+    return float(np.nanmax(deterministic_pair_grid(process, left_limit)[s:t + 1, s:t + 1]))
 
 
 def pair_oscillation(
@@ -202,7 +210,7 @@ class OscillationData:
         return [float(self.rho[a, b]) for a, b in zip(pts[:-1], pts[1:])]
 
 
-def oscillation_grid(process: AdaptedProcess, cap: int = DEFAULT_ENUMERATION_CAP) -> OscillationData:
+def oscillation_grid(process: AdaptedProcess) -> OscillationData:
     """Exact window modulus for every grid pair 0 <= s <= t <= depth.
 
     The modulus over [s, t] is the max over stop levels j in [s, t] of the
@@ -211,13 +219,10 @@ def oscillation_grid(process: AdaptedProcess, cap: int = DEFAULT_ENUMERATION_CAP
     ``rho_left`` are its exact maxima over j (suffix maxima down each
     column). That is (d+1)(d+2) Snell passes and d(d+1)(d+2)/3
     ``step_expectation`` calls at depth d (42 and 70 at depth 5), and every
-    entry equals :func:`oscillation_modulus` on its window bit for bit. The
-    cap is checked once, on [0, depth], which holds the most stopping times
-    of any window.
+    entry equals :func:`oscillation_modulus` on its window bit for bit.
     """
     space = process.space
     d = process.depth
-    _check_cap(space, 0, d, cap)
     # stop[c, j, t]: Snell value M[j, t] under convention c (0 left limit, 1 own value).
     stop = np.full((2, d + 1, d + 1), np.nan)
     for j in range(d + 1):

@@ -27,7 +27,15 @@ def _metric_row(run, kind, metric, value, stderr=""):
 
 def _load_manifest(path: Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON manifest ({exc})") from exc
+    missing = [k for k in ("kind", "config_hash")
+               if not isinstance(manifest, dict) or k not in manifest]
+    if missing:
+        raise ValueError(f"{path}: manifest lacks {', '.join(missing)}")
+    return manifest
 
 
 def _rows_for_manifest(path: Path) -> list[list]:
@@ -101,8 +109,9 @@ def _text_table(rows: list[list]) -> str:
 def report_summary(manifest_paths, out_path=None) -> tuple[list[list], str]:
     """Build the aggregate table; optionally write it as CSV.
 
-    Returns (rows, text_table). Missing manifests or referenced summaries
-    raise FileNotFoundError.
+    Returns (rows, text_table). Unreadable manifests or referenced summaries
+    raise OSError; a manifest that is not JSON or lacks ``kind`` or
+    ``config_hash`` raises ValueError.
     """
     rows: list[list] = []
     for path in manifest_paths:

@@ -66,11 +66,6 @@ class FiniteFilteredSpace:
     def n_leaves(self) -> int:
         return self.level_size(self.depth)
 
-    def parent_index(self, k: int, i: int) -> int:
-        if k == 0:
-            raise ValueError("root has no parent")
-        return i // self.branching
-
     def _compute_atom_probs(self) -> list[np.ndarray]:
         probs = [np.ones(1)]
         for k in range(self.depth):
@@ -104,9 +99,6 @@ class FiniteFilteredSpace:
         """Lift a level-``level`` variable to leaf granularity."""
         values = np.asarray(values, dtype=float)
         return np.repeat(values, self.branching ** (self.depth - level))
-
-    def atom_probability(self, level: int, index: int) -> float:
-        return float(self.atom_probs[level][index])
 
 
 def build_tree(

@@ -4,7 +4,8 @@ A stopping time with values in the level window [s, t] is a first-hit rule:
 each path stops at the first labelled node it meets, and every path must
 stop by level t. Enumeration is exponential in the window width, so all
 entry points take a cap and refuse infeasible windows loudly rather than
-grinding.
+grinding. The cap belongs to this literal enumeration only: the Snell engine
+in :mod:`bmoforge.oscillation` computes the same suprema at polynomial cost.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "StoppingTime",
     "EnumerationInfeasibleError",
     "subtree_rule_count",
-    "window_rule_count_log",
     "enumerate_stopping_times",
     "enumerate_stopping_pairs",
     "DEFAULT_ENUMERATION_CAP",
@@ -46,19 +46,14 @@ def subtree_rule_count(branching: int, width: int) -> int:
     return n
 
 
-def window_rule_count_log(space: FiniteFilteredSpace, s: int, t: int) -> float:
-    """log of the total number of window-[s,t] stopping times on the space."""
-    per_root = subtree_rule_count(space.branching, t - s)
-    return space.level_size(s) * math.log(per_root)
-
-
 def _check_window(space: FiniteFilteredSpace, s: int, t: int) -> None:
     if not 0 <= s <= t <= space.depth:
         raise ValueError(f"window [{s}, {t}] outside [0, {space.depth}]")
 
 
 def _check_cap(space: FiniteFilteredSpace, s: int, t: int, cap: int) -> None:
-    log_count = window_rule_count_log(space, s, t)
+    # The level-s subtrees choose their rules independently.
+    log_count = space.level_size(s) * math.log(subtree_rule_count(space.branching, t - s))
     if log_count > math.log(cap):
         count = f"exp({log_count:.1f})" if log_count > 700 else str(round(math.exp(log_count)))
         raise EnumerationInfeasibleError(

@@ -40,7 +40,7 @@ from bmoforge.estimators import (
     scalar_field_registry,
     state_functional,
 )
-from bmoforge.oscillation import oscillation_grid
+from bmoforge.oscillation import deterministic_pair_grid, oscillation_grid
 from bmoforge.processes import (
     random_nondecreasing_process,
     random_process,
@@ -121,18 +121,19 @@ def test_criterion_3_exact_structural_suite(corpus):
     for space, proc, _, _, _ in corpus:
         d = space.depth
         grid = oscillation_grid(proc)
+        controls = {p: variation_control(grid, p) for p in (1, 2, 3)}
         reports = [
             jump_kappa_check(grid),
             monotonicity_check(grid),
             triangle_check(grid),
-            pathwise_increment_check(proc, grid),
+            pathwise_increment_check(proc, controls[1]),
             stopping_pair_bound_check(proc, grid, 0, d),
             maximal_check(proc, grid, 0, d),
         ]
-        for p in (1, 2, 3):
-            control = variation_control(grid, p)
+        pairs = deterministic_pair_grid(proc, left_limit=False)
+        for control in controls.values():
             reports.append(superadditivity_check(control))
-            reports.append(control_domination_check(proc, control))
+            reports.append(control_domination_check(pairs, control))
         n_checks += len(reports)
         violations += sum(not r.holds for r in reports)
     ok = violations == 0

@@ -138,17 +138,81 @@ def test_mesh_mismatch_exits_two(tmp_path, capsys, kind, section):
     assert not (tmp_path / "run").exists()
 
 
-def test_enumeration_cap_exits_two(tmp_path, capsys):
-    cfg = write(tmp_path, JN_TINY.replace("depth = 1", "depth = 4").replace(
-        "branching = 2", "branching = 3"))
-    code = main(["jn-check", "--config", cfg, "--out", str(tmp_path / "run")])
-    assert code == 2
+def one_problem(capsys):
+    """The single ``  - `` violation line of a rejected run's stderr."""
     err = capsys.readouterr().err
     assert "Traceback" not in err
     problems = [line for line in err.splitlines() if line.startswith("  - ")]
     assert len(problems) == 1
-    assert problems[0].startswith("  - enumeration_cap: depth 4 with branching 3")
+    return problems[0]
+
+
+def test_ternary_tree_past_the_enumeration_limit_runs(tmp_path, capsys):
+    # 3.89e8 stopping times on [0, 4]: too many to enumerate, none needed.
+    cfg = write(tmp_path, JN_TINY.replace("depth = 1", "depth = 4").replace(
+        "branching = 2", "branching = 3"))
+    code = main(["jn-check", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert "jn-check: ok" in capsys.readouterr().out
+    assert (tmp_path / "run" / "checks.jsonl").exists()
+
+
+def test_enumeration_cap_is_an_unknown_key(tmp_path, capsys):
+    cfg = write(tmp_path, JN_TINY + "enumeration_cap = 1000000\n")
+    code = main(["jn-check", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert one_problem(capsys).startswith("  - enumeration_cap: unknown key for kind")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case,message", [
+    ("missing", "cannot read {}: No such file or directory"),
+    ("directory", "cannot read {}: Is a directory"),
+    ("latin-1", "{} is not UTF-8 text"),
+])
+def test_unreadable_config_exits_two(tmp_path, capsys, case, message):
+    path = tmp_path / "exp.ini"
+    if case == "directory":
+        path.mkdir()
+    elif case == "latin-1":
+        path.write_bytes(JN_TINY.replace("walk", "walk # caf\xe9").encode("latin-1"))
+    code = main(["jn-check", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert one_problem(capsys).startswith("  - config: " + message.format(path))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case,message", [
+    ("directory", "Is a directory"),
+    ("not-json", "not a JSON manifest"),
+    ("no-kind", "manifest lacks kind"),
+])
+def test_bad_manifest_exits_two(tmp_path, capsys, case, message):
+    path = tmp_path / "manifest.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_text("{" if case == "not-json" else '{"config_hash": "ab"}')
+    code = main(["report", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize("source", ["--out", "out"])
+def test_out_naming_a_file_exits_two(tmp_path, capsys, source):
+    target = tmp_path / "taken"
+    target.write_text("keep me\n")
+    text, flags = JN_TINY, ["--out", str(target)]
+    if source == "out":
+        text, flags = JN_TINY.replace("seed = 11", f"seed = 11\nout = {target}"), []
+    code = main(["jn-check", "--config", write(tmp_path, text), *flags])
+    assert code == 2
+    assert one_problem(capsys) == f"  - {source}: {target} exists and is not a directory"
+    assert target.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
 
 
 @pytest.mark.parametrize("flags,env,problem", [

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from bmoforge import experiments
-from bmoforge.config import ConfigError, config_hash, parse_config
+from bmoforge.config import config_hash, parse_config
 from bmoforge.experiments import run_experiment
 
 
@@ -105,8 +105,10 @@ n_processes = 1
     assert len(reports) > 10
 
 
-def test_enumeration_cap_guard():
-    text = """
+def test_verify_battery_past_the_enumeration_limit():
+    # A ternary depth-5 tree is far past what enumeration could check; the
+    # exact engine still runs the whole battery.
+    cfg = parse_config("""
 [experiment]
 kind = verify-finite
 seed = 1
@@ -115,9 +117,10 @@ seed = 1
 depth = 5
 branching = 3
 n_processes = 1
-"""
-    with pytest.raises(ConfigError, match="enumeration_cap"):
-        parse_config(text)
+""")
+    reports = experiments._verify_battery(cfg, 0)
+    assert len(reports) > 10
+    assert all(rep.holds for rep in reports)
 
 
 def test_rho_grid_constant_field(tmp_path):

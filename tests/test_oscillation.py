@@ -3,6 +3,7 @@ import pytest
 
 from bmoforge.oscillation import (
     deterministic_modulus,
+    deterministic_pair_grid,
     deterministic_pair_modulus,
     jump_modulus,
     oscillation_grid,
@@ -11,7 +12,12 @@ from bmoforge.oscillation import (
 )
 from bmoforge.processes import AdaptedProcess, deterministic_process, random_process, random_space
 from bmoforge.space import FiniteFilteredSpace, build_tree
-from bmoforge.stopping import EnumerationInfeasibleError, StoppingTime, enumerate_stopping_pairs
+from bmoforge.stopping import (
+    EnumerationInfeasibleError,
+    StoppingTime,
+    enumerate_stopping_pairs,
+    enumerate_stopping_times,
+)
 
 
 def brute_force_modulus(process, s, t, include_intra):
@@ -53,6 +59,8 @@ def test_modulus_matches_enumeration_ternary():
     (5, 2, "gaussian", 21),
     (5, 2, "heavy", 22),
     (3, 3, "walk", 23),
+    (5, 3, "gaussian", 24),
+    (5, 4, "uniform", 25),
 ])
 def test_grid_equals_window_moduli_bitwise(depth, branching, kind, seed):
     rng = np.random.default_rng(seed)
@@ -124,6 +132,19 @@ def test_deterministic_pair_modulus_exact():
         deterministic_pair_modulus(v, 2, 1)
 
 
+def test_pair_grid_holds_every_pair_modulus():
+    rng = np.random.default_rng(27)
+    v = random_process(random_space(rng, depth=3, branching=2, random_transitions=True), rng)
+    for left_limit in (True, False):
+        pairs = deterministic_pair_grid(v, left_limit)
+        for j in range(4):
+            for k in range(4):
+                if k < j:
+                    assert np.isnan(pairs[j, k])
+                else:
+                    assert pairs[j, k] == deterministic_pair_modulus(v, j, k, left_limit)
+
+
 def test_deterministic_pairs_lower_bound_the_modulus():
     rng = np.random.default_rng(11)
     sp = random_space(rng, depth=3, branching=2, random_transitions=True)
@@ -187,13 +208,17 @@ def test_pair_oscillation_validation():
         pair_oscillation(v, early, late, convention="center")
 
 
-def test_modulus_respects_cap():
-    sp = build_tree(3, 2)
-    v = deterministic_process(sp, [0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(EnumerationInfeasibleError):
-        oscillation_modulus(v, 0, 3, cap=10)
-    with pytest.raises(EnumerationInfeasibleError, match=r"\[0, 3\]"):
-        oscillation_grid(v, cap=10)
+def test_cap_guards_only_enumeration():
+    # A ternary depth-5 window holds too many stopping times to enumerate,
+    # but the Snell engine needs no enumeration.
+    rng = np.random.default_rng(26)
+    sp = random_space(rng, depth=5, branching=3, random_transitions=True)
+    v = random_process(sp, rng, kind="gaussian")
+    with pytest.raises(EnumerationInfeasibleError, match=r"\[0, 5\]"):
+        enumerate_stopping_times(sp, 0, 5)
+    data = oscillation_grid(v)
+    assert data.rho.shape == (6, 6)
+    assert np.all(np.isfinite(data.rho[np.triu_indices(6)]))
 
 
 def test_constant_process_zero_modulus():

@@ -27,7 +27,6 @@ def test_atom_probs_weighted():
     sp = build_tree(2, 2, [0.3, 0.7])
     np.testing.assert_allclose(sp.atom_probs[1], [0.3, 0.7])
     np.testing.assert_allclose(sp.atom_probs[2], [0.09, 0.21, 0.21, 0.49])
-    assert sp.atom_probability(2, 3) == pytest.approx(0.49)
 
 
 def test_expectation_exact():
@@ -98,6 +97,3 @@ def test_level_and_leaf_errors():
         sp.cond_expectation(np.zeros(3), 1)
     with pytest.raises(ValueError, match="outside"):
         sp.cond_expectation(np.zeros(4), 3)
-    with pytest.raises(ValueError, match="no parent"):
-        sp.parent_index(0, 0)
-    assert sp.parent_index(2, 3) == 1

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from bmoforge.stopping import (
     enumerate_stopping_pairs,
     enumerate_stopping_times,
     subtree_rule_count,
-    window_rule_count_log,
 )
 
 
@@ -21,13 +18,6 @@ def test_subtree_rule_counts_binary():
 
 def test_subtree_rule_counts_ternary():
     assert [subtree_rule_count(3, w) for w in range(4)] == [1, 2, 9, 730]
-
-
-def test_window_rule_count_log():
-    sp = build_tree(3, 2)
-    assert window_rule_count_log(sp, 0, 2) == pytest.approx(math.log(5))
-    # Two independent level-1 subtrees, 5 rules each.
-    assert window_rule_count_log(sp, 1, 3) == pytest.approx(2 * math.log(5))
 
 
 def test_enumeration_counts_match_closed_form():
@@ -59,8 +49,7 @@ def test_cap_refuses_wide_windows():
     with pytest.raises(EnumerationInfeasibleError, match="458330"):
         enumerate_stopping_times(sp, 0, 5, cap=10**5)
     # The default cap admits the same window.
-    log_count = window_rule_count_log(sp, 0, 5)
-    assert log_count < math.log(10**6)
+    assert subtree_rule_count(2, 5) < 10**6
 
 
 def test_window_validation():
