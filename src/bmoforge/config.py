@@ -30,6 +30,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
 
+from .ensemble import _MAX_TOTAL_DRAWS
+
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
@@ -207,15 +209,24 @@ def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]
 
     Keys whose own value was rejected are left to that violation.
     """
+    out = []
+    if kind == "davie" and not rejected & {"n_paths", "n_steps"}:
+        draws = params["n_paths"] * params["n_steps"]
+        if draws > _MAX_TOTAL_DRAWS:
+            out.append(f"n_paths: n_paths * n_steps = {draws} normal draws exceeds "
+                       f"the ensemble cap {_MAX_TOTAL_DRAWS}")
     if kind == "tamed-em" and not rejected & {"ns", "fine_factor"}:
         n_ref = params["fine_factor"] * max(params["ns"])
         bad = [n for n in params["ns"] if n_ref % n]
         if bad:
-            return [f"ns: every mesh must divide fine_factor * max(ns) = {n_ref}; "
-                    f"offending: {bad}"]
+            out.append(f"ns: every mesh must divide fine_factor * max(ns) = {n_ref}; "
+                       f"offending: {bad}")
+        draws = params["n_paths"] * n_ref
+        if "n_paths" not in rejected and draws > _MAX_TOTAL_DRAWS:
+            out.append(f"n_paths: n_paths * fine_factor * max(ns) = {draws} normal draws "
+                       f"exceeds the ensemble cap {_MAX_TOTAL_DRAWS}")
     if kind == "quadrature" and not rejected & {"ns", "anchor_times"}:
         ns = params["ns"]
-        out = []
         bad = [n for n in ns if max(ns) % n]
         if bad:
             out.append(f"ns: every mesh must divide max(ns) = {max(ns)}; offending: {bad}")
@@ -226,8 +237,7 @@ def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]
             off = [n for n in ns if abs(round(s * n) - s * n) > 1e-9]
             if off:
                 out.append(f"anchor_times: {s!r} is not a mesh point of ns {off}")
-        return out
-    return []
+    return out
 
 
 def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentConfig:

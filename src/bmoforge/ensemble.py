@@ -73,12 +73,40 @@ class PathEnsemble:
         out *= math.sqrt(self.dt)
         return out
 
-    def paths(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Brownian paths including time 0, shape (paths, n_steps + 1, dim)."""
-        inc = self.increments(start, stop)
-        out = np.zeros((inc.shape[0], self.n_steps + 1, self.dim))
-        np.cumsum(inc, axis=1, out=out[:, 1:, :])
-        return out
+    def time_blocks(self, start: int, stop: int, block: int):
+        """Yield increments of paths [start, stop) time-major, block by block.
+
+        Each array has shape (steps, paths, dim) with ``block`` steps, the last
+        one fewer when ``block`` does not divide ``n_steps``. Each path's
+        stream is opened once and drawn ``block`` normals at a time; a stream
+        drawn in pieces returns the same numbers as one draw, so the blocks
+        joined along time equal ``increments(start, stop)`` transposed, bit
+        for bit.
+        """
+        if not 0 <= start <= stop <= self.n_paths:
+            raise ValueError(f"path range [{start}, {stop}) out of bounds")
+        if block < 1:
+            raise ValueError("block must be positive")
+        n = stop - start
+        block = min(block, self.n_steps)
+        need = n * block * self.dim * 8
+        if need > self.max_bytes:
+            raise MemoryError(
+                f"resource cap exceeded: materializing {need} bytes of increments, "
+                f"cap is {self.max_bytes}; use shorter blocks or fewer paths"
+            )
+        streams = [philox_stream(self.seed, PURPOSE_OUTER, start + offset) for offset in range(n)]
+        scale = math.sqrt(self.dt)
+        # standard_normal(out=) needs a contiguous target, so each path draws
+        # into its own row before the block is transposed to time-major.
+        draws = np.empty((n, block, self.dim))
+        for t0 in range(0, self.n_steps, block):
+            m = min(block, self.n_steps - t0)
+            for offset, stream in enumerate(streams):
+                stream.standard_normal(out=draws[offset, :m])
+            out = np.empty((m, n, self.dim))
+            np.multiply(draws[:, :m].transpose(1, 0, 2), scale, out=out)
+            yield out
 
     def iter_chunks(self, chunk_size: int):
         """Yield (start, increments) over consecutive path chunks."""

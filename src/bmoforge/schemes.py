@@ -40,51 +40,83 @@ def _mesh_ratio(n_fine: int, n_coarse: int) -> int:
     return n_fine // n_coarse
 
 
-def _euler_blocks(model: SdeModel, level: float | None, n: int, w: np.ndarray, horizon: float):
-    """Explicit Euler with coefficients frozen at the coarse anchor state.
+# Fine steps per time block, and paths per group, of the strong-error sweep.
+_TIME_BLOCK = 256
+_PATH_GROUP = 4096
 
-    ``w`` holds the Brownian paths on the fine grid including time 0, shape
-    (paths, n_fine + 1, dim). Within each coarse block the drift and diffusion
-    are evaluated once, at the block's opening time and state, so the solution
-    on the fine grid is affine in the accumulated Brownian increments of the
-    block. Yields ``(a, ratio, seg)`` per coarse step, where ``seg`` is the
-    solution at fine points a + 1 .. a + ratio; the solution at time 0 is x0.
-    The caller may overwrite ``seg``: the next step reads a copy of its end.
+
+def _brownian_blocks(ensemble: PathEnsemble, start: int, stop: int):
+    """Yield ``(t0, w)`` over the time blocks of paths [start, stop).
+
+    ``w`` holds the Brownian values at fine points t0 .. t0 + m, time-major
+    with shape (m + 1, paths, dim); row 0 repeats the previous block's last
+    row, so every value is the same left-to-right sum of increments as a
+    cumsum over the whole path. The buffer is reused: read it before the next
+    block is drawn.
     """
-    n_paths, n_points = w.shape[:2]
-    n_fine = n_points - 1
-    ratio = _mesh_ratio(n_fine, n)
-    h_fine = horizon / n_fine
-    state = model.initial_states(n_paths)
-    drift_times = h_fine * np.arange(1, ratio + 1)
-    for j in range(n):
-        t_j = j * horizon / n
-        b_vals = np.asarray(model.drift(t_j, state), dtype=float)
-        if level is not None:
-            b_vals = np.clip(b_vals, -level, level)
-        s_vals = np.asarray(model.diffusion(t_j, state), dtype=float)
-        a = j * ratio
-        # Anchored so the noise term is a pure read of the shared cumulative
-        # sum; solutions on nested meshes then couple bitwise when the drift
-        # contribution vanishes.
-        c = state - s_vals * w[:, a, :]
-        seg = (
-            c[:, None, :]
-            + b_vals[:, None, :] * drift_times[None, :, None]
-            + s_vals[:, None, :] * w[:, a + 1 : a + ratio + 1, :]
-        )
-        state = seg[:, -1, :].copy()
-        yield a, ratio, seg
+    buf = np.zeros((min(_TIME_BLOCK, ensemble.n_steps) + 1, stop - start, ensemble.dim))
+    t0 = m = 0
+    for inc in ensemble.time_blocks(start, stop, _TIME_BLOCK):
+        buf[0] = buf[m]
+        m = inc.shape[0]
+        inc[0] += buf[0]
+        np.cumsum(inc, axis=0, out=buf[1 : m + 1])
+        yield t0, buf[: m + 1]
+        t0 += m
 
 
-def _euler_fill(model: SdeModel, level: float | None, n: int, w: np.ndarray,
-                horizon: float) -> np.ndarray:
-    """The Euler solution of :func:`_euler_blocks` on the whole fine grid."""
-    out = np.empty_like(w)
-    out[:, 0, :] = model.x0
-    for a, ratio, seg in _euler_blocks(model, level, n, w, horizon):
-        out[:, a + 1 : a + ratio + 1, :] = seg
-    return out
+class _EulerMesh:
+    """Explicit Euler on a mesh of n steps with coefficients frozen at the
+    coarse anchor state, advanced over time blocks of the fine grid.
+
+    Within each coarse step the drift b and diffusion s are evaluated once,
+    at the step's opening time and state x_a, so the solution at fine point
+    a + k is (c + b * t_k) + s * w_{a+k} with c = x_a - s * w_a and
+    t_k = k * h. The noise term is a pure read of the shared Brownian values,
+    so solutions on nested meshes couple bitwise when the drift contribution
+    vanishes. A coarse step may straddle time blocks: (c, b, s) and the
+    anchor carry over.
+    """
+
+    def __init__(self, model: SdeModel, level: float | None, n: int, n_fine: int,
+                 horizon: float, n_paths: int):
+        self.model, self.level, self.n, self.horizon = model, level, n, horizon
+        self.ratio = _mesh_ratio(n_fine, n)
+        self.drift_times = (horizon / n_fine) * np.arange(1, self.ratio + 1)
+        self.state = model.initial_states(n_paths)
+        self.anchor = -self.ratio  # fine index where the current coarse step opened
+        self.c = self.b = self.s = None
+
+    def advance(self, w: np.ndarray, t0: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write the solution at fine points t0 + 1 .. t0 + m into ``out``.
+
+        ``w`` is a block of :func:`_brownian_blocks`, shape (m + 1, paths,
+        dim); ``out`` and ``scratch`` have shape (m, paths, dim), and
+        ``scratch`` is overwritten.
+        """
+        ratio, m = self.ratio, out.shape[0]
+        pos = 0
+        while pos < m:
+            done = t0 + pos - self.anchor  # fine steps of this coarse step written
+            if done == ratio:
+                self.anchor, done = t0 + pos, 0
+                t_j = (self.anchor // ratio) * self.horizon / self.n
+                b = np.asarray(self.model.drift(t_j, self.state), dtype=float)
+                if self.level is not None:
+                    b = np.clip(b, -self.level, self.level)
+                self.b = b
+                self.s = np.asarray(self.model.diffusion(t_j, self.state), dtype=float)
+                self.c = self.state - self.s * w[pos]
+            k = min(ratio - done, m - pos)
+            seg, noise = out[pos : pos + k], scratch[:k]
+            # b * t + c + s * w in that order: the same sums as (c + b * t) + s * w.
+            np.multiply(self.drift_times[done : done + k, None, None], self.b, out=seg)
+            seg += self.c
+            np.multiply(self.s, w[pos + 1 : pos + k + 1], out=noise)
+            seg += noise
+            pos += k
+            if done + k == ratio:
+                self.state = seg[-1].copy()
 
 
 # -- quadrature error --------------------------------------------------------
@@ -218,7 +250,6 @@ def strong_error(
     ns,
     fine_factor: int,
     ensemble: PathEnsemble,
-    chunk_size: int = 256,
 ) -> StrongErrorResult:
     """Self-convergence of the tamed scheme against a coupled finer reference.
 
@@ -226,14 +257,16 @@ def strong_error(
     must equal the ensemble's fine grid; every n must divide it. Coarse and
     reference solutions for one path consume the same increments, so the
     b = 0 control has error exactly zero.
+
+    One time-major sweep per group of paths advances the reference and every
+    mesh block by block, each path's increments drawn once; each mesh's
+    distance to the reference is folded into a running per-path sup.
     """
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
         raise ValueError("ns must be positive integers")
     if fine_factor < 2:
         raise ValueError("fine_factor must be >= 2")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     if ensemble.dim != model.dim:
         raise ValueError(f"ensemble dim {ensemble.dim} != model dim {model.dim}")
     n_ref = fine_factor * ns[-1]
@@ -246,19 +279,23 @@ def strong_error(
         _mesh_ratio(n_ref, n)
     level_ref = None if taming is None else taming.clip_level(n_ref)
     levels = [None if taming is None else taming.clip_level(n) for n in ns]
-    sup_err = np.empty((len(ns), ensemble.n_paths))
-    for start in range(0, ensemble.n_paths, chunk_size):
-        stop = min(start + chunk_size, ensemble.n_paths)
-        w = ensemble.paths(start, stop)
-        ref = _euler_fill(model, level_ref, n_ref, w, ensemble.horizon)
-        for k, n in enumerate(ns):
-            # Both solutions start at x0, so the running sup starts at 0.
-            err = sup_err[k, start:stop]
-            err[:] = 0.0
-            for a, ratio, seg in _euler_blocks(model, levels[k], n, w, ensemble.horizon):
-                seg -= ref[:, a + 1 : a + ratio + 1, :]
-                np.maximum(err, np.abs(seg, out=seg).max(axis=(1, 2)), out=err)
-        del w, ref  # before the next chunk is drawn
+    # Both solutions start at x0, so the running sup starts at 0.
+    sup_err = np.zeros((len(ns), ensemble.n_paths))
+    for start in range(0, ensemble.n_paths, _PATH_GROUP):
+        stop = min(start + _PATH_GROUP, ensemble.n_paths)
+        shape = (min(_TIME_BLOCK, n_ref), stop - start, ensemble.dim)
+        ref_block, seg, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+        ref = _EulerMesh(model, level_ref, n_ref, n_ref, ensemble.horizon, stop - start)
+        meshes = [_EulerMesh(model, level, n, n_ref, ensemble.horizon, stop - start)
+                  for n, level in zip(ns, levels)]
+        for t0, w in _brownian_blocks(ensemble, start, stop):
+            m = w.shape[0] - 1
+            ref.advance(w, t0, ref_block[:m], scratch)
+            for k, mesh in enumerate(meshes):
+                mesh.advance(w, t0, seg[:m], scratch)
+                diff = np.subtract(seg[:m], ref_block[:m], out=seg[:m])
+                err = sup_err[k, start:stop]
+                np.maximum(err, np.abs(diff, out=diff).max(axis=(0, 2)), out=err)
     means, errs, l2s, l4s = [], [], [], []
     n_paths = ensemble.n_paths
     for k in range(len(ns)):

@@ -147,6 +147,18 @@ def one_problem(capsys):
     return problems[0]
 
 
+@pytest.mark.parametrize("kind,section", [
+    ("tamed-em", "ns = 256\nfine_factor = 4096\nn_paths = 1000000\n"),
+    ("davie", "n_paths = 10000000\nn_steps = 1000000\n"),
+])
+def test_ensemble_past_the_draw_cap_exits_two(tmp_path, capsys, kind, section):
+    cfg = write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[{kind}]\n{section}")
+    code = main([kind, "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "normal draws exceeds the ensemble cap" in one_problem(capsys)
+    assert not (tmp_path / "run").exists()
+
+
 def test_ternary_tree_past_the_enumeration_limit_runs(tmp_path, capsys):
     # 3.89e8 stopping times on [0, 4]: too many to enumerate, none needed.
     cfg = write(tmp_path, JN_TINY.replace("depth = 1", "depth = 4").replace(

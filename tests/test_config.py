@@ -8,6 +8,7 @@ from bmoforge.config import (
     parse_config,
     parse_config_file,
 )
+from bmoforge.ensemble import _MAX_TOTAL_DRAWS
 
 DAVIE_TEXT = """
 [experiment]
@@ -159,6 +160,26 @@ def test_quadrature_meshes_and_anchors():
     ]
 
 
+def test_ensembles_past_the_draw_cap_are_rejected():
+    assert _MAX_TOTAL_DRAWS == 2**33
+    davie = {"n_paths": 2**20, "n_steps": 2**13}
+    tamed = {"ns": [1, 2, 4], "fine_factor": 2**12, "n_paths": 2**19}
+    # Exactly at the cap is accepted.
+    for kind, params in (("davie", davie), ("tamed-em", tamed)):
+        cfg = parse_config(json.dumps({"kind": kind, "seed": 1, "params": params}))
+        assert cfg.params["n_paths"] == params["n_paths"]
+    assert mesh_violations("davie", dict(davie, n_steps=2**13 + 1)) == [
+        f"n_paths: n_paths * n_steps = {2**33 + 2**20} normal draws exceeds "
+        f"the ensemble cap {2**33}"]
+    assert mesh_violations("tamed-em", dict(tamed, n_paths=2**19 + 1)) == [
+        f"n_paths: n_paths * fine_factor * max(ns) = {2**33 + 2**14} normal draws "
+        f"exceeds the ensemble cap {2**33}"]
+    # A mesh problem and the cap are reported together.
+    violations = mesh_violations("tamed-em", {"ns": [3, 5], "fine_factor": 4096,
+                                              "n_paths": 10**6})
+    assert [v.split(":")[0] for v in violations] == ["ns", "n_paths"]
+
+
 def test_case_kinds_take_every_tree_in_range():
     for kind in ("verify-finite", "jn-check"):
         # The engine has no enumeration cap: the largest trees, 3**5 and 4**5
@@ -180,3 +201,8 @@ def test_mesh_checks_skip_rejected_keys():
     assert len(violations) == 1 and violations[0].startswith("anchor_times: expected")
     violations = mesh_violations("tamed-em", {"ns": [3, 5], "fine_factor": 1})
     assert len(violations) == 1 and violations[0].startswith("fine_factor: must lie")
+    violations = mesh_violations("tamed-em", {"ns": [256], "fine_factor": 4096,
+                                              "n_paths": 10**7})
+    assert len(violations) == 1 and violations[0].startswith("n_paths: must lie")
+    violations = mesh_violations("davie", {"n_paths": 10**7, "n_steps": 10**7})
+    assert len(violations) == 1 and violations[0].startswith("n_steps: must lie")

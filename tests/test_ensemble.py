@@ -54,10 +54,22 @@ def test_extra_paths_extend_not_reshuffle():
 
 def test_paths_prepend_zero_and_cumsum():
     ens = PathEnsemble(n_paths=3, n_steps=5, dim=2, horizon=1.0, seed=0)
-    p = ens.paths()
+    p = np.zeros((3, 6, 2))
+    np.cumsum(ens.increments(), axis=1, out=p[:, 1:, :])
     assert p.shape == (3, 6, 2)
     np.testing.assert_array_equal(p[:, 0, :], 0.0)
     np.testing.assert_allclose(np.diff(p, axis=1), ens.increments(), atol=1e-15)
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, 9, 100])
+def test_time_blocks_join_to_increments(block):
+    # A stream drawn in pieces returns the same numbers as one draw.
+    ens = PathEnsemble(n_paths=6, n_steps=9, dim=2, horizon=3.0, seed=12)
+    blocks = list(ens.time_blocks(2, 5, block))
+    assert [b.shape for b in blocks[:-1]] == [(min(block, 9), 3, 2)] * (len(blocks) - 1)
+    assert sum(b.shape[0] for b in blocks) == 9
+    joined = np.concatenate(blocks, axis=0)
+    assert joined.tobytes() == ens.increments(2, 5).transpose(1, 0, 2).tobytes()
 
 
 def test_grid_properties():
@@ -97,3 +109,11 @@ def test_validation_and_caps():
         small.increments(5, 3)
     with pytest.raises(ValueError, match="chunk_size"):
         next(small.iter_chunks(0))
+    # The cap applies to the block time_blocks materializes, not the ensemble.
+    with pytest.raises(MemoryError, match="resource cap"):
+        next(small.time_blocks(0, 64, 64))
+    assert sum(b.shape[0] for b in small.time_blocks(0, 64, 2)) == 64
+    with pytest.raises(ValueError, match="block"):
+        next(small.time_blocks(0, 64, 0))
+    with pytest.raises(ValueError, match="out of bounds"):
+        next(small.time_blocks(3, 65, 2))

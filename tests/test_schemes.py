@@ -4,10 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from bmoforge import ensemble as ensemble_module
+from bmoforge import schemes
 from bmoforge.ensemble import PathEnsemble
 from bmoforge.estimators import scalar_field_registry
+from bmoforge.rng import PURPOSE_OUTER, philox_stream
 from bmoforge.schemes import (
-    _euler_fill,
+    _brownian_blocks,
+    _EulerMesh,
     davie_functional,
     davie_moments,
     quadrature_error,
@@ -32,21 +36,51 @@ def unit_diffusion(t, x):
 
 # -- solver -------------------------------------------------------------------
 
+def paths(ensemble):
+    """Brownian paths including time 0, shape (paths, n_steps + 1, dim)."""
+    inc = ensemble.increments()
+    out = np.zeros((ensemble.n_paths, ensemble.n_steps + 1, ensemble.dim))
+    np.cumsum(inc, axis=1, out=out[:, 1:, :])
+    return out
+
+
 def solve(model, level, n, ensemble):
     """The Euler kernel behind strong_error, on the whole fine grid."""
-    return _euler_fill(model, level, n, ensemble.paths(), ensemble.horizon)
+    mesh = _EulerMesh(model, level, n, ensemble.n_steps, ensemble.horizon, ensemble.n_paths)
+    out = np.empty((ensemble.n_steps + 1, ensemble.n_paths, ensemble.dim))
+    out[0] = model.x0
+    scratch = np.empty_like(out)
+    for t0, w in _brownian_blocks(ensemble, 0, ensemble.n_paths):
+        m = w.shape[0] - 1
+        mesh.advance(w, t0, out[t0 + 1 : t0 + m + 1], scratch[:m])
+    return out.transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+@pytest.mark.parametrize("start,stop", [(0, 16), (5, 12)])
+def test_brownian_blocks_carry_the_cumsum(unit_ensemble, monkeypatch, block, start, stop):
+    monkeypatch.setattr(schemes, "_TIME_BLOCK", block)
+    rows, t_next = [np.zeros((stop - start, 1))], 0
+    for t0, w in _brownian_blocks(unit_ensemble, start, stop):
+        assert t0 == t_next
+        np.testing.assert_array_equal(w[0], rows[-1])
+        rows.extend(w[1:].copy())
+        t_next = t0 + w.shape[0] - 1
+    assert t_next == 64
+    joined = np.stack(rows, axis=1)
+    assert joined.tobytes() == paths(unit_ensemble)[start:stop].tobytes()
 
 
 def test_solver_identity_on_brownian(unit_ensemble):
     model = SdeModel(drift=zero_drift, diffusion=unit_diffusion, x0=0.0)
     sol = solve(model, None, 8, unit_ensemble)
-    assert np.array_equal(sol, unit_ensemble.paths())
+    assert np.array_equal(sol, paths(unit_ensemble))
 
 
 def test_solver_constant_drift(unit_ensemble):
     model = SdeModel(drift=lambda t, x: 2.0 * np.ones_like(x), diffusion=unit_diffusion, x0=0.5)
     sol = solve(model, None, 16, unit_ensemble)
-    expect = 0.5 + 2.0 * unit_ensemble.times[None, :, None] + unit_ensemble.paths()
+    expect = 0.5 + 2.0 * unit_ensemble.times[None, :, None] + paths(unit_ensemble)
     np.testing.assert_allclose(sol, expect, atol=1e-12)
 
 
@@ -62,7 +96,7 @@ def test_solver_applies_clip(unit_ensemble):
     model = SdeModel(drift=lambda t, x: 100.0 * np.ones_like(x), diffusion=unit_diffusion, x0=0.0)
     policy = TamingPolicy(scale=1.0, exponent=0.25, log_power=0.0)  # level 2 at n=16
     sol = solve(model, policy.clip_level(16), 16, unit_ensemble)
-    expect = 2.0 * unit_ensemble.times[None, :, None] + unit_ensemble.paths()
+    expect = 2.0 * unit_ensemble.times[None, :, None] + paths(unit_ensemble)
     np.testing.assert_allclose(sol, expect, atol=1e-12)
 
 
@@ -218,10 +252,10 @@ def test_strong_error_zero_drift_is_exactly_zero(unit_ensemble):
 def full_buffer_strong_error(model, taming, ns, fine_factor, ensemble):
     """Every solution written out on the whole fine grid, then one sup."""
     n_ref = fine_factor * max(ns)
-    w = ensemble.paths()
+    w = paths(ensemble)
 
     def solve(n):
-        level = taming.clip_level(n)
+        level = None if taming is None else taming.clip_level(n)
         ratio = n_ref // n
         out = np.empty_like(w)
         out[:, 0, :] = model.x0
@@ -229,7 +263,9 @@ def full_buffer_strong_error(model, taming, ns, fine_factor, ensemble):
         drift_times = ensemble.dt * np.arange(1, ratio + 1)
         for j in range(n):
             t_j = j / n
-            b_vals = np.clip(model.drift(t_j, state), -level, level)
+            b_vals = model.drift(t_j, state)
+            if level is not None:
+                b_vals = np.clip(b_vals, -level, level)
             s_vals = model.diffusion(t_j, state)
             a = j * ratio
             c = state - s_vals * w[:, a, :]
@@ -245,17 +281,32 @@ def full_buffer_strong_error(model, taming, ns, fine_factor, ensemble):
     return [np.abs(solve(n) - ref).max(axis=(1, 2)) for n in ns]
 
 
-def test_strong_error_matches_full_buffer_reference():
-    ens = PathEnsemble(n_paths=13, n_steps=4 * 32, dim=1, horizon=1.0, seed=8)
-    model = SdeModel(drift=lambda t, x: np.sign(x), diffusion=unit_diffusion, x0=0.0)
-    ns = [2, 8, 32]
-    res = strong_error(model, TamingPolicy(), ns, fine_factor=4, ensemble=ens, chunk_size=5)
-    sup = full_buffer_strong_error(model, TamingPolicy(), ns, 4, ens)
-    assert res.mean_sup_error == [float(e.mean()) for e in sup]
-    assert res.stderr == [float(e.std(ddof=1) / math.sqrt(13)) for e in sup]
-    assert res.l2 == [float(np.sqrt(np.mean(e**2))) for e in sup]
-    assert res.l4 == [float(np.mean(e**4) ** 0.25) for e in sup]
-    assert all(v > 0.0 for v in res.mean_sup_error)
+FULL_BUFFER_CASES = [
+    # drift, taming, x0, sigma, dim, ns, fine_factor, time block, path group
+    ("sign", TamingPolicy(), 0.0, 1.0, 1, [2, 8, 32], 4, 256, 4096),
+    # Odd ratios, coarse steps straddling time blocks, path-group boundaries.
+    ("sign", TamingPolicy(), 0.3, 1.5, 1, [3, 6, 12], 5, 7, 5),
+    ("sign", None, -0.4, 0.5, 2, [3, 6, 12], 5, 1, 4),
+    ("neg-linear", None, 1.5, 0.8, 1, [3, 6, 12], 5, 1000, 4096),
+    ("neg-linear", TamingPolicy(), 0.0, 1.0, 1, [2, 8, 32], 4, 7, 6),
+]
+
+
+def test_strong_error_matches_full_buffer_reference(monkeypatch):
+    for drift, taming, x0, sigma, dim, ns, fine_factor, block, group in FULL_BUFFER_CASES:
+        monkeypatch.setattr(schemes, "_TIME_BLOCK", block)
+        monkeypatch.setattr(schemes, "_PATH_GROUP", group)
+        ens = PathEnsemble(n_paths=13, n_steps=fine_factor * max(ns), dim=dim,
+                           horizon=1.0, seed=8)
+        model = SdeModel(drift=scalar_field_registry[drift],
+                         diffusion=lambda t, x: np.full_like(x, sigma), dim=dim, x0=x0)
+        res = strong_error(model, taming, ns, fine_factor=fine_factor, ensemble=ens)
+        sup = full_buffer_strong_error(model, taming, ns, fine_factor, ens)
+        assert res.mean_sup_error == [float(e.mean()) for e in sup]
+        assert res.stderr == [float(e.std(ddof=1) / math.sqrt(13)) for e in sup]
+        assert res.l2 == [float(np.sqrt(np.mean(e**2))) for e in sup]
+        assert res.l4 == [float(np.mean(e**4) ** 0.25) for e in sup]
+        assert all(v > 0.0 for v in res.mean_sup_error)
 
 
 def test_strong_error_linear_ode_rate(unit_ensemble):
@@ -305,12 +356,25 @@ def test_davie_draws_each_chunk_once(count_draws):
     assert count_draws == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
 
 
-def test_strong_error_draws_each_chunk_once(count_draws):
+def test_strong_error_opens_each_stream_once(monkeypatch):
+    # Every path is drawn in one pass over time, whatever the path groups.
+    monkeypatch.setattr(schemes, "_PATH_GROUP", 4)
+    monkeypatch.setattr(schemes, "_TIME_BLOCK", 7)
+    opened = []
+
+    def counted(seed, purpose, index, subindex=0):
+        opened.append((purpose, index, subindex))
+        return philox_stream(seed, purpose, index, subindex)
+
+    def refused(self, start=0, stop=None):
+        raise AssertionError("strong_error called increments()")
+
+    monkeypatch.setattr(ensemble_module, "philox_stream", counted)
+    monkeypatch.setattr(PathEnsemble, "increments", refused)
     ens = PathEnsemble(n_paths=11, n_steps=4 * 16, dim=1, horizon=1.0, seed=2)
     model = SdeModel(drift=lambda t, x: np.sign(x), diffusion=unit_diffusion)
-    strong_error(model, TamingPolicy(), [4, 8, 16], fine_factor=4, ensemble=ens, chunk_size=4)
-    assert len(count_draws) == math.ceil(11 / 4)
-    assert count_draws == [(0, 4), (4, 8), (8, 11)]
+    strong_error(model, TamingPolicy(), [4, 8, 16], fine_factor=4, ensemble=ens)
+    assert opened == [(PURPOSE_OUTER, i, 0) for i in range(11)]
 
 
 # -- quadrature modulus proxy -------------------------------------------------
