@@ -205,11 +205,21 @@ def _coerce(name: str, spec: _Param, raw, violations: list[str]):
 
 
 def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]:
-    """Constraints between keys that the per-key schema cannot express.
+    """Constraints that the per-key ranges cannot express: between keys, and
+    on a list as a whole.
 
     Keys whose own value was rejected are left to that violation.
     """
     out = []
+    if kind == "davie" and "moments" not in rejected:
+        odd = [m for m in params["moments"] if m % 2]
+        if odd:
+            out.append(f"moments: orders must be even; offending: {odd}")
+    if kind == "rho-grid" and "grid_times" not in rejected:
+        times = params["grid_times"]
+        if len(times) < 2 or any(b <= a for a, b in zip(times, times[1:])):
+            out.append(f"grid_times: must hold at least two strictly increasing "
+                       f"times (got {times!r})")
     if kind == "davie" and not rejected & {"n_paths", "n_steps"}:
         draws = params["n_paths"] * params["n_steps"]
         if draws > _MAX_TOTAL_DRAWS:

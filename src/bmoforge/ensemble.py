@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import PURPOSE_OUTER, philox_stream
+from .rng import PURPOSE_OUTER, philox_stream, philox_streams
 
 __all__ = ["PathEnsemble"]
 
@@ -68,8 +68,9 @@ class PathEnsemble:
                 f"cap is {self.max_bytes}; iterate in chunks instead"
             )
         out = np.empty((n, self.n_steps, self.dim))
-        for offset in range(n):
-            philox_stream(self.seed, PURPOSE_OUTER, start + offset).standard_normal(out=out[offset])
+        streams = philox_streams(self.seed, PURPOSE_OUTER, range(start, stop))
+        for row, stream in zip(out, streams):
+            stream.standard_normal(out=row)
         out *= math.sqrt(self.dt)
         return out
 

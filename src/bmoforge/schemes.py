@@ -40,6 +40,17 @@ def _mesh_ratio(n_fine: int, n_coarse: int) -> int:
     return n_fine // n_coarse
 
 
+# Elements (2 MiB of float64) in one path chunk of the path-major consumers,
+# so that the temporaries made per shift stay in cache instead of going to DRAM.
+_CHUNK_ELEMENTS = 2**18
+
+
+def _path_chunks(ensemble: PathEnsemble):
+    """Yield (start, increments) over path chunks of at most ``_CHUNK_ELEMENTS``
+    elements, or of one path when a path alone is larger."""
+    return ensemble.iter_chunks(max(1, _CHUNK_ELEMENTS // (ensemble.n_steps * ensemble.dim)))
+
+
 # Fine steps per time block, and paths per group, of the strong-error sweep.
 _TIME_BLOCK = 256
 _PATH_GROUP = 4096
@@ -121,7 +132,7 @@ class _EulerMesh:
 
 # -- quadrature error --------------------------------------------------------
 
-def quadrature_error(f, ensemble: PathEnsemble, n: int, chunk_size: int = 2048) -> np.ndarray:
+def quadrature_error(f, ensemble: PathEnsemble, n: int) -> np.ndarray:
     """Per-path trajectory of the mesh-point quadrature error.
 
     V_t = integral_0^t [f(r, B_r) - f(r, B at the last coarse mesh point)] dr
@@ -135,7 +146,7 @@ def quadrature_error(f, ensemble: PathEnsemble, n: int, chunk_size: int = 2048) 
     left_times = ensemble.times[:-1]
     anchor_idx = (np.arange(ensemble.n_steps) // ratio) * ratio
     out = np.zeros((ensemble.n_paths, ensemble.n_steps + 1))
-    for start, inc in ensemble.iter_chunks(chunk_size):
+    for start, inc in _path_chunks(ensemble):
         m = inc.shape[0]
         b = np.zeros((m, ensemble.n_steps))
         np.cumsum(inc[:, :-1, 0], axis=1, out=b[:, 1:])
@@ -154,7 +165,6 @@ def davie_functional(
     shifts,
     ensemble: PathEnsemble,
     enforce_bound: bool = True,
-    chunk_size: int = 4096,
 ) -> np.ndarray:
     """Per-path samples of integral_0^1 [g(t, B_t + x) - g(t, B_t)] dt for
     every shift x in ``shifts``, shape (len(shifts), n_paths).
@@ -175,7 +185,7 @@ def davie_functional(
     left_times = ensemble.times[:-1]
     samples = np.empty((len(shifts), ensemble.n_paths))
     warned = False
-    for start, inc in ensemble.iter_chunks(chunk_size):
+    for start, inc in _path_chunks(ensemble):
         m = inc.shape[0]
         b = np.zeros((m, ensemble.n_steps))
         np.cumsum(inc[:, :-1, 0], axis=1, out=b[:, 1:])

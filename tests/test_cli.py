@@ -159,6 +159,20 @@ def test_ensemble_past_the_draw_cap_exits_two(tmp_path, capsys, kind, section):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("kind,section,problem", [
+    ("davie", "moments = 2, 3\n", "moments: orders must be even"),
+    ("rho-grid", "grid_times = 0.5, 0.25, 1.0\n", "grid_times: must hold"),
+    ("rho-grid", "grid_times = 0.25, 0.25, 1.0\n", "grid_times: must hold"),
+    ("rho-grid", "grid_times = 0.5\n", "grid_times: must hold"),
+])
+def test_list_rule_violation_exits_two(tmp_path, capsys, kind, section, problem):
+    cfg = write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[{kind}]\n{section}")
+    code = main([kind, "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert one_problem(capsys).startswith(f"  - {problem}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_ternary_tree_past_the_enumeration_limit_runs(tmp_path, capsys):
     # 3.89e8 stopping times on [0, 4]: too many to enumerate, none needed.
     cfg = write(tmp_path, JN_TINY.replace("depth = 1", "depth = 4").replace(

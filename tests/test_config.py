@@ -206,3 +206,25 @@ def test_mesh_checks_skip_rejected_keys():
     assert len(violations) == 1 and violations[0].startswith("n_paths: must lie")
     violations = mesh_violations("davie", {"n_paths": 10**7, "n_steps": 10**7})
     assert len(violations) == 1 and violations[0].startswith("n_steps: must lie")
+
+
+def test_davie_moments_must_be_even():
+    assert mesh_violations("davie", {"moments": [2, 3, 4, 7]}) == [
+        "moments: orders must be even; offending: [3, 7]"]
+    cfg = parse_config(json.dumps({"kind": "davie", "seed": 1, "params": {"moments": [8, 2]}}))
+    assert cfg.params["moments"] == [8, 2]
+    # An out-of-range order reports its own violation only.
+    (problem,) = mesh_violations("davie", {"moments": [3, 9]})
+    assert problem.startswith("moments: entries must lie")
+
+
+def test_rho_grid_times_must_increase():
+    for times in ([0.5, 0.25, 1.0], [0.25, 0.25, 1.0], [0.5]):
+        assert mesh_violations("rho-grid", {"grid_times": times}) == [
+            f"grid_times: must hold at least two strictly increasing times (got {times!r})"]
+    cfg = parse_config(json.dumps(
+        {"kind": "rho-grid", "seed": 1, "params": {"grid_times": [0.0, 0.5]}}))
+    assert cfg.params["grid_times"] == [0.0, 0.5]
+    # An out-of-range time reports its own violation only.
+    (problem,) = mesh_violations("rho-grid", {"grid_times": [-0.5]})
+    assert problem.startswith("grid_times: entries must lie")

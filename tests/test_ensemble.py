@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bmoforge import rng as rng_module
 from bmoforge.ensemble import PathEnsemble
 from bmoforge.rng import PURPOSE_OUTER, philox_stream
 
@@ -29,6 +30,22 @@ def test_increments_are_scaled_per_path_streams():
         for i in range(3)
     ])
     assert ens.increments(1, 4).tobytes() == expect.tobytes()
+
+
+def test_increments_build_at_most_one_generator(monkeypatch):
+    built = []
+    philox = rng_module.np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(rng_module.np.random, "Philox", counted)
+    ens = PathEnsemble(n_paths=9, n_steps=5, dim=2, horizon=1.0, seed=1)
+    for start, stop in ((0, 9), (2, 7), (4, 5), (3, 3)):
+        built.clear()
+        ens.increments(start, stop)
+        assert len(built) == min(1, stop - start)
 
 
 def test_full_range_calls_draw_afresh():

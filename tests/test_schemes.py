@@ -138,10 +138,12 @@ def test_quadrature_error_increment_bound(unit_ensemble):
         assert gap <= 2.0 * (times[t] - times[s]) + 1e-12
 
 
-def test_quadrature_error_chunk_invariance(unit_ensemble):
+def test_quadrature_error_chunk_invariance(unit_ensemble, monkeypatch):
     f = scalar_field_registry["sign"]
-    a = quadrature_error(f, unit_ensemble, 8, chunk_size=2048)
-    b = quadrature_error(f, unit_ensemble, 8, chunk_size=5)
+    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 2048 * unit_ensemble.n_steps)
+    a = quadrature_error(f, unit_ensemble, 8)
+    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 5 * unit_ensemble.n_steps)
+    b = quadrature_error(f, unit_ensemble, 8)
     assert np.array_equal(a, b)
 
 
@@ -167,10 +169,11 @@ def test_davie_linear_field_telescopes(unit_ensemble):
     np.testing.assert_array_equal(samples, np.full((1, 16), 0.5))
 
 
-def test_davie_clip_warns_once(unit_ensemble):
+def test_davie_clip_warns_once(unit_ensemble, monkeypatch):
     g = lambda t, y: 2.0 * np.ones_like(y)
+    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 4 * unit_ensemble.n_steps)
     with pytest.warns(UserWarning, match="clipping") as record:
-        samples = davie_functional(g, [0.5, 0.25], unit_ensemble, chunk_size=4)
+        samples = davie_functional(g, [0.5, 0.25], unit_ensemble)
     # Four chunks and two shifts clip, but the call warns once.
     assert len(record) == 1
     # After the clip both terms saturate at 1, so the diff cancels.
@@ -211,15 +214,16 @@ def per_shift_davie(g, shift, ensemble):
 
 @pytest.mark.parametrize("field", ["sign", "coordinate", "inv-abs-clip"])
 @pytest.mark.parametrize("chunk_size", [4096, 5])
-def test_davie_multi_shift_matches_per_shift_formula(field, chunk_size):
+def test_davie_multi_shift_matches_per_shift_formula(field, chunk_size, monkeypatch):
     # "coordinate" hands back its argument and exceeds 1, so the clip of the
     # unshifted term must not leak into the paths the next shift reads.
     ens = PathEnsemble(n_paths=23, n_steps=50, dim=1, horizon=1.0, seed=4)
+    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", chunk_size * ens.n_steps)
     g = scalar_field_registry[field]
     shifts = [0.05, 0.1, 0.2, 0.4]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fused = davie_functional(g, shifts, ens, chunk_size=chunk_size)
+        fused = davie_functional(g, shifts, ens)
         expect = np.stack([per_shift_davie(g, x, ens) for x in shifts])
     assert fused.shape == (4, 23)
     assert fused.tobytes() == expect.tobytes()
@@ -349,11 +353,45 @@ def count_draws(monkeypatch):
     return calls
 
 
-def test_davie_draws_each_chunk_once(count_draws):
+def test_davie_draws_each_chunk_once(count_draws, monkeypatch):
     ens = PathEnsemble(n_paths=23, n_steps=20, dim=1, horizon=1.0, seed=2)
-    davie_functional(scalar_field_registry["sign"], [0.05, 0.1, 0.2, 0.4], ens, chunk_size=5)
+    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 5 * ens.n_steps)
+    davie_functional(scalar_field_registry["sign"], [0.05, 0.1, 0.2, 0.4], ens)
     assert len(count_draws) == math.ceil(23 / 5)
     assert count_draws == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 10**6])
+def test_path_chunks_stay_within_the_budget(count_draws, monkeypatch, budget):
+    # A chunk spans at most max(budget, one path) elements, whatever the budget.
+    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", budget)
+    ens = PathEnsemble(n_paths=23, n_steps=16, dim=1, horizon=1.0, seed=2)
+    field = scalar_field_registry["sign"]
+    davie_functional(field, [0.1, 0.2], ens)
+    quadrature_error(field, ens, 4)
+    per_path = ens.n_steps * ens.dim
+    assert count_draws
+    assert all((stop - start) * per_path <= max(budget, per_path)
+               for start, stop in count_draws)
+    halves = len(count_draws) // 2
+    assert count_draws[:halves] == count_draws[halves:]  # both consumers chunk alike
+    assert [start for start, _ in count_draws[:halves]] == list(
+        range(0, 23, max(1, budget // per_path)))
+
+
+def test_davie_long_paths_fit_the_materialization_cap():
+    # The cap refuses all 20 paths in one chunk but admits a budget chunk.
+    ens = PathEnsemble(n_paths=20, n_steps=20000, dim=1, horizon=1.0, seed=8,
+                       max_bytes=2**21)
+    assert schemes._CHUNK_ELEMENTS * 8 <= ens.max_bytes < 20 * 20000 * 8
+    with pytest.raises(MemoryError, match="resource cap"):
+        ens.increments()
+    g = scalar_field_registry["sign"]
+    shifts = [0.1, 0.4]
+    samples = davie_functional(g, shifts, ens)
+    uncapped = PathEnsemble(n_paths=20, n_steps=20000, dim=1, horizon=1.0, seed=8)
+    expect = np.stack([per_shift_davie(g, x, uncapped) for x in shifts])
+    assert samples.tobytes() == expect.tobytes()
 
 
 def test_strong_error_opens_each_stream_once(monkeypatch):
