@@ -22,12 +22,7 @@ import numpy as np
 
 from .bounds import jn_moment_bound, khasminskii_product, vmo_exp_bound
 from .controls import OscillationControl
-from .oscillation import (
-    OscillationData,
-    _snell_levels,
-    deterministic_modulus,
-    oscillation_modulus,
-)
+from .oscillation import OscillationData, _snell_levels, oscillation_modulus
 from .processes import AdaptedProcess, maximal_process
 
 __all__ = [
@@ -409,19 +404,17 @@ def pathwise_increment_check(process: AdaptedProcess, control: OscillationContro
         for s in range(d) for t in range(s + 1, d + 1)), first=[0, 0])
 
 
-def stopping_pair_bound_check(process: AdaptedProcess, grid: OscillationData,
-                              s: int, t: int) -> CheckReport:
+def stopping_pair_bound_check(grid: OscillationData, s: int, t: int) -> CheckReport:
     """Stopping-pair modulus vs 2B + 3C from deterministic data only.
 
-    B is the deterministic-pair modulus (left-limit anchors) and C the
-    largest single jump inside the window; the supremum over stopping pairs
-    (left-limit anchors), ``grid.rho_left[s, t]``, must not exceed 2B + 3C.
+    B is the largest deterministic-pair modulus (left-limit anchors) and C
+    the largest single jump inside the window, both read from ``grid``; the
+    supremum over stopping pairs (left-limit anchors), ``grid.rho_left[s, t]``,
+    must not exceed 2B + 3C.
     """
     lhs = grid.window(s, t, left_limit=True)
-    b_det = deterministic_modulus(process, s, t, left_limit=True)
-    jumps = [float(np.max(np.abs(inc))) for inc in process.increments()]
-    window_jumps = [jumps[j - 1] for j in range(max(s, 1), t + 1)]
-    c_jump = max(window_jumps, default=0.0)
+    b_det = float(np.nanmax(grid.pairs_left[s:t + 1, s:t + 1]))
+    c_jump = float(np.max(grid.jumps[max(s, 1) - 1:t], initial=0.0))
     return _report(
         "stopping-pair-bound",
         lhs,
@@ -467,15 +460,14 @@ def superadditivity_check(control: OscillationControl) -> CheckReport:
         for s in range(d + 1) for t in range(s, d + 1) for u in range(s, t + 1)))
 
 
-def control_domination_check(pairs: np.ndarray, control: OscillationControl) -> CheckReport:
+def control_domination_check(grid: OscillationData, control: OscillationControl) -> CheckReport:
     """Deterministic conditional increments obey E_s|V_t - V_s| <= w[s,t]^(1/p).
 
-    ``pairs`` is the own-value-anchor grid of
-    :func:`~bmoforge.oscillation.deterministic_pair_grid`.
+    E_s|V_t - V_s| is read from ``grid.pairs``.
     """
     d = control.depth
     return _worst_case_report("control-dominates-increments", "window", (
-        (float(pairs[s, t]), float(control.w[s, t]) ** (1.0 / control.p), [s, t])
+        (float(grid.pairs[s, t]), float(control.w[s, t]) ** (1.0 / control.p), [s, t])
         for s in range(d) for t in range(s + 1, d + 1)))
 
 

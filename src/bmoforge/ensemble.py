@@ -13,7 +13,7 @@ __all__ = ["PathEnsemble"]
 
 # Hard cap on total draws at construction; full materialization has its own cap.
 _MAX_TOTAL_DRAWS = 2**33
-_DEFAULT_MATERIALIZE_BYTES = 2**31  # 2 GiB
+_MAX_MATERIALIZE_BYTES = 2**31  # 2 GiB
 
 
 @dataclass
@@ -34,7 +34,6 @@ class PathEnsemble:
     dim: int
     horizon: float
     seed: int
-    max_bytes: int = _DEFAULT_MATERIALIZE_BYTES
 
     def __post_init__(self):
         if self.n_paths < 1 or self.n_steps < 1 or self.dim < 1:
@@ -62,10 +61,10 @@ class PathEnsemble:
             raise ValueError(f"path range [{start}, {stop}) out of bounds")
         n = stop - start
         need = n * self.n_steps * self.dim * 8
-        if need > self.max_bytes:
+        if need > _MAX_MATERIALIZE_BYTES:
             raise MemoryError(
                 f"resource cap exceeded: materializing {need} bytes of increments, "
-                f"cap is {self.max_bytes}; iterate in chunks instead"
+                f"cap is {_MAX_MATERIALIZE_BYTES}; iterate in chunks instead"
             )
         out = np.empty((n, self.n_steps, self.dim))
         streams = philox_streams(self.seed, PURPOSE_OUTER, range(start, stop))
@@ -91,10 +90,10 @@ class PathEnsemble:
         n = stop - start
         block = min(block, self.n_steps)
         need = n * block * self.dim * 8
-        if need > self.max_bytes:
+        if need > _MAX_MATERIALIZE_BYTES:
             raise MemoryError(
                 f"resource cap exceeded: materializing {need} bytes of increments, "
-                f"cap is {self.max_bytes}; use shorter blocks or fewer paths"
+                f"cap is {_MAX_MATERIALIZE_BYTES}; use shorter blocks or fewer paths"
             )
         streams = [philox_stream(self.seed, PURPOSE_OUTER, start + offset) for offset in range(n)]
         scale = math.sqrt(self.dt)

@@ -85,6 +85,10 @@ def state_functional(name: str):
 
 # -- nested conditional moments ---------------------------------------------
 
+# Inner paths drawn per chunk by markov_conditional_moment.
+_INNER_CHUNK = 1024
+
+
 def markov_conditional_moment(
     f,
     s: float,
@@ -94,22 +98,20 @@ def markov_conditional_moment(
     n_steps: int,
     seed: int,
     proxy: str = "max",
-    quantile: float = 0.99,
-    dim: int = 1,
     stream_index: int = 0,
-    inner_chunk: int = 1024,
 ) -> MomentEstimate:
     """Worst-case conditional first moment of | integral_s^t f(r, X_r) dr |.
 
     For each outer state x the inner mean over Brownian continuations from x
     is estimated with a left-point Riemann sum on ``n_steps`` uniform steps.
     The essential supremum over the conditioning state is then proxied by the
-    max (default) or an upper quantile over the outer samples; the reported
+    max (default) or the 0.99 quantile over the outer samples; the reported
     stderr is the inner-mean standard error at the selected outer sample.
+    Outer states are scalars (one-dimensional Brownian motion).
 
-    Inner paths are generated in chunks to bound memory; each outer state
-    draws from one stream sequentially, so results do not depend on the
-    chunk size.
+    Inner paths are generated in chunks of ``_INNER_CHUNK`` to bound memory;
+    each outer state draws from one stream sequentially, so results do not
+    depend on the chunk size.
     """
     if t <= s:
         raise ValueError("need t > s")
@@ -118,8 +120,8 @@ def markov_conditional_moment(
     x_arr = np.atleast_1d(np.asarray(x_law, dtype=float))
     if x_arr.ndim == 1:
         x_arr = x_arr[:, None]
-    if x_arr.shape[1] != dim:
-        raise ValueError(f"outer states have dim {x_arr.shape[1]}, expected {dim}")
+    if x_arr.shape[1] != 1:
+        raise ValueError(f"outer states have dim {x_arr.shape[1]}, expected 1")
     n_outer = x_arr.shape[0]
     h = (t - s) / n_steps
     times = s + h * np.arange(n_steps)
@@ -128,10 +130,10 @@ def markov_conditional_moment(
     samples = np.empty(n_inner)
     for o in range(n_outer):
         rng = philox_stream(seed, PURPOSE_INNER, o, stream_index)
-        for lo in range(0, n_inner, inner_chunk):
-            m = min(inner_chunk, n_inner - lo)
-            inc = rng.standard_normal((m, n_steps, dim)) * math.sqrt(h)
-            states = np.empty((m, n_steps, dim))
+        for lo in range(0, n_inner, _INNER_CHUNK):
+            m = min(_INNER_CHUNK, n_inner - lo)
+            inc = rng.standard_normal((m, n_steps, 1)) * math.sqrt(h)
+            states = np.empty((m, n_steps, 1))
             states[:, 0, :] = x_arr[o]
             np.cumsum(inc[:, :-1, :], axis=1, out=states[:, 1:, :])
             states[:, 1:, :] += x_arr[o]
@@ -142,7 +144,7 @@ def markov_conditional_moment(
         pick = int(np.argmax(means))
     elif proxy == "quantile":
         order = np.argsort(means)
-        pick = int(order[min(n_outer - 1, int(math.ceil(quantile * n_outer)) - 1)])
+        pick = int(order[min(n_outer - 1, int(math.ceil(0.99 * n_outer)) - 1)])
     else:
         raise ValueError(f"unknown proxy {proxy!r}")
     return MomentEstimate(

@@ -48,7 +48,7 @@ from .estimators import (
     scalar_field_registry,
     state_functional,
 )
-from .oscillation import deterministic_pair_grid, oscillation_grid
+from .oscillation import oscillation_grid
 from .processes import random_nondecreasing_process, random_process, random_space
 from .rng import PURPOSE_MODEL, philox_stream
 from .schemes import (
@@ -131,14 +131,13 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
         monotonicity_check(grid),
         triangle_check(grid),
         pathwise_increment_check(proc, unit_control),
-        stopping_pair_bound_check(proc, grid, 0, depth),
+        stopping_pair_bound_check(grid, 0, depth),
         maximal_check(proc, grid, 0, depth),
     ]
-    pairs = deterministic_pair_grid(proc, left_limit=False)
     for pp in p["p_list"]:
         control = controls[pp]
         reports.append(superadditivity_check(control))
-        reports.append(control_domination_check(pairs, control))
+        reports.append(control_domination_check(grid, control))
         reports.append(jn_moment_check(proc, grid, 0, pp))
         for lam in p["lambda_list"]:
             reports.append(exp_vmoa_check(proc, control, lam))

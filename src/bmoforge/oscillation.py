@@ -32,10 +32,6 @@ from .stopping import StoppingTime
 
 __all__ = [
     "oscillation_modulus",
-    "jump_modulus",
-    "deterministic_modulus",
-    "deterministic_pair_modulus",
-    "deterministic_pair_grid",
     "oscillation_grid",
     "pair_oscillation",
     "OscillationData",
@@ -95,51 +91,6 @@ def oscillation_modulus(
     return best
 
 
-def jump_modulus(process: AdaptedProcess) -> float:
-    """Largest single-step oscillation: max over levels of ess-sup |V_k - V_{k-1}|.
-
-    This is the closed form of the limit of window moduli over shrinking
-    windows straddling one grid time; constant processes give 0.
-    """
-    if process.depth == 0:
-        return 0.0
-    return max(float(np.max(np.abs(inc))) for inc in process.increments())
-
-
-def deterministic_pair_modulus(
-    process: AdaptedProcess, j: int, k: int, left_limit: bool = True
-) -> float:
-    """ess-sup of E_j |V_k - anchor| for the deterministic pair j <= k."""
-    space = process.space
-    if not 0 <= j <= k <= space.depth:
-        raise ValueError(f"pair ({j}, {k}) outside [0, {space.depth}]")
-    anchors = process.left_limit(j) if left_limit else process.values[j]
-    vals = np.abs(process.values[k] - np.repeat(anchors, space.branching ** (k - j)))
-    for lev in range(k - 1, j - 1, -1):
-        vals = space.step_expectation(vals, lev)
-    return float(np.max(vals))
-
-
-def deterministic_pair_grid(process: AdaptedProcess, left_limit: bool = True) -> np.ndarray:
-    """``pairs[j, k]`` is :func:`deterministic_pair_modulus` for every pair
-    0 <= j <= k <= depth, NaN below the diagonal as in :class:`OscillationData`."""
-    d = process.depth
-    pairs = np.full((d + 1, d + 1), np.nan)
-    for j in range(d + 1):
-        for k in range(j, d + 1):
-            pairs[j, k] = deterministic_pair_modulus(process, j, k, left_limit)
-    return pairs
-
-
-def deterministic_modulus(
-    process: AdaptedProcess, s: int, t: int, left_limit: bool = True
-) -> float:
-    """Max of the deterministic-pair moduli over s <= j <= k <= t."""
-    if not 0 <= s <= t <= process.depth:
-        raise ValueError(f"window [{s}, {t}] outside [0, {process.depth}]")
-    return float(np.nanmax(deterministic_pair_grid(process, left_limit)[s:t + 1, s:t + 1]))
-
-
 def pair_oscillation(
     process: AdaptedProcess,
     stop_s: StoppingTime,
@@ -180,23 +131,35 @@ def pair_oscillation(
 
 @dataclass
 class OscillationData:
-    """Window moduli for every grid pair, plus jump summaries.
+    """Window moduli, deterministic-pair moduli and jumps of one process.
 
     ``rho[s, t]`` is the exact modulus over [s, t] for s <= t (NaN below the
     diagonal), with both anchor conventions; ``rho_left[s, t]`` takes the
     left-limit anchor only. Diagonal entries are the single-time jump terms
     E_S|V_S - V_{S-}| with S = s, zero at s = 0 by the ``V_{0-} = V_0``
-    convention.
+    convention. ``pairs[j, k]`` is ess-sup E_j|V_k - V_j| for the
+    deterministic pair j <= k and ``pairs_left[j, k]`` the same with anchor
+    V_{j-} (NaN below the diagonal). ``jumps[k - 1]`` is ess-sup
+    |V_k - V_{k-1}|; ``max_jump`` is the largest jump read off the trajectory
+    matrix instead.
     """
 
     rho: np.ndarray
     rho_left: np.ndarray
-    kappa: float
+    pairs: np.ndarray
+    pairs_left: np.ndarray
+    jumps: np.ndarray
     max_jump: float
 
     @property
     def depth(self) -> int:
         return self.rho.shape[0] - 1
+
+    @property
+    def kappa(self) -> float:
+        """Largest single-step oscillation, the limit of window moduli over
+        shrinking windows straddling one grid time; 0 at depth 0."""
+        return float(np.max(self.jumps, initial=0.0))
 
     def window(self, s: int, t: int, left_limit: bool = False) -> float:
         """Modulus over [s, t]; ``left_limit`` selects ``rho_left``."""
@@ -204,41 +167,51 @@ class OscillationData:
             raise ValueError(f"window [{s}, {t}] outside [0, {self.depth}]")
         return float((self.rho_left if left_limit else self.rho)[s, t])
 
-    def cell_moduli(self, partition) -> list[float]:
-        """Moduli of consecutive cells of a grid partition."""
-        pts = list(partition)
-        return [float(self.rho[a, b]) for a, b in zip(pts[:-1], pts[1:])]
+
+def _pair_modulus(space: FiniteFilteredSpace, payoffs: list[np.ndarray], j: int, k: int) -> float:
+    """ess-sup over level-j atoms of E_j of the level-k payoff."""
+    vals = payoffs[k - j]
+    for lev in range(k - 1, j - 1, -1):
+        vals = space.step_expectation(vals, lev)
+    return float(np.max(vals))
 
 
 def oscillation_grid(process: AdaptedProcess) -> OscillationData:
-    """Exact window modulus for every grid pair 0 <= s <= t <= depth.
+    """Exact window and deterministic-pair moduli for every grid pair
+    0 <= s <= t <= depth, and the per-level jumps.
 
     The modulus over [s, t] is the max over stop levels j in [s, t] of the
     Snell value ``M[j, t]`` of stopping at level j and continuing up to t, so
     each ``M[j, t]`` is computed once per anchor convention and ``rho`` and
     ``rho_left`` are its exact maxima over j (suffix maxima down each
-    column). That is (d+1)(d+2) Snell passes and d(d+1)(d+2)/3
-    ``step_expectation`` calls at depth d (42 and 70 at depth 5), and every
-    entry equals :func:`oscillation_modulus` on its window bit for bit.
+    column). The deterministic pair (j, t) reuses the same anchored payoffs
+    without the stopping option. That is (d+1)(d+2) Snell passes and
+    2d(d+1)(d+2)/3 ``step_expectation`` calls at depth d (42 and 140 at
+    depth 5), and every ``rho`` entry equals :func:`oscillation_modulus` on
+    its window bit for bit.
     """
     space = process.space
     d = process.depth
-    # stop[c, j, t]: Snell value M[j, t] under convention c (0 left limit, 1 own value).
+    # stop[c, j, t]: Snell value M[j, t] under convention c (0 left limit, 1 own
+    # value); pairs[c, j, t]: the deterministic pair (j, t) under the same anchor.
     stop = np.full((2, d + 1, d + 1), np.nan)
+    pairs = np.full((2, d + 1, d + 1), np.nan)
     for j in range(d + 1):
         for c, anchors in enumerate(_anchor_sets(process, j, include_intra=True)):
             payoffs = _anchored_payoffs(process, anchors, j, d)
             for t in range(j, d + 1):
                 stop[c, j, t] = _stop_level_modulus(space, payoffs, j, t)
+                pairs[c, j, t] = _pair_modulus(space, payoffs, j, t)
     rho = np.full((d + 1, d + 1), np.nan)
     rho_left = np.full((d + 1, d + 1), np.nan)
     for t in range(d + 1):
         left, own = (np.maximum.accumulate(m[t::-1, t])[::-1] for m in stop)
         rho_left[:t + 1, t] = left
         rho[:t + 1, t] = np.maximum(left, own)
-    kappa = jump_modulus(process)
-    # Independent route for the same quantity: pathwise jumps off the full
+    jumps = np.array([np.max(np.abs(inc)) for inc in process.increments()])
+    # Independent route to the largest jump: pathwise jumps off the full
     # trajectory matrix, rather than per-level increment arrays.
     paths = process.path_matrix()
     max_jump = float(np.max(np.abs(np.diff(paths, axis=1)))) if d > 0 else 0.0
-    return OscillationData(rho=rho, rho_left=rho_left, kappa=kappa, max_jump=max_jump)
+    return OscillationData(rho=rho, rho_left=rho_left, pairs=pairs[1], pairs_left=pairs[0],
+                           jumps=jumps, max_jump=max_jump)

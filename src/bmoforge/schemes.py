@@ -132,29 +132,32 @@ class _EulerMesh:
 
 # -- quadrature error --------------------------------------------------------
 
-def quadrature_error(f, ensemble: PathEnsemble, n: int) -> np.ndarray:
-    """Per-path trajectory of the mesh-point quadrature error.
+def quadrature_error(f, ensemble: PathEnsemble, ns) -> np.ndarray:
+    """Per-path terminal value of the mesh-point quadrature error, per mesh.
 
-    V_t = integral_0^t [f(r, B_r) - f(r, B at the last coarse mesh point)] dr
-    computed as a left-point Riemann sum on the fine grid, chunked over paths.
-    Returns an array of shape (n_paths, n_steps + 1).
+    V_1 = integral_0^1 [f(r, B_r) - f(r, B at the last mesh-n point)] dr
+    computed as a left-point Riemann sum on the fine grid, for every mesh n
+    in ``ns``. Each path chunk is drawn once and f(t, B_t) evaluated once for
+    all meshes. Returns an array of shape (len(ns), n_paths).
     """
     if ensemble.dim != 1:
         raise ValueError("quadrature_error expects a one-dimensional ensemble")
-    ratio = _mesh_ratio(ensemble.n_steps, n)
+    ratios = [_mesh_ratio(ensemble.n_steps, n) for n in ns]
+    if not ratios:
+        raise ValueError("ns must be nonempty")
+    anchors = [(np.arange(ensemble.n_steps) // r) * r for r in ratios]
     h = ensemble.dt
     left_times = ensemble.times[:-1]
-    anchor_idx = (np.arange(ensemble.n_steps) // ratio) * ratio
-    out = np.zeros((ensemble.n_paths, ensemble.n_steps + 1))
+    out = np.empty((len(anchors), ensemble.n_paths))
     for start, inc in _path_chunks(ensemble):
         m = inc.shape[0]
         b = np.zeros((m, ensemble.n_steps))
         np.cumsum(inc[:, :-1, 0], axis=1, out=b[:, 1:])
-        integrand = np.asarray(f(left_times, b), dtype=float) - np.asarray(
-            f(left_times, b[:, anchor_idx]), dtype=float
-        )
-        np.cumsum(integrand, axis=1, out=out[start : start + m, 1:])
-        out[start : start + m, 1:] *= h
+        del inc
+        plain = np.asarray(f(left_times, b), dtype=float)
+        for row, anchor in zip(out, anchors):
+            integrand = plain - np.asarray(f(left_times, b[:, anchor]), dtype=float)
+            row[start : start + m] = integrand.sum(axis=1) * h
     return out
 
 

@@ -92,9 +92,6 @@ class FiniteFilteredSpace:
             out = self.step_expectation(out, k)
         return out
 
-    def expectation(self, leaf_values: np.ndarray) -> float:
-        return float(self.cond_expectation(leaf_values, 0)[0])
-
     def broadcast_to_leaves(self, values: np.ndarray, level: int) -> np.ndarray:
         """Lift a level-``level`` variable to leaf granularity."""
         values = np.asarray(values, dtype=float)

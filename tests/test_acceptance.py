@@ -40,7 +40,7 @@ from bmoforge.estimators import (
     scalar_field_registry,
     state_functional,
 )
-from bmoforge.oscillation import deterministic_pair_grid, oscillation_grid
+from bmoforge.oscillation import oscillation_grid
 from bmoforge.processes import (
     random_nondecreasing_process,
     random_process,
@@ -127,13 +127,12 @@ def test_criterion_3_exact_structural_suite(corpus):
             monotonicity_check(grid),
             triangle_check(grid),
             pathwise_increment_check(proc, controls[1]),
-            stopping_pair_bound_check(proc, grid, 0, d),
+            stopping_pair_bound_check(grid, 0, d),
             maximal_check(proc, grid, 0, d),
         ]
-        pairs = deterministic_pair_grid(proc, left_limit=False)
         for control in controls.values():
             reports.append(superadditivity_check(control))
-            reports.append(control_domination_check(pairs, control))
+            reports.append(control_domination_check(grid, control))
         n_checks += len(reports)
         violations += sum(not r.holds for r in reports)
     ok = violations == 0
@@ -186,8 +185,8 @@ def test_criterion_5_gaussian_oracles():
     coord = scalar_field_registry["coordinate"]
     quad_ok = True
     devs = []
-    for n in (4, 16, 64):
-        v1 = quadrature_error(coord, ensemble, n)[:, -1]
+    meshes = (4, 16, 64)
+    for n, v1 in zip(meshes, quadrature_error(coord, ensemble, meshes)):
         sq = v1 * v1
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         dev = abs(float(sq.mean()) - 1.0 / (3 * n * n))

@@ -2,10 +2,13 @@
 
 A name is reached when the CLI runners (``experiments``, ``cli``, ``report``)
 or the acceptance suite import it from a ``bmoforge`` module. Anything else
-stays importable from its own module but is not re-exported.
+stays importable from its own module but is not re-exported. Every name a
+module lists in its ``__all__`` must exist in that module.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import bmoforge
@@ -37,4 +40,13 @@ def test_every_public_name_is_reached():
 
 def test_every_public_name_resolves():
     missing = [name for name in bmoforge.__all__ if not hasattr(bmoforge, name)]
+    assert missing == []
+
+
+def test_every_module_name_resolves():
+    missing = []
+    for info in pkgutil.iter_modules(bmoforge.__path__):
+        module = importlib.import_module(f"bmoforge.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
     assert missing == []

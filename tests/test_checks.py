@@ -25,7 +25,7 @@ from bmoforge.checks import (
     write_summary_csv,
 )
 from bmoforge.controls import variation_control
-from bmoforge.oscillation import deterministic_pair_grid, oscillation_grid
+from bmoforge.oscillation import oscillation_grid
 from bmoforge.processes import (
     AdaptedProcess,
     deterministic_process,
@@ -219,11 +219,10 @@ def test_structural_checks_on_corpus():
         assert monotonicity_check(grid).holds
         assert triangle_check(grid).holds
         assert pathwise_increment_check(v, variation_control(grid, 1.0)).holds
-        assert stopping_pair_bound_check(v, grid, 0, v.depth).holds
-        pairs = deterministic_pair_grid(v, left_limit=False)
+        assert stopping_pair_bound_check(grid, 0, v.depth).holds
         for p in (1.0, 2.0):
             control = variation_control(grid, p)
-            assert control_domination_check(pairs, control).holds
+            assert control_domination_check(grid, control).holds
 
 
 def test_exp_vmoa_on_small_deterministic():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bmoforge import ensemble as ensemble_module
 from bmoforge import rng as rng_module
 from bmoforge.ensemble import PathEnsemble
 from bmoforge.rng import PURPOSE_OUTER, philox_stream
@@ -109,14 +110,15 @@ def test_terminal_variance_and_independence():
     assert abs(corr) <= 3 * se_corr
 
 
-def test_validation_and_caps():
+def test_validation_and_caps(monkeypatch):
     with pytest.raises(ValueError, match="positive"):
         PathEnsemble(n_paths=0, n_steps=4, dim=1, horizon=1.0, seed=0)
     with pytest.raises(ValueError, match="horizon"):
         PathEnsemble(n_paths=1, n_steps=4, dim=1, horizon=0.0, seed=0)
     with pytest.raises(ValueError, match="resource cap"):
         PathEnsemble(n_paths=2**20, n_steps=2**14, dim=1, horizon=1.0, seed=0)
-    small = PathEnsemble(n_paths=64, n_steps=64, dim=1, horizon=1.0, seed=0, max_bytes=1024)
+    monkeypatch.setattr(ensemble_module, "_MAX_MATERIALIZE_BYTES", 1024)
+    small = PathEnsemble(n_paths=64, n_steps=64, dim=1, horizon=1.0, seed=0)
     with pytest.raises(MemoryError, match="chunks"):
         small.increments()
     # Chunked access stays under the cap.

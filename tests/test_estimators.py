@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bmoforge import estimators
 from bmoforge.config import KIND_SCHEMAS
 from bmoforge.estimators import (
     empirical_rho_grid,
@@ -67,12 +68,12 @@ def test_markov_moment_gaussian_oracle():
     assert est.n_inner == 4000
 
 
-def test_markov_moment_chunk_invariance():
+def test_markov_moment_chunk_invariance(monkeypatch):
     f = state_functional("sign")
-    a = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=500, n_steps=32, seed=5,
-                                  inner_chunk=1024)
-    b = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=500, n_steps=32, seed=5,
-                                  inner_chunk=17)
+    monkeypatch.setattr(estimators, "_INNER_CHUNK", 1024)
+    a = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=500, n_steps=32, seed=5)
+    monkeypatch.setattr(estimators, "_INNER_CHUNK", 17)
+    b = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=500, n_steps=32, seed=5)
     assert a.value == b.value
     assert a.stderr == b.stderr
 
@@ -99,15 +100,21 @@ def test_markov_moment_proxy_and_validation():
     xs = [0.0, 1.0, -2.0]
     hi = markov_conditional_moment(f, 0.0, 1.0, xs, n_inner=64, n_steps=16, seed=1, proxy="max")
     q = markov_conditional_moment(f, 0.0, 1.0, xs, n_inner=64, n_steps=16, seed=1,
-                                  proxy="quantile", quantile=0.5)
+                                  proxy="quantile")
     assert q.value <= hi.value
+    # Past 100 outer states the 0.99 quantile falls below the max.
+    many = np.linspace(-3.0, 3.0, 200)
+    hi = markov_conditional_moment(f, 0.0, 1.0, many, n_inner=16, n_steps=4, seed=1)
+    q = markov_conditional_moment(f, 0.0, 1.0, many, n_inner=16, n_steps=4, seed=1,
+                                  proxy="quantile")
+    assert q.value < hi.value
     with pytest.raises(ValueError, match="proxy"):
         markov_conditional_moment(f, 0.0, 1.0, xs, n_inner=64, n_steps=16, seed=1, proxy="mean")
     with pytest.raises(ValueError, match="t > s"):
         markov_conditional_moment(f, 1.0, 1.0, xs, n_inner=64, n_steps=16, seed=1)
     with pytest.raises(ValueError, match="dim"):
         markov_conditional_moment(f, 0.0, 1.0, np.zeros((2, 2)), n_inner=64, n_steps=16,
-                                  seed=1, dim=1)
+                                  seed=1)
 
 
 def test_rho_grid_exact_fields():

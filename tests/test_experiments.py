@@ -6,6 +6,7 @@ import pytest
 from bmoforge import experiments
 from bmoforge.config import config_hash, parse_config
 from bmoforge.experiments import run_experiment
+from bmoforge.space import FiniteFilteredSpace
 
 
 def run_text(tmp_path, name, text):
@@ -103,6 +104,32 @@ n_processes = 1
     reports = experiments._verify_battery(cfg, 0)
     assert len(built) == 1
     assert len(reports) > 10
+
+
+def test_verify_battery_step_expectation_count(monkeypatch):
+    # The grid's 140 backward steps cover every window and deterministic
+    # pair; the other 100 are conditional expectations of leaf variables and
+    # the moduli of the running maximum and of the nondecreasing companion.
+    cfg = parse_config("""
+[experiment]
+kind = verify-finite
+seed = 1
+
+[verify-finite]
+depth = 5
+branching = 2
+n_processes = 1
+""")
+    calls = []
+    step = FiniteFilteredSpace.step_expectation
+
+    def counted(self, values, k):
+        calls.append(k)
+        return step(self, values, k)
+
+    monkeypatch.setattr(FiniteFilteredSpace, "step_expectation", counted)
+    experiments._verify_battery(cfg, 0)
+    assert len(calls) == 240
 
 
 def test_verify_battery_past_the_enumeration_limit():

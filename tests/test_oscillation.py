@@ -2,10 +2,6 @@ import numpy as np
 import pytest
 
 from bmoforge.oscillation import (
-    deterministic_modulus,
-    deterministic_pair_grid,
-    deterministic_pair_modulus,
-    jump_modulus,
     oscillation_grid,
     oscillation_modulus,
     pair_oscillation,
@@ -75,7 +71,9 @@ def test_grid_equals_window_moduli_bitwise(depth, branching, kind, seed):
 
 def test_grid_step_expectation_count(monkeypatch):
     # One Snell pass per (stop level, horizon, convention): 70 backward steps
-    # at depth 5, against 140 for one pass per (window, stop level).
+    # at depth 5, against 140 for one pass per (window, stop level). The
+    # deterministic pairs add one plain backward chain per (pair, convention),
+    # another 70 steps, which two separate pair grids per case used to spend.
     rng = np.random.default_rng(5)
     sp = random_space(rng, depth=5, branching=2, random_transitions=True)
     v = random_process(sp, rng, kind="gaussian")
@@ -88,7 +86,7 @@ def test_grid_step_expectation_count(monkeypatch):
 
     monkeypatch.setattr(FiniteFilteredSpace, "step_expectation", counted)
     oscillation_grid(v)
-    assert len(calls) == 70
+    assert len(calls) == 140
 
 
 def test_fair_walk_modulus():
@@ -107,51 +105,69 @@ def test_deterministic_drift_modulus():
     sp = build_tree(2, 2)
     v = deterministic_process(sp, [0.0, 1.0, 2.0])
     assert oscillation_modulus(v, 0, 2) == pytest.approx(2.0)
-    assert deterministic_modulus(v, 0, 2) == pytest.approx(2.0)
+    data = oscillation_grid(v)
+    assert np.nanmax(data.pairs_left) == pytest.approx(2.0)
+    assert np.nanmax(data.pairs) == pytest.approx(2.0)
 
 
-def test_jump_modulus_quadratic():
+def test_grid_jumps_quadratic():
     sp = build_tree(3, 2)
     v = deterministic_process(sp, [0.0, 1.0, 4.0, 9.0])
-    assert jump_modulus(v) == pytest.approx(5.0)
-    assert jump_modulus(deterministic_process(build_tree(0, 2), [3.0])) == 0.0
+    data = oscillation_grid(v)
+    np.testing.assert_array_equal(data.jumps, [1.0, 3.0, 5.0])
+    assert data.kappa == pytest.approx(5.0)
+    flat = oscillation_grid(deterministic_process(build_tree(0, 2), [3.0]))
+    assert flat.jumps.shape == (0,)
+    assert flat.kappa == 0.0
 
 
-def test_deterministic_pair_modulus_exact():
+def test_grid_pairs_exact():
     # E_1 |V_2 - V_0| on the worst level-1 atom of the hand example.
     sp = build_tree(2, 2)
     v = AdaptedProcess(
         space=sp,
         values=[np.zeros(1), np.array([1.0, -2.0]), np.array([0.5, 3.0, -1.0, -4.0])],
     )
+    data = oscillation_grid(v)
     # anchor V_{1-} = V_0 = 0; atom 0: (0.5 + 3)/2 = 1.75, atom 1: (1+4)/2 = 2.5.
-    assert deterministic_pair_modulus(v, 1, 2) == pytest.approx(2.5)
+    assert data.pairs_left[1, 2] == pytest.approx(2.5)
     # anchor V_1 itself: atom 0: (0.5+2)/2 = 1.25, atom 1: (1+2)/2 = 1.5.
-    assert deterministic_pair_modulus(v, 1, 2, left_limit=False) == pytest.approx(1.5)
-    with pytest.raises(ValueError, match="outside"):
-        deterministic_pair_modulus(v, 2, 1)
+    assert data.pairs[1, 2] == pytest.approx(1.5)
+    assert np.isnan(data.pairs[2, 1])
+    assert np.isnan(data.pairs_left[2, 1])
 
 
 def test_pair_grid_holds_every_pair_modulus():
-    rng = np.random.default_rng(27)
-    v = random_process(random_space(rng, depth=3, branching=2, random_transitions=True), rng)
-    for left_limit in (True, False):
-        pairs = deterministic_pair_grid(v, left_limit)
-        for j in range(4):
-            for k in range(4):
+    # Oracle: condition each anchored payoff down from the leaves in one
+    # cond_expectation call, with the anchors broadcast to the leaves.
+    for depth, branching, seed in ((3, 2, 27), (2, 3, 28)):
+        rng = np.random.default_rng(seed)
+        sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
+        v = random_process(sp, rng)
+        data = oscillation_grid(v)
+        for j in range(depth + 1):
+            own = sp.broadcast_to_leaves(v.values[j], j)
+            left = sp.broadcast_to_leaves(v.left_limit(j), j)
+            for k in range(depth + 1):
                 if k < j:
-                    assert np.isnan(pairs[j, k])
-                else:
-                    assert pairs[j, k] == deterministic_pair_modulus(v, j, k, left_limit)
+                    assert np.isnan(data.pairs[j, k])
+                    assert np.isnan(data.pairs_left[j, k])
+                    continue
+                vk = v.value_at_leaves(k)
+                for pairs, anchor in ((data.pairs, own), (data.pairs_left, left)):
+                    oracle = np.max(sp.cond_expectation(np.abs(vk - anchor), j))
+                    assert pairs[j, k] == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
 def test_deterministic_pairs_lower_bound_the_modulus():
     rng = np.random.default_rng(11)
     sp = random_space(rng, depth=3, branching=2, random_transitions=True)
     v = random_process(sp, rng, kind="heavy")
+    data = oscillation_grid(v)
     for s in range(4):
         for t in range(s, 4):
-            assert deterministic_modulus(v, s, t) <= oscillation_modulus(v, s, t) + 1e-12
+            b_det = np.nanmax(data.pairs_left[s:t + 1, s:t + 1])
+            assert b_det <= oscillation_modulus(v, s, t) + 1e-12
 
 
 def test_grid_shape_and_conventions():
@@ -164,10 +180,8 @@ def test_grid_shape_and_conventions():
     # Root diagonal entry is 0 under the V_{0-} = V_0 convention.
     assert data.rho[0, 0] == 0.0
     assert data.window(1, 3) == pytest.approx(oscillation_modulus(v, 1, 3))
-    assert data.kappa == pytest.approx(jump_modulus(v))
     # Two independent routes to the largest jump agree.
     assert data.max_jump == pytest.approx(data.kappa)
-    assert data.cell_moduli([0, 2, 3]) == [data.rho[0, 2], data.rho[2, 3]]
     assert data.window(1, 3, left_limit=True) == data.rho_left[1, 3]
     for s, t in ((2, 1), (-1, 2), (0, 4)):
         with pytest.raises(ValueError, match="outside"):

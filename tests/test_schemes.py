@@ -115,45 +115,45 @@ def test_solver_dim_mismatch(unit_ensemble):
 # -- quadrature error ---------------------------------------------------------
 
 def test_quadrature_error_vanishes_for_flat_fields(unit_ensemble):
-    v = quadrature_error(scalar_field_registry["one"], unit_ensemble, 4)
-    assert v.shape == (16, 65)
+    v = quadrature_error(scalar_field_registry["one"], unit_ensemble, [4])
+    assert v.shape == (1, 16)
     assert np.all(v == 0.0)
     time_only = lambda t, x: np.sin(t) * np.ones_like(x)
-    v = quadrature_error(time_only, unit_ensemble, 4)
+    v = quadrature_error(time_only, unit_ensemble, [4])
     assert np.all(v == 0.0)
 
 
 def test_quadrature_error_vanishes_on_finest_mesh(unit_ensemble):
-    v = quadrature_error(scalar_field_registry["sign"], unit_ensemble, 64)
+    v = quadrature_error(scalar_field_registry["sign"], unit_ensemble, [64])
     assert np.all(v == 0.0)
 
 
 def test_quadrature_error_increment_bound(unit_ensemble):
-    # |V_t - V_s| <= 2 (t - s) for any field bounded by 1.
-    v = quadrature_error(scalar_field_registry["sign"], unit_ensemble, 8)
-    assert np.all(v[:, 0] == 0.0)
+    # |V_1 - V_0| = |V_1| <= 2 for any field bounded by 1.
+    v = quadrature_error(scalar_field_registry["sign"], unit_ensemble, [8])
     times = unit_ensemble.times
-    for s, t in [(0, 64), (3, 17), (32, 40)]:
-        gap = np.abs(v[:, t] - v[:, s]).max()
-        assert gap <= 2.0 * (times[t] - times[s]) + 1e-12
+    gap = np.abs(v[0]).max()
+    assert gap <= 2.0 * (times[64] - times[0]) + 1e-12
 
 
 def test_quadrature_error_chunk_invariance(unit_ensemble, monkeypatch):
     f = scalar_field_registry["sign"]
     monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 2048 * unit_ensemble.n_steps)
-    a = quadrature_error(f, unit_ensemble, 8)
+    a = quadrature_error(f, unit_ensemble, [4, 8])
     monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 5 * unit_ensemble.n_steps)
-    b = quadrature_error(f, unit_ensemble, 8)
+    b = quadrature_error(f, unit_ensemble, [4, 8])
     assert np.array_equal(a, b)
 
 
 def test_quadrature_error_validation(unit_ensemble):
     f = scalar_field_registry["sign"]
     with pytest.raises(ValueError, match="mesh mismatch"):
-        quadrature_error(f, unit_ensemble, 5)
+        quadrature_error(f, unit_ensemble, [4, 5])
     ens2 = PathEnsemble(n_paths=2, n_steps=8, dim=2, horizon=1.0, seed=0)
     with pytest.raises(ValueError, match="one-dimensional"):
-        quadrature_error(f, ens2, 4)
+        quadrature_error(f, ens2, [4])
+    with pytest.raises(ValueError, match="nonempty"):
+        quadrature_error(f, unit_ensemble, [])
 
 
 # -- shift averaging ----------------------------------------------------------
@@ -361,6 +361,18 @@ def test_davie_draws_each_chunk_once(count_draws, monkeypatch):
     assert count_draws == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
 
 
+def test_quadrature_error_draws_each_chunk_once(count_draws, monkeypatch):
+    # All meshes come from one draw per chunk and match one call per mesh.
+    ens = PathEnsemble(n_paths=23, n_steps=20, dim=1, horizon=1.0, seed=2)
+    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 5 * ens.n_steps)
+    f = scalar_field_registry["coordinate"]
+    meshes = [4, 5, 20]
+    v = quadrature_error(f, ens, meshes)
+    assert count_draws == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+    for n, row in zip(meshes, v):
+        assert np.array_equal(row, quadrature_error(f, ens, [n])[0])
+
+
 @pytest.mark.parametrize("budget", [1, 7, 64, 10**6])
 def test_path_chunks_stay_within_the_budget(count_draws, monkeypatch, budget):
     # A chunk spans at most max(budget, one path) elements, whatever the budget.
@@ -368,7 +380,7 @@ def test_path_chunks_stay_within_the_budget(count_draws, monkeypatch, budget):
     ens = PathEnsemble(n_paths=23, n_steps=16, dim=1, horizon=1.0, seed=2)
     field = scalar_field_registry["sign"]
     davie_functional(field, [0.1, 0.2], ens)
-    quadrature_error(field, ens, 4)
+    quadrature_error(field, ens, [4])
     per_path = ens.n_steps * ens.dim
     assert count_draws
     assert all((stop - start) * per_path <= max(budget, per_path)
@@ -379,18 +391,18 @@ def test_path_chunks_stay_within_the_budget(count_draws, monkeypatch, budget):
         range(0, 23, max(1, budget // per_path)))
 
 
-def test_davie_long_paths_fit_the_materialization_cap():
+def test_davie_long_paths_fit_the_materialization_cap(monkeypatch):
     # The cap refuses all 20 paths in one chunk but admits a budget chunk.
-    ens = PathEnsemble(n_paths=20, n_steps=20000, dim=1, horizon=1.0, seed=8,
-                       max_bytes=2**21)
-    assert schemes._CHUNK_ELEMENTS * 8 <= ens.max_bytes < 20 * 20000 * 8
+    monkeypatch.setattr(ensemble_module, "_MAX_MATERIALIZE_BYTES", 2**21)
+    ens = PathEnsemble(n_paths=20, n_steps=20000, dim=1, horizon=1.0, seed=8)
+    assert schemes._CHUNK_ELEMENTS * 8 <= ensemble_module._MAX_MATERIALIZE_BYTES < 20 * 20000 * 8
     with pytest.raises(MemoryError, match="resource cap"):
         ens.increments()
     g = scalar_field_registry["sign"]
     shifts = [0.1, 0.4]
     samples = davie_functional(g, shifts, ens)
-    uncapped = PathEnsemble(n_paths=20, n_steps=20000, dim=1, horizon=1.0, seed=8)
-    expect = np.stack([per_shift_davie(g, x, uncapped) for x in shifts])
+    monkeypatch.undo()  # the whole-ensemble oracle needs the default cap
+    expect = np.stack([per_shift_davie(g, x, ens) for x in shifts])
     assert samples.tobytes() == expect.tobytes()
 
 

@@ -34,7 +34,7 @@ def test_expectation_exact():
     # indicator of the last leaf
     ind = np.zeros(4)
     ind[3] = 1.0
-    assert sp.expectation(ind) == pytest.approx(0.49)
+    assert sp.cond_expectation(ind, 0)[0] == pytest.approx(0.49)
     lvl1 = sp.cond_expectation(ind, 1)
     np.testing.assert_allclose(lvl1, [0.0, 0.7])
 
