@@ -220,6 +220,11 @@ def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]
         if len(times) < 2 or any(b <= a for a, b in zip(times, times[1:])):
             out.append(f"grid_times: must hold at least two strictly increasing "
                        f"times (got {times!r})")
+    # The 0.99 quantile of fewer than 100 outer states is their max.
+    if (kind == "rho-grid" and not rejected & {"proxy", "n_outer"}
+            and params["proxy"] == "quantile" and params["n_outer"] < 100):
+        out.append(f"proxy: quantile equals max unless n_outer >= 100 "
+                   f"(got n_outer = {params['n_outer']})")
     if kind == "davie" and not rejected & {"n_paths", "n_steps"}:
         draws = params["n_paths"] * params["n_steps"]
         if draws > _MAX_TOTAL_DRAWS:

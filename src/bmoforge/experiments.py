@@ -259,20 +259,14 @@ def _run_quadrature(config: ExperimentConfig, out_dir: Path):
 
 def _run_tamed_em(config: ExperimentConfig, out_dir: Path):
     p = config.params
-    sigma = float(p["sigma"])
-    model = SdeModel(
-        drift=scalar_field_registry[p["drift"]],
-        diffusion=lambda t, x: np.full_like(x, sigma),
-        dim=1,
-        x0=p["x0"],
-        horizon=1.0,
-    )
+    model = SdeModel(drift=scalar_field_registry[p["drift"]], sigma=p["sigma"],
+                     dim=1, x0=p["x0"], horizon=1.0)
     taming = TamingPolicy(scale=p["taming_scale"], exponent=p["taming_exponent"],
                           log_power=p["taming_log_power"])
     extra = {}
-    if sigma > 0.0:
-        probe = ellipticity_check(model, p["ellipticity_bound"], seed=config.seed)
-        extra["ellipticity"] = {"holds": probe["holds"], "bound": probe["bound"]}
+    if p["sigma"] > 0.0:
+        check = ellipticity_check(model, p["ellipticity_bound"])
+        extra["ellipticity"] = {"holds": check["holds"], "bound": check["bound"]}
     ns = sorted(set(int(n) for n in p["ns"]))
     n_ref = p["fine_factor"] * max(ns)
     ensemble = PathEnsemble(n_paths=p["n_paths"], n_steps=n_ref, dim=1,

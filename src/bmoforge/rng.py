@@ -22,7 +22,7 @@ __all__ = [
 
 PURPOSE_OUTER = 0  # top-level path ensembles
 PURPOSE_INNER = 1  # inner simulations of nested estimators
-PURPOSE_MODEL = 2  # auxiliary draws (ellipticity probes, corpus generation)
+PURPOSE_MODEL = 2  # corpus generation
 
 _U64 = np.uint64
 _MASK = (1 << 64) - 1

@@ -61,32 +61,37 @@ def _brownian_blocks(ensemble: PathEnsemble, start: int, stop: int):
 
     ``w`` holds the Brownian values at fine points t0 .. t0 + m, time-major
     with shape (m + 1, paths, dim); row 0 repeats the previous block's last
-    row, so every value is the same left-to-right sum of increments as a
-    cumsum over the whole path. The buffer is reused: read it before the next
-    block is drawn.
+    row and each later row adds one row of increments, the same left-to-right
+    sums as a cumsum over the whole path. The buffer is reused: read it before
+    the next block is drawn.
     """
     buf = np.zeros((min(_TIME_BLOCK, ensemble.n_steps) + 1, stop - start, ensemble.dim))
     t0 = m = 0
     for inc in ensemble.time_blocks(start, stop, _TIME_BLOCK):
         buf[0] = buf[m]
         m = inc.shape[0]
-        inc[0] += buf[0]
-        np.cumsum(inc, axis=0, out=buf[1 : m + 1])
+        for k in range(m):
+            np.add(buf[k], inc[k], out=buf[k + 1])
         yield t0, buf[: m + 1]
         t0 += m
 
 
+def _clipped_drift(model: SdeModel, level: float | None, t: float, x: np.ndarray):
+    b = np.asarray(model.drift(t, x), dtype=float)
+    return b if level is None else np.clip(b, -level, level)
+
+
 class _EulerMesh:
-    """Explicit Euler on a mesh of n steps with coefficients frozen at the
+    """Explicit Euler on a mesh of n steps with the drift frozen at the
     coarse anchor state, advanced over time blocks of the fine grid.
 
-    Within each coarse step the drift b and diffusion s are evaluated once,
-    at the step's opening time and state x_a, so the solution at fine point
-    a + k is (c + b * t_k) + s * w_{a+k} with c = x_a - s * w_a and
-    t_k = k * h. The noise term is a pure read of the shared Brownian values,
-    so solutions on nested meshes couple bitwise when the drift contribution
-    vanishes. A coarse step may straddle time blocks: (c, b, s) and the
-    anchor carry over.
+    The noise is additive: with u = sigma * w the shared noise values, the
+    solution at fine point a + k of a coarse step opened at a is
+    (b * t_k + c) + u_{a+k}, where b is the drift at the step's opening time
+    and state x_a, c = x_a - u_a and t_k = k * h. The noise term is a pure
+    read of u, so solutions on nested meshes couple bitwise when the drift
+    contribution vanishes. A coarse step may straddle time blocks: (c, b)
+    and the anchor carry over.
     """
 
     def __init__(self, model: SdeModel, level: float | None, n: int, n_fine: int,
@@ -96,15 +101,16 @@ class _EulerMesh:
         self.drift_times = (horizon / n_fine) * np.arange(1, self.ratio + 1)
         self.state = model.initial_states(n_paths)
         self.anchor = -self.ratio  # fine index where the current coarse step opened
-        self.c = self.b = self.s = None
+        self.c = self.b = None
 
-    def advance(self, w: np.ndarray, t0: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    def advance(self, u: np.ndarray, t0: int, out: np.ndarray) -> None:
         """Write the solution at fine points t0 + 1 .. t0 + m into ``out``.
 
-        ``w`` is a block of :func:`_brownian_blocks`, shape (m + 1, paths,
-        dim); ``out`` and ``scratch`` have shape (m, paths, dim), and
-        ``scratch`` is overwritten.
+        ``u`` is sigma times a block of :func:`_brownian_blocks`, shape
+        (m + 1, paths, dim); ``out`` has shape (m, paths, dim).
         """
+        if self.ratio == 1:
+            return self._advance_steps(u, t0, out)
         ratio, m = self.ratio, out.shape[0]
         pos = 0
         while pos < m:
@@ -112,22 +118,30 @@ class _EulerMesh:
             if done == ratio:
                 self.anchor, done = t0 + pos, 0
                 t_j = (self.anchor // ratio) * self.horizon / self.n
-                b = np.asarray(self.model.drift(t_j, self.state), dtype=float)
-                if self.level is not None:
-                    b = np.clip(b, -self.level, self.level)
-                self.b = b
-                self.s = np.asarray(self.model.diffusion(t_j, self.state), dtype=float)
-                self.c = self.state - self.s * w[pos]
+                self.b = _clipped_drift(self.model, self.level, t_j, self.state)
+                self.c = self.state - u[pos]
             k = min(ratio - done, m - pos)
-            seg, noise = out[pos : pos + k], scratch[:k]
-            # b * t + c + s * w in that order: the same sums as (c + b * t) + s * w.
+            seg = out[pos : pos + k]
+            # b * t + c + u in that order: the same sums as (c + b * t) + u.
             np.multiply(self.drift_times[done : done + k, None, None], self.b, out=seg)
             seg += self.c
-            np.multiply(self.s, w[pos + 1 : pos + k + 1], out=noise)
-            seg += noise
+            seg += u[pos + 1 : pos + k + 1]
             pos += k
             if done + k == ratio:
                 self.state = seg[-1].copy()
+
+    def _advance_steps(self, u: np.ndarray, t0: int, out: np.ndarray) -> None:
+        """:meth:`advance` for ratio 1, one fine step at a time with the same
+        sums: row k of ``out`` is h * b + (x - u_k) + u_{k+1}, with b the
+        drift at the previous row x."""
+        h, x, c = self.drift_times[0], self.state, np.empty_like(self.state)
+        for k in range(out.shape[0]):
+            b = _clipped_drift(self.model, self.level, (t0 + k) * self.horizon / self.n, x)
+            np.subtract(x, u[k], out=c)
+            x = np.multiply(h, b, out=out[k])
+            x += c
+            x += u[k + 1]
+        self.state = x.copy()
 
 
 # -- quadrature error --------------------------------------------------------
@@ -272,8 +286,10 @@ def strong_error(
     b = 0 control has error exactly zero.
 
     One time-major sweep per group of paths advances the reference and every
-    mesh block by block, each path's increments drawn once; each mesh's
-    distance to the reference is folded into a running per-path sup.
+    mesh block by block, each path's increments drawn once. Per time block,
+    sigma * w is computed once and read by the reference (one loop iteration
+    per fine step) and by every mesh; each mesh's distance to the reference
+    is folded into a running per-path sup.
     """
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
@@ -296,16 +312,18 @@ def strong_error(
     sup_err = np.zeros((len(ns), ensemble.n_paths))
     for start in range(0, ensemble.n_paths, _PATH_GROUP):
         stop = min(start + _PATH_GROUP, ensemble.n_paths)
-        shape = (min(_TIME_BLOCK, n_ref), stop - start, ensemble.dim)
-        ref_block, seg, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+        rows = min(_TIME_BLOCK, n_ref)
+        ref_block, seg = np.empty((2, rows, stop - start, ensemble.dim))
+        noise = np.empty((rows + 1, stop - start, ensemble.dim))
         ref = _EulerMesh(model, level_ref, n_ref, n_ref, ensemble.horizon, stop - start)
         meshes = [_EulerMesh(model, level, n, n_ref, ensemble.horizon, stop - start)
                   for n, level in zip(ns, levels)]
         for t0, w in _brownian_blocks(ensemble, start, stop):
             m = w.shape[0] - 1
-            ref.advance(w, t0, ref_block[:m], scratch)
+            u = np.multiply(model.sigma, w, out=noise[: m + 1])
+            ref.advance(u, t0, ref_block[:m])
             for k, mesh in enumerate(meshes):
-                mesh.advance(w, t0, seg[:m], scratch)
+                mesh.advance(u, t0, seg[:m])
                 diff = np.subtract(seg[:m], ref_block[:m], out=seg[:m])
                 err = sup_err[k, start:stop]
                 np.maximum(err, np.abs(diff, out=diff).max(axis=(0, 2)), out=err)

@@ -164,6 +164,7 @@ def test_ensemble_past_the_draw_cap_exits_two(tmp_path, capsys, kind, section):
     ("rho-grid", "grid_times = 0.5, 0.25, 1.0\n", "grid_times: must hold"),
     ("rho-grid", "grid_times = 0.25, 0.25, 1.0\n", "grid_times: must hold"),
     ("rho-grid", "grid_times = 0.5\n", "grid_times: must hold"),
+    ("rho-grid", "proxy = quantile\nn_outer = 99\n", "proxy: quantile equals max"),
 ])
 def test_list_rule_violation_exits_two(tmp_path, capsys, kind, section, problem):
     cfg = write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[{kind}]\n{section}")

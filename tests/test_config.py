@@ -218,6 +218,21 @@ def test_davie_moments_must_be_even():
     assert problem.startswith("moments: entries must lie")
 
 
+def test_rho_grid_quantile_needs_100_outer_states():
+    # The estimator's quantile index ceil(0.99 * n) - 1 is the max until n = 100.
+    assert mesh_violations("rho-grid", {"proxy": "quantile", "n_outer": 99}) == [
+        "proxy: quantile equals max unless n_outer >= 100 (got n_outer = 99)"]
+    assert mesh_violations("rho-grid", {"proxy": "quantile"}) == [
+        "proxy: quantile equals max unless n_outer >= 100 (got n_outer = 64)"]
+    cfg = parse_config(json.dumps(
+        {"kind": "rho-grid", "seed": 1, "params": {"proxy": "quantile", "n_outer": 100}}))
+    assert (cfg.params["proxy"], cfg.params["n_outer"]) == ("quantile", 100)
+    parse_config(json.dumps({"kind": "rho-grid", "seed": 1, "params": {"n_outer": 2}}))
+    # A rejected n_outer reports its own violation only.
+    (problem,) = mesh_violations("rho-grid", {"proxy": "quantile", "n_outer": 1})
+    assert problem.startswith("n_outer: must lie")
+
+
 def test_rho_grid_times_must_increase():
     for times in ([0.5, 0.25, 1.0], [0.25, 0.25, 1.0], [0.5]):
         assert mesh_violations("rho-grid", {"grid_times": times}) == [

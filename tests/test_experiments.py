@@ -234,6 +234,24 @@ n_paths = 4
     assert set(manifest.extra["taming_diagnostic"]) == {"2", "4"}
 
 
+def test_tamed_em_records_failing_ellipticity(tmp_path):
+    text = """
+[experiment]
+kind = tamed-em
+seed = 11
+
+[tamed-em]
+drift = zero
+sigma = 3.0
+ellipticity_bound = 4
+ns = 2, 4
+fine_factor = 2
+n_paths = 4
+"""
+    _, manifest = run_text(tmp_path, "wide", text)
+    assert manifest.extra["ellipticity"] == {"holds": False, "bound": 4.0}
+
+
 def test_tamed_em_deterministic_ode(tmp_path):
     text = """
 [experiment]
@@ -250,6 +268,6 @@ n_paths = 2
 """
     _, manifest = run_text(tmp_path, "ode", text)
     assert manifest.ok is True
-    assert "ellipticity" not in manifest.extra  # probe skipped for sigma = 0
+    assert "ellipticity" not in manifest.extra  # skipped for sigma = 0
     assert manifest.extra["slope"] == pytest.approx(1.2232428749504214, rel=1e-9)
     assert manifest.extra["monotone_within_stderr"] is True

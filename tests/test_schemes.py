@@ -30,10 +30,6 @@ def zero_drift(t, x):
     return np.zeros_like(x)
 
 
-def unit_diffusion(t, x):
-    return np.ones_like(x)
-
-
 # -- solver -------------------------------------------------------------------
 
 def paths(ensemble):
@@ -49,10 +45,9 @@ def solve(model, level, n, ensemble):
     mesh = _EulerMesh(model, level, n, ensemble.n_steps, ensemble.horizon, ensemble.n_paths)
     out = np.empty((ensemble.n_steps + 1, ensemble.n_paths, ensemble.dim))
     out[0] = model.x0
-    scratch = np.empty_like(out)
     for t0, w in _brownian_blocks(ensemble, 0, ensemble.n_paths):
         m = w.shape[0] - 1
-        mesh.advance(w, t0, out[t0 + 1 : t0 + m + 1], scratch[:m])
+        mesh.advance(model.sigma * w, t0, out[t0 + 1 : t0 + m + 1])
     return out.transpose(1, 0, 2)
 
 
@@ -72,20 +67,20 @@ def test_brownian_blocks_carry_the_cumsum(unit_ensemble, monkeypatch, block, sta
 
 
 def test_solver_identity_on_brownian(unit_ensemble):
-    model = SdeModel(drift=zero_drift, diffusion=unit_diffusion, x0=0.0)
+    model = SdeModel(drift=zero_drift, sigma=1.0, x0=0.0)
     sol = solve(model, None, 8, unit_ensemble)
     assert np.array_equal(sol, paths(unit_ensemble))
 
 
 def test_solver_constant_drift(unit_ensemble):
-    model = SdeModel(drift=lambda t, x: 2.0 * np.ones_like(x), diffusion=unit_diffusion, x0=0.5)
+    model = SdeModel(drift=lambda t, x: 2.0 * np.ones_like(x), sigma=1.0, x0=0.5)
     sol = solve(model, None, 16, unit_ensemble)
     expect = 0.5 + 2.0 * unit_ensemble.times[None, :, None] + paths(unit_ensemble)
     np.testing.assert_allclose(sol, expect, atol=1e-12)
 
 
 def test_solver_linear_ode_nodes(unit_ensemble):
-    model = SdeModel(drift=lambda t, x: -x, diffusion=zero_drift, x0=1.0)
+    model = SdeModel(drift=lambda t, x: -x, sigma=0.0, x0=1.0)
     sol = solve(model, None, 4, unit_ensemble)
     nodes = sol[:, ::16, 0]
     expect = [(1.0 - 0.25) ** j for j in range(5)]
@@ -93,7 +88,7 @@ def test_solver_linear_ode_nodes(unit_ensemble):
 
 
 def test_solver_applies_clip(unit_ensemble):
-    model = SdeModel(drift=lambda t, x: 100.0 * np.ones_like(x), diffusion=unit_diffusion, x0=0.0)
+    model = SdeModel(drift=lambda t, x: 100.0 * np.ones_like(x), sigma=1.0, x0=0.0)
     policy = TamingPolicy(scale=1.0, exponent=0.25, log_power=0.0)  # level 2 at n=16
     sol = solve(model, policy.clip_level(16), 16, unit_ensemble)
     expect = 2.0 * unit_ensemble.times[None, :, None] + paths(unit_ensemble)
@@ -101,10 +96,10 @@ def test_solver_applies_clip(unit_ensemble):
 
 
 def test_solver_dim_mismatch(unit_ensemble):
-    model = SdeModel(drift=zero_drift, diffusion=unit_diffusion, dim=2)
+    model = SdeModel(drift=zero_drift, sigma=1.0, dim=2)
     with pytest.raises(ValueError, match="dim"):
         strong_error(model, None, [4, 8, 16], fine_factor=4, ensemble=unit_ensemble)
-    flat = SdeModel(drift=zero_drift, diffusion=unit_diffusion)
+    flat = SdeModel(drift=zero_drift, sigma=1.0)
     wide = PathEnsemble(n_paths=8, n_steps=64, dim=2, horizon=1.0, seed=1)
     with pytest.raises(ValueError, match="dim"):
         strong_error(flat, None, [4, 8, 16], fine_factor=4, ensemble=wide)
@@ -244,7 +239,7 @@ def test_davie_moments_frozen():
 # -- coupled strong error -----------------------------------------------------
 
 def test_strong_error_zero_drift_is_exactly_zero(unit_ensemble):
-    model = SdeModel(drift=zero_drift, diffusion=unit_diffusion, x0=0.0)
+    model = SdeModel(drift=zero_drift, sigma=1.0, x0=0.0)
     res = strong_error(model, TamingPolicy(), [4, 8, 16], fine_factor=4,
                        ensemble=unit_ensemble)
     assert res.mean_sup_error == [0.0, 0.0, 0.0]
@@ -270,7 +265,7 @@ def full_buffer_strong_error(model, taming, ns, fine_factor, ensemble):
             b_vals = model.drift(t_j, state)
             if level is not None:
                 b_vals = np.clip(b_vals, -level, level)
-            s_vals = model.diffusion(t_j, state)
+            s_vals = np.broadcast_to(model.sigma, state.shape)
             a = j * ratio
             c = state - s_vals * w[:, a, :]
             out[:, a + 1 : a + ratio + 1, :] = (
@@ -293,6 +288,13 @@ FULL_BUFFER_CASES = [
     ("sign", None, -0.4, 0.5, 2, [3, 6, 12], 5, 1, 4),
     ("neg-linear", None, 1.5, 0.8, 1, [3, 6, 12], 5, 1000, 4096),
     ("neg-linear", TamingPolicy(), 0.0, 1.0, 1, [2, 8, 32], 4, 7, 6),
+    # A time-dependent drift: drift times must round as the kernel's do. At
+    # 98 steps, k / 98 and k * (1 / 98) differ for 48 of the 98 k.
+    (lambda t, x: np.sign(x) + t, TamingPolicy(), 0.2, 1.0, 1, [2, 7, 14], 7, 7, 5),
+    # Clip level 0.023 at the reference's n = 128: taming bites on every mesh.
+    ("sign", TamingPolicy(scale=0.01), 0.0, 1.0, 1, [2, 8, 32], 4, 256, 4096),
+    # One noise scale per coordinate.
+    ("sign", TamingPolicy(), 0.1, (0.5, 2.0), 2, [3, 6, 12], 5, 7, 6),
 ]
 
 
@@ -302,8 +304,9 @@ def test_strong_error_matches_full_buffer_reference(monkeypatch):
         monkeypatch.setattr(schemes, "_PATH_GROUP", group)
         ens = PathEnsemble(n_paths=13, n_steps=fine_factor * max(ns), dim=dim,
                            horizon=1.0, seed=8)
-        model = SdeModel(drift=scalar_field_registry[drift],
-                         diffusion=lambda t, x: np.full_like(x, sigma), dim=dim, x0=x0)
+        model = SdeModel(drift=scalar_field_registry[drift] if isinstance(drift, str) else drift,
+                         sigma=sigma,
+                         dim=dim, x0=x0)
         res = strong_error(model, taming, ns, fine_factor=fine_factor, ensemble=ens)
         sup = full_buffer_strong_error(model, taming, ns, fine_factor, ens)
         assert res.mean_sup_error == [float(e.mean()) for e in sup]
@@ -314,7 +317,7 @@ def test_strong_error_matches_full_buffer_reference(monkeypatch):
 
 
 def test_strong_error_linear_ode_rate(unit_ensemble):
-    model = SdeModel(drift=lambda t, x: -x, diffusion=zero_drift, x0=1.0)
+    model = SdeModel(drift=lambda t, x: -x, sigma=0.0, x0=1.0)
     res = strong_error(model, None, [4, 8, 16], fine_factor=4, ensemble=unit_ensemble)
     # Deterministic problem: every path shows the same error.
     assert res.stderr == [0.0, 0.0, 0.0]
@@ -327,7 +330,7 @@ def test_strong_error_linear_ode_rate(unit_ensemble):
 
 
 def test_strong_error_validation(unit_ensemble):
-    model = SdeModel(drift=zero_drift, diffusion=unit_diffusion)
+    model = SdeModel(drift=zero_drift, sigma=1.0)
     with pytest.raises(ValueError, match="positive"):
         strong_error(model, None, [], fine_factor=4, ensemble=unit_ensemble)
     with pytest.raises(ValueError, match="positive"):
@@ -422,7 +425,7 @@ def test_strong_error_opens_each_stream_once(monkeypatch):
     monkeypatch.setattr(ensemble_module, "philox_stream", counted)
     monkeypatch.setattr(PathEnsemble, "increments", refused)
     ens = PathEnsemble(n_paths=11, n_steps=4 * 16, dim=1, horizon=1.0, seed=2)
-    model = SdeModel(drift=lambda t, x: np.sign(x), diffusion=unit_diffusion)
+    model = SdeModel(drift=lambda t, x: np.sign(x), sigma=1.0)
     strong_error(model, TamingPolicy(), [4, 8, 16], fine_factor=4, ensemble=ens)
     assert opened == [(PURPOSE_OUTER, i, 0) for i in range(11)]
 

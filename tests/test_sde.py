@@ -6,46 +6,56 @@ import pytest
 from bmoforge.sde import SdeModel, TamingPolicy, ellipticity_check
 
 
-def unit_diffusion(t, x):
-    return np.ones_like(x)
-
-
 def test_model_broadcasts_x0():
-    m = SdeModel(drift=lambda t, x: -x, diffusion=unit_diffusion, dim=3, x0=1.5)
+    m = SdeModel(drift=lambda t, x: -x, sigma=1.0, dim=3, x0=1.5)
     np.testing.assert_array_equal(m.x0, [1.5, 1.5, 1.5])
     init = m.initial_states(4)
     assert init.shape == (4, 3)
     assert np.all(init == 1.5)
     init[0, 0] = 9.0
     assert m.x0[0] == 1.5  # tile copies
+    assert SdeModel(drift=lambda t, x: x, sigma=2.0, dim=3).sigma.tolist() == [2.0] * 3
+    assert SdeModel(drift=lambda t, x: x, sigma=[0.5, 2.0], dim=2).sigma.tolist() == [0.5, 2.0]
 
 
 def test_model_validation():
     with pytest.raises(ValueError, match="dim"):
-        SdeModel(drift=lambda t, x: x, diffusion=unit_diffusion, dim=0)
+        SdeModel(drift=lambda t, x: x, sigma=1.0, dim=0)
     with pytest.raises(ValueError, match="horizon"):
-        SdeModel(drift=lambda t, x: x, diffusion=unit_diffusion, horizon=0.0)
+        SdeModel(drift=lambda t, x: x, sigma=1.0, horizon=0.0)
     with pytest.raises(ValueError, match="finite"):
-        SdeModel(drift=lambda t, x: x, diffusion=unit_diffusion, x0=math.nan)
+        SdeModel(drift=lambda t, x: x, sigma=1.0, x0=math.nan)
+    for sigma in (math.nan, math.inf, -0.5, [1.0, math.nan], [0.5, -0.0001]):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            SdeModel(drift=lambda t, x: x, sigma=sigma, dim=2)
+    for sigma in ([1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0]):
+        with pytest.raises(ValueError, match=r"sigma must be a scalar or have shape \(2,\)"):
+            SdeModel(drift=lambda t, x: x, sigma=sigma, dim=2)
 
 
 def test_ellipticity_unit_diffusion_holds():
-    m = SdeModel(drift=lambda t, x: -x, diffusion=unit_diffusion)
-    out = ellipticity_check(m, bound=2.0, seed=0)
-    assert out["holds"] is True
-    assert out["witness"] is None
-    assert out["n_probe"] == 512
+    # sigma^2 exactly 1/B and exactly B are inside the closed interval.
+    for sigma in (1.0, 0.5, 2.0, [0.5, 1.0, 2.0]):
+        m = SdeModel(drift=lambda t, x: -x, sigma=sigma, dim=3)
+        assert ellipticity_check(m, bound=4.0) == {"holds": True, "bound": 4.0,
+                                                   "witness": None}
+    # The 1e-12 slack absorbs the rounding of sigma = sqrt(1/B).
+    m = SdeModel(drift=lambda t, x: -x, sigma=math.sqrt(1.0 / 3.0))
+    assert ellipticity_check(m, bound=3.0)["holds"] is True
 
 
 def test_ellipticity_catches_large_and_small_sigma():
-    big = SdeModel(drift=lambda t, x: x, diffusion=lambda t, x: 3.0 * np.ones_like(x))
-    out = ellipticity_check(big, bound=4.0, seed=1)
+    big = SdeModel(drift=lambda t, x: x, sigma=3.0)
+    out = ellipticity_check(big, bound=4.0)
     assert out["holds"] is False
-    assert out["witness"]["sigma_squared"] == pytest.approx(9.0)
-    small = SdeModel(drift=lambda t, x: x, diffusion=lambda t, x: 0.4 * np.ones_like(x))
-    out = ellipticity_check(small, bound=4.0, seed=1)
-    assert out["holds"] is False  # 0.16 < 1/4
-    assert set(out["witness"]) == {"time", "state", "coordinate", "sigma_squared"}
+    assert out["witness"] == {"coordinate": 0, "sigma_squared": 9.0}
+    small = SdeModel(drift=lambda t, x: x, sigma=0.4)
+    assert ellipticity_check(small, bound=4.0)["holds"] is False  # 0.16 < 1/4
+    mixed = SdeModel(drift=lambda t, x: x, sigma=[1.0, 2.0, 0.4], dim=3)
+    out = ellipticity_check(mixed, bound=4.0)
+    assert out["holds"] is False
+    assert out["witness"]["coordinate"] == 2
+    assert out["witness"]["sigma_squared"] == pytest.approx(0.16)
     with pytest.raises(ValueError, match=">= 1"):
         ellipticity_check(big, bound=0.5)
 
