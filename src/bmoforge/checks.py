@@ -14,6 +14,7 @@ stopping pair is reported when verification fails.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,8 @@ import numpy as np
 
 from .bounds import jn_moment_bound, khasminskii_product, vmo_exp_bound
 from .controls import OscillationControl
-from .oscillation import OscillationData, _snell_levels, oscillation_modulus
+from .oscillation import (OscillationData, _stacked_payoffs, _stop_level_values,
+                          oscillation_modulus)
 from .processes import AdaptedProcess, maximal_process
 
 __all__ = [
@@ -89,19 +91,32 @@ def _report(name, lhs, rhs, witness=None) -> CheckReport:
     )
 
 
-def _worst_case_report(name, key, cases, first=None) -> CheckReport:
-    """Report over ``(lhs, rhs, where)`` cases: holds iff every case does.
+@functools.lru_cache(maxsize=None)
+def _scan_cases(d: int, n: int) -> tuple[np.ndarray, ...]:
+    """Index arrays (s, t, u, ...) of the chains s <= u <= ... <= t of n grid
+    points in [0, d] (s < t when n = 2), in lexicographic order of (s, t, u, ...)."""
+    s, t, *inner = np.indices((d + 1,) * n)
+    chain = [s, *inner, t]
+    mask = s < t if n == 2 else np.logical_and.reduce([a <= b for a, b in zip(chain, chain[1:])])
+    return tuple(x[mask] for x in (s, t, *inner))
 
-    The reported case is the first with the largest lhs - rhs, starting
-    from lhs = rhs = 0 at ``first``; its ``where`` is the witness under ``key``.
+
+def _worst_case_report(name, key, lhs, rhs, where, first=None) -> CheckReport:
+    """Report over cases i with ``lhs[i] <= rhs[i]``: holds iff every case does.
+
+    The reported case is the first with the largest lhs - rhs, starting from
+    lhs = rhs = 0 at ``first``; its row of the integer array ``where`` is the
+    witness under ``key``. A case whose lhs - rhs is NaN is never reported.
     """
-    worst = (0.0, 0.0, first)
-    holds = True
-    for lhs, rhs, where in cases:
-        if lhs > rhs + check_tolerance(rhs):
-            holds = False
-        if lhs - rhs > worst[0] - worst[1]:
-            worst = (float(lhs), float(rhs), where)
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    with np.errstate(invalid="ignore"):
+        tol = np.where(np.isinf(rhs), np.inf, np.abs(rhs) * 1e-9 + 1e-12)
+        holds = not np.any(lhs > rhs + tol)
+        gap = lhs - rhs
+    # Slot 0 is the starting case; argmax keeps the first of equal gaps.
+    gap = np.concatenate([[0.0], np.where(np.isnan(gap), -np.inf, gap)])
+    i = int(np.argmax(gap)) - 1
+    worst = (0.0, 0.0, first) if i < 0 else (float(lhs[i]), float(rhs[i]), where[i].tolist())
     report = _report(name, worst[0], worst[1], {key: worst[2]})
     report.holds = holds
     return report
@@ -125,15 +140,20 @@ def _log_report(name, log_lhs, log_rhs, witness=None) -> CheckReport:
     )
 
 
-def _cond_log_mean_exp(space, leaf_exponents: np.ndarray, level: int) -> np.ndarray:
-    """log E[ exp(g) | F_level ] computed stably level by level."""
+def _cond_log_mean_exp(space, leaf_exponents, level: int) -> list[np.ndarray]:
+    """log E[ exp(g_i) | F_{level + i} ] for stacked leaf rows g_0, g_1, ...,
+    computed stably level by level in one backward sweep: row i finishes at
+    level ``level + i``, and the finished rows are returned in order."""
     g = np.asarray(leaf_exponents, dtype=float)
-    b = space.branching
-    for k in range(space.depth - 1, level - 1, -1):
-        g2 = g.reshape(space.level_size(k), b)
-        m = g2.max(axis=1)
-        g = m + np.log((space.transitions[k] * np.exp(g2 - m[:, None])).sum(axis=1))
-    return g
+    done = [None] * len(g)
+    for k in range(space.depth, level - 1, -1):
+        if k < space.depth:
+            g2 = g[:k - level + 1].reshape(-1, space.level_size(k), space.branching)
+            m = g2.max(axis=-1)
+            g = m + np.log((space.transitions[k] * np.exp(g2 - m[..., None])).sum(axis=-1))
+        if k - level < len(done):
+            done[k - level] = g[k - level]
+    return done
 
 
 # -- moment and exponential checks ----------------------------------------
@@ -238,16 +258,14 @@ def garsia_check(process: AdaptedProcess, u_leaf, y, s: int,
 
     # Hypothesis sweep: for every stop atom u at level j and every
     # continuation rule T on its subtree, E_u|V_T - V_{u-}| - E_u U <= 0.
-    # The sup over T is an exact optimal-stopping value per node.
-    for j in range(s, tau + 1):
-        anchors = process.left_limit(j)
-        payoffs = [
-            np.abs(process.values[k] - np.repeat(anchors, space.branching ** (k - j))) - eu[k]
-            for k in range(j, tau + 1)
-        ]
-        gap = _snell_levels(space, payoffs, j, tau)
+    # The sup over T is an exact optimal-stopping value per node, for every
+    # stop level j in one backward sweep.
+    anchors = {j: process.left_limit(j)[None] for j in range(s, tau + 1)}
+    for j, (gap,) in enumerate(_stop_level_values(process, anchors, s, tau, cost=eu), start=s):
         worst = int(np.argmax(gap))
         if gap[worst] > 1e-12:
+            payoffs = [_stacked_payoffs(process, anchors, j, k)[0, 0] - eu[k]
+                       for k in range(j, tau + 1)]
             rule = _snell_argmax_nodes(space, payoffs, j, tau, worst)
             raise ValueError(
                 "domination hypothesis fails: stopping pair with S at node "
@@ -349,12 +367,41 @@ def khasminskii_check(process: AdaptedProcess, r: int, lam: float, partition) ->
     log_rhs = -sum(math.log1p(-lam * rho) for rho in moduli)
     a_tau = process.value_at_leaves(tau)
     a_r = process.value_at_leaves(r)
-    log_lhs = float(np.max(_cond_log_mean_exp(space, lam * (a_tau - a_r), r)))
+    log_lhs = float(np.max(_cond_log_mean_exp(space, [lam * (a_tau - a_r)], r)[0]))
     return _log_report(
         "khasminskii-exp",
         log_lhs,
         log_rhs,
         {"r": r, "lam": lam, "cells": [list(c) for c in cells], "cell_moduli": moduli},
+    )
+
+
+def _exp_vmo_lhs(process: AdaptedProcess, lam: float) -> tuple[float, int]:
+    """log of the largest ess-sup E_r exp(lam * sup_{r<=k<=tau} |V_k - V_r|)
+    over levels r, and the first r attaining it, with every r in one sweep."""
+    if lam <= 0.0:
+        raise ValueError("lam must be > 0")
+    paths = process.path_matrix()
+    sup_dev = np.stack([np.abs(paths[:, r:] - paths[:, r:r + 1]).max(axis=1)
+                        for r in range(process.depth + 1)])
+    vals = [float(np.max(g)) for g in _cond_log_mean_exp(process.space, lam * sup_dev, 0)]
+    worst_r = int(np.argmax(vals))
+    return vals[worst_r], worst_r
+
+
+def _exp_vmo_report(lhs: tuple[float, int], control: OscillationControl,
+                    lam: float) -> CheckReport:
+    """:func:`exp_vmoa_check` from its left-hand side, which depends on the
+    process and lam only, so one serves every control."""
+    log_lhs, worst_r = lhs
+    p = control.p
+    vmo_exp_bound(lam, p, control.total)  # validates p and the control
+    log_rhs = math.log(2.0) * (1.0 + (22.0 * lam) ** p * control.total)
+    return _log_report(
+        "exp-vmo",
+        log_lhs,
+        log_rhs,
+        {"lam": lam, "p": p, "w_total": control.total, "worst_r": worst_r},
     )
 
 
@@ -366,28 +413,7 @@ def exp_vmoa_check(process: AdaptedProcess, control: OscillationControl,
     must stay below 2^(1 + (22 lam)^p * w_total) with w_total the total of
     ``control``, the p-variation control of the exact modulus grid.
     """
-    space = process.space
-    tau = space.depth
-    if lam <= 0.0:
-        raise ValueError("lam must be > 0")
-    p = control.p
-    rhs = vmo_exp_bound(lam, p, control.total)
-    log_rhs = math.log(2.0) * (1.0 + (22.0 * lam) ** p * control.total)
-    paths = process.path_matrix()
-    log_lhs = -math.inf
-    worst_r = 0
-    for r in range(tau + 1):
-        anchor = process.value_at_leaves(r)
-        sup_dev = np.abs(paths[:, r:] - anchor[:, None]).max(axis=1)
-        val = float(np.max(_cond_log_mean_exp(space, lam * sup_dev, r)))
-        if val > log_lhs:
-            log_lhs, worst_r = val, r
-    return _log_report(
-        "exp-vmo",
-        log_lhs,
-        log_rhs,
-        {"lam": lam, "p": p, "w_total": control.total, "worst_r": worst_r},
-    )
+    return _exp_vmo_report(_exp_vmo_lhs(process, lam), control, lam)
 
 
 # -- structural checks -----------------------------------------------------
@@ -398,10 +424,10 @@ def pathwise_increment_check(process: AdaptedProcess, control: OscillationContro
     if control.p != 1:
         raise ValueError(f"needs the p = 1 variation control (got p = {control.p})")
     paths = process.path_matrix()
-    d = process.depth
-    return _worst_case_report("pathwise-increment", "window", (
-        (float(np.max(np.abs(paths[:, t] - paths[:, s]))), 22.0 * float(control.w[s, t]), [s, t])
-        for s in range(d) for t in range(s + 1, d + 1)), first=[0, 0])
+    s, t = _scan_cases(process.depth, 2)
+    lhs = np.abs(paths[:, t] - paths[:, s]).max(axis=0)
+    return _worst_case_report("pathwise-increment", "window", lhs, 22.0 * control.w[s, t],
+                              np.stack([s, t], axis=1), first=[0, 0])
 
 
 def stopping_pair_bound_check(grid: OscillationData, s: int, t: int) -> CheckReport:
@@ -437,27 +463,25 @@ def jump_kappa_check(grid: OscillationData) -> CheckReport:
 
 def monotonicity_check(grid: OscillationData) -> CheckReport:
     """Window modulus is monotone under window inclusion."""
-    d, rho = grid.depth, grid.rho
-    return _worst_case_report("modulus-monotone", "windows", (
-        (rho[u, v], rho[s, t], [s, t, u, v])
-        for s in range(d + 1) for t in range(s, d + 1)
-        for u in range(s, t + 1) for v in range(u, t + 1)))
+    s, t, u, v = _scan_cases(grid.depth, 4)
+    return _worst_case_report("modulus-monotone", "windows", grid.rho[u, v], grid.rho[s, t],
+                              np.stack([s, t, u, v], axis=1))
 
 
 def triangle_check(grid: OscillationData) -> CheckReport:
     """Window modulus satisfies rho[s,t] <= rho[s,u] + rho[u,t]."""
-    d, rho = grid.depth, grid.rho
-    return _worst_case_report("modulus-triangle", "split", (
-        (rho[s, t], rho[s, u] + rho[u, t], [s, u, t])
-        for s in range(d + 1) for t in range(s, d + 1) for u in range(s, t + 1)))
+    s, t, u = _scan_cases(grid.depth, 3)
+    rho = grid.rho
+    return _worst_case_report("modulus-triangle", "split", rho[s, t], rho[s, u] + rho[u, t],
+                              np.stack([s, u, t], axis=1))
 
 
 def superadditivity_check(control: OscillationControl) -> CheckReport:
     """w[s,u] + w[u,t] <= w[s,t] for every split point."""
-    d, w = control.depth, control.w
-    return _worst_case_report("control-superadditive", "split", (
-        (w[s, u] + w[u, t], w[s, t], [s, u, t])
-        for s in range(d + 1) for t in range(s, d + 1) for u in range(s, t + 1)))
+    s, t, u = _scan_cases(control.depth, 3)
+    w = control.w
+    return _worst_case_report("control-superadditive", "split", w[s, u] + w[u, t], w[s, t],
+                              np.stack([s, u, t], axis=1))
 
 
 def control_domination_check(grid: OscillationData, control: OscillationControl) -> CheckReport:
@@ -465,10 +489,11 @@ def control_domination_check(grid: OscillationData, control: OscillationControl)
 
     E_s|V_t - V_s| is read from ``grid.pairs``.
     """
-    d = control.depth
-    return _worst_case_report("control-dominates-increments", "window", (
-        (float(grid.pairs[s, t]), float(control.w[s, t]) ** (1.0 / control.p), [s, t])
-        for s in range(d) for t in range(s + 1, d + 1)))
+    s, t = _scan_cases(control.depth, 2)
+    # Python's float power, whose bits np.power need not reproduce.
+    rhs = [float(x) ** (1.0 / control.p) for x in control.w[s, t]]
+    return _worst_case_report("control-dominates-increments", "window", grid.pairs[s, t], rhs,
+                              np.stack([s, t], axis=1))
 
 
 # -- report IO -------------------------------------------------------------

@@ -20,9 +20,10 @@ import numpy as np
 from . import __version__
 from .checks import (
     CheckReport,
+    _exp_vmo_lhs,
+    _exp_vmo_report,
     control_domination_check,
     energy_check,
-    exp_vmoa_check,
     garsia_check,
     jn_moment_check,
     jump_kappa_check,
@@ -125,6 +126,8 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
     depth = space.depth
     grid = oscillation_grid(proc)
     controls = {pp: variation_control(grid, pp) for pp in p["p_list"]}
+    # The exp-vmo left-hand side depends on the process and lam, not on p.
+    vmo_lhs = {lam: _exp_vmo_lhs(proc, lam) for lam in p["lambda_list"]}
     unit_control = controls[1] if 1 in controls else variation_control(grid, 1)
     reports = [
         jump_kappa_check(grid),
@@ -140,7 +143,7 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
         reports.append(control_domination_check(grid, control))
         reports.append(jn_moment_check(proc, grid, 0, pp))
         for lam in p["lambda_list"]:
-            reports.append(exp_vmoa_check(proc, control, lam))
+            reports.append(_exp_vmo_report(vmo_lhs[lam], control, lam))
 
     # Appendix-style checks need a nondecreasing companion process.
     a = random_nondecreasing_process(space, rng)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processes import AdaptedProcess
-from .space import FiniteFilteredSpace
 from .stopping import StoppingTime
 
 __all__ = [
@@ -38,39 +37,46 @@ __all__ = [
 ]
 
 
-def _snell_levels(space: FiniteFilteredSpace, payoffs: list[np.ndarray], j: int, t: int) -> np.ndarray:
-    """Value of sup over subtree stopping rules in [j, t] of E[payoff at stop].
-
-    ``payoffs[k - j]`` is indexed by level-k atoms; the returned array is
-    indexed by level-j atoms. Exact backward induction.
-    """
-    g = payoffs[t - j]
-    for k in range(t - 1, j - 1, -1):
-        g = np.maximum(payoffs[k - j], space.step_expectation(g, k))
-    return g
-
-
-def _anchored_payoffs(process: AdaptedProcess, anchors: np.ndarray, j: int, t: int) -> list[np.ndarray]:
-    space = process.space
-    out = []
-    for k in range(j, t + 1):
-        rep = np.repeat(anchors, space.branching ** (k - j))
-        out.append(np.abs(process.values[k] - rep))
-    return out
-
-
-def _stop_level_modulus(space: FiniteFilteredSpace, payoffs: list[np.ndarray], j: int, t: int) -> float:
-    """One Snell pass: the largest value over level-j stop atoms of the best
-    continuation in [j, t]. ``payoffs`` starts at level j and reaches t or beyond."""
-    return float(np.max(_snell_levels(space, payoffs, j, t)))
-
-
-def _anchor_sets(process: AdaptedProcess, j: int, include_intra: bool) -> list[np.ndarray]:
-    """Stop-atom anchors at level j: the left limit, then the own value."""
-    anchors = [process.left_limit(j)]
+def _anchors(process: AdaptedProcess, j: int, include_intra: bool) -> np.ndarray:
+    """Stop-atom anchors at level j, one row per convention: the left limit,
+    then the own value."""
     if include_intra:
-        anchors.append(process.values[j])
-    return anchors
+        return np.array([process.left_limit(j), process.values[j]])
+    return process.left_limit(j)[None]
+
+
+def _stacked_payoffs(process: AdaptedProcess, anchors: dict, lo: int, k: int) -> np.ndarray:
+    """|V_k - anchor| for every stop level j in [lo, k], shaped (j, anchor row,
+    level-k atom); each anchor in ``anchors[j]`` covers its atom's level-k
+    descendants."""
+    vk = process.values[k]
+    out = np.empty((k - lo + 1, len(anchors[k]), vk.size))
+    for j in range(lo, k + 1):
+        a = anchors[j]
+        np.subtract(vk.reshape(a.shape[1], -1), a[:, :, None],
+                    out=out[j - lo].reshape(len(a), a.shape[1], -1))
+    return np.abs(out, out=out)
+
+
+def _stop_level_values(process: AdaptedProcess, anchors: dict, s: int, t: int,
+                       cost=None) -> list[np.ndarray]:
+    """Snell values of the best continuation in [j, t] after a stop at level
+    j, for every stop level j in [s, t], in one backward sweep from t to s.
+
+    The payoff at level k is |V_k - anchor| - ``cost[k]`` (no cost when None)
+    for each anchor row of ``anchors[j]``. Entry j - s of the result holds
+    the level-j values of stop level j, one row per anchor: the rows of stop
+    level j finish at level j.
+    """
+    done = []
+    for k in range(t, s - 1, -1):
+        payoff = _stacked_payoffs(process, anchors, s, k)
+        if cost is not None:
+            payoff -= cost[k]
+        g = payoff if k == t else np.maximum(
+            payoff, process.space.step_expectation(g[:k - s + 1], k))
+        done.append(g[k - s])
+    return done[::-1]
 
 
 def oscillation_modulus(
@@ -79,16 +85,12 @@ def oscillation_modulus(
     t: int,
     include_intra: bool = True,
 ) -> float:
-    """Exact window modulus of ``process`` over levels [s, t]."""
-    space = process.space
-    if not 0 <= s <= t <= space.depth:
-        raise ValueError(f"window [{s}, {t}] outside [0, {space.depth}]")
-    best = 0.0
-    for j in range(s, t + 1):
-        for anchors in _anchor_sets(process, j, include_intra):
-            payoffs = _anchored_payoffs(process, anchors, j, t)
-            best = max(best, _stop_level_modulus(space, payoffs, j, t))
-    return best
+    """Exact window modulus of ``process`` over levels [s, t]: t - s
+    ``step_expectation`` calls, every stop level and anchor stacked."""
+    if not 0 <= s <= t <= process.space.depth:
+        raise ValueError(f"window [{s}, {t}] outside [0, {process.space.depth}]")
+    anchors = {j: _anchors(process, j, include_intra) for j in range(s, t + 1)}
+    return max(0.0, *(float(np.max(g)) for g in _stop_level_values(process, anchors, s, t)))
 
 
 def pair_oscillation(
@@ -168,14 +170,6 @@ class OscillationData:
         return float((self.rho_left if left_limit else self.rho)[s, t])
 
 
-def _pair_modulus(space: FiniteFilteredSpace, payoffs: list[np.ndarray], j: int, k: int) -> float:
-    """ess-sup over level-j atoms of E_j of the level-k payoff."""
-    vals = payoffs[k - j]
-    for lev in range(k - 1, j - 1, -1):
-        vals = space.step_expectation(vals, lev)
-    return float(np.max(vals))
-
-
 def oscillation_grid(process: AdaptedProcess) -> OscillationData:
     """Exact window and deterministic-pair moduli for every grid pair
     0 <= s <= t <= depth, and the per-level jumps.
@@ -184,24 +178,32 @@ def oscillation_grid(process: AdaptedProcess) -> OscillationData:
     Snell value ``M[j, t]`` of stopping at level j and continuing up to t, so
     each ``M[j, t]`` is computed once per anchor convention and ``rho`` and
     ``rho_left`` are its exact maxima over j (suffix maxima down each
-    column). The deterministic pair (j, t) reuses the same anchored payoffs
-    without the stopping option. That is (d+1)(d+2) Snell passes and
-    2d(d+1)(d+2)/3 ``step_expectation`` calls at depth d (42 and 140 at
-    depth 5), and every ``rho`` entry equals :func:`oscillation_modulus` on
-    its window bit for bit.
+    column). The deterministic pair (j, t) conditions the same anchored
+    payoff without the stopping option. One backward sweep from level d to
+    0 carries every (quantity, stop level, convention, horizon) row, so a
+    grid costs d ``step_expectation`` calls at depth d; each row keeps the
+    sums of its own backward induction, and every ``rho`` entry equals
+    :func:`oscillation_modulus` on its window bit for bit.
     """
     space = process.space
     d = process.depth
+    anchors = {j: _anchors(process, j, include_intra=True) for j in range(d + 1)}
     # stop[c, j, t]: Snell value M[j, t] under convention c (0 left limit, 1 own
     # value); pairs[c, j, t]: the deterministic pair (j, t) under the same anchor.
     stop = np.full((2, d + 1, d + 1), np.nan)
     pairs = np.full((2, d + 1, d + 1), np.nan)
-    for j in range(d + 1):
-        for c, anchors in enumerate(_anchor_sets(process, j, include_intra=True)):
-            payoffs = _anchored_payoffs(process, anchors, j, d)
-            for t in range(j, d + 1):
-                stop[c, j, t] = _stop_level_modulus(space, payoffs, j, t)
-                pairs[c, j, t] = _pair_modulus(space, payoffs, j, t)
+    for k in range(d, -1, -1):
+        # rows[q, j, c, t - k]: at level k, the Snell value (q = 0) and the
+        # deterministic pair (q = 1) of stop level j <= k and horizon t >= k.
+        payoff = _stacked_payoffs(process, anchors, 0, k)[:, :, None]
+        fresh = np.broadcast_to(payoff, (2,) + payoff.shape)
+        if k == d:
+            rows = fresh
+        else:
+            rows = space.step_expectation(rows[:, :k + 1], k)
+            np.maximum(payoff, rows[0], out=rows[0])
+            rows = np.concatenate([fresh, rows], axis=3)
+        stop[:, k, k:], pairs[:, k, k:] = rows[:, k].max(axis=-1)
     rho = np.full((d + 1, d + 1), np.nan)
     rho_left = np.full((d + 1, d + 1), np.nan)
     for t in range(d + 1):

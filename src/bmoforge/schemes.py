@@ -78,7 +78,11 @@ def _brownian_blocks(ensemble: PathEnsemble, start: int, stop: int):
 
 def _clipped_drift(model: SdeModel, level: float | None, t: float, x: np.ndarray):
     b = np.asarray(model.drift(t, x), dtype=float)
-    return b if level is None else np.clip(b, -level, level)
+    if level is None:
+        return b
+    # np.clip's values without its Python-level wrapper.
+    b = np.maximum(b, -level)
+    return np.minimum(b, level, out=b)
 
 
 class _EulerMesh:

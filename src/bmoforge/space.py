@@ -75,10 +75,14 @@ class FiniteFilteredSpace:
     # -- expectations ------------------------------------------------------
 
     def step_expectation(self, values: np.ndarray, k: int) -> np.ndarray:
-        """One backward step: level-(k+1) values to level-k conditional means."""
+        """One backward step: level-(k+1) values to level-k conditional means.
+
+        The last axis of ``values`` is indexed by level-(k+1) atoms; leading
+        axes stack independent rows, each stepped with the same sums.
+        """
         values = np.asarray(values, dtype=float)
-        b = self.branching
-        return (values.reshape(self.level_size(k), b) * self.transitions[k]).sum(axis=1)
+        shape = values.shape[:-1] + (self.level_size(k), self.branching)
+        return (values.reshape(shape) * self.transitions[k]).sum(axis=-1)
 
     def cond_expectation(self, leaf_values: np.ndarray, level: int) -> np.ndarray:
         """Exact conditional expectation of a leaf variable given level ``level``."""

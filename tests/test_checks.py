@@ -6,6 +6,10 @@ import pytest
 
 from bmoforge.bounds import PartitionTooCoarseError
 from bmoforge.checks import (
+    CheckReport,
+    _cond_log_mean_exp,
+    _exp_vmo_lhs,
+    _worst_case_report,
     check_tolerance,
     control_domination_check,
     energy_check,
@@ -21,11 +25,12 @@ from bmoforge.checks import (
     reports_to_jsonl,
     stopping_pair_bound_check,
     summarize_reports,
+    superadditivity_check,
     triangle_check,
     write_summary_csv,
 )
 from bmoforge.controls import variation_control
-from bmoforge.oscillation import oscillation_grid
+from bmoforge.oscillation import _stop_level_values, oscillation_grid
 from bmoforge.processes import (
     AdaptedProcess,
     deterministic_process,
@@ -265,3 +270,153 @@ def test_summarize_and_csv(tmp_path):
     text = out.read_text()
     assert text.splitlines()[0] == "check,n_cases,violations,worst_ratio"
     assert "jn-moment,2,0," in text
+
+
+# -- stacked sweeps and array case scans against per-row oracles --------------
+
+
+def loop_worst_case_report(name, key, cases, first=None):
+    """Reference case scan: a Python loop over (lhs, rhs, where) cases."""
+    worst = (0.0, 0.0, first)
+    holds = True
+    for lhs, rhs, where in cases:
+        if lhs > rhs + check_tolerance(rhs):
+            holds = False
+        if lhs - rhs > worst[0] - worst[1]:
+            worst = (float(lhs), float(rhs), where)
+    rhs = worst[1]
+    return CheckReport(name, holds, worst[0], rhs, check_tolerance(rhs), {key: worst[2]})
+
+
+def loop_structural_reports(process, grid, control, unit_control):
+    d, rho, w, paths = grid.depth, grid.rho, control.w, process.path_matrix()
+    return [
+        loop_worst_case_report("modulus-monotone", "windows", (
+            (rho[u, v], rho[s, t], [s, t, u, v])
+            for s in range(d + 1) for t in range(s, d + 1)
+            for u in range(s, t + 1) for v in range(u, t + 1))),
+        loop_worst_case_report("modulus-triangle", "split", (
+            (rho[s, t], rho[s, u] + rho[u, t], [s, u, t])
+            for s in range(d + 1) for t in range(s, d + 1) for u in range(s, t + 1))),
+        loop_worst_case_report("pathwise-increment", "window", (
+            (float(np.max(np.abs(paths[:, t] - paths[:, s]))),
+             22.0 * float(unit_control.w[s, t]), [s, t])
+            for s in range(d) for t in range(s + 1, d + 1)), first=[0, 0]),
+        loop_worst_case_report("control-superadditive", "split", (
+            (w[s, u] + w[u, t], w[s, t], [s, u, t])
+            for s in range(d + 1) for t in range(s, d + 1) for u in range(s, t + 1))),
+        loop_worst_case_report("control-dominates-increments", "window", (
+            (float(grid.pairs[s, t]), float(w[s, t]) ** (1.0 / control.p), [s, t])
+            for s in range(d) for t in range(s + 1, d + 1))),
+    ]
+
+
+def as_json(report):
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def test_worst_case_report_matches_the_loop():
+    rng = np.random.default_rng(40)
+    where = np.arange(24).reshape(12, 2)
+    cases = {
+        # Three cases tie at the largest gap: the first one is reported.
+        "ties": (np.array([1.0, 3.0, 0.5, 3.0, 2.0, 3.0] * 2),
+                 np.array([0.0, 1.0, 0.5, 1.0, 0.0, 1.0] * 2)),
+        "all-hold": (rng.uniform(0.0, 1.0, 12), rng.uniform(1.0, 2.0, 12)),
+        "zero-gaps": (np.ones(12), np.ones(12)),
+        "infinite": (np.array([5.0, np.inf, 1.0, np.inf] * 3),
+                     np.array([np.inf, -np.inf, 2.0, np.inf] * 3)),
+        "nan": (np.array([np.nan, 1.0, 4.0, np.nan] * 3), np.array([0.0, np.nan, 3.5, np.nan] * 3)),
+        "violations": (rng.normal(size=12), rng.normal(size=12)),
+    }
+    for label, (lhs, rhs) in cases.items():
+        for first in (None, [0, 0]):
+            report = _worst_case_report(label, "where", lhs, rhs, where, first=first)
+            cases = zip(lhs.tolist(), rhs.tolist(), where.tolist())
+            oracle = loop_worst_case_report(label, "where", cases, first=first)
+            assert as_json(report) == as_json(oracle), label
+            assert report.holds == oracle.holds
+            if isinstance(report.witness["where"], list):
+                assert all(type(x) is int for x in report.witness["where"])
+    zero = _worst_case_report("zero", "where", np.ones(12), np.ones(12), where, first=[0, 0])
+    assert (zero.lhs, zero.rhs, zero.witness) == (0.0, 0.0, {"where": [0, 0]})
+    inf = _worst_case_report("inf", "where", [np.inf], [-np.inf], where[:1])
+    assert inf.tolerance == math.inf and inf.holds and inf.witness == {"where": [0, 1]}
+    nan = _worst_case_report("nan", "where", [np.nan, 2.0], [0.0, 1.0], where[:2])
+    assert nan.witness == {"where": [2, 3]}
+
+
+@pytest.mark.parametrize("depth,branching", [(0, 2), (1, 2), (2, 3), (4, 2), (5, 2), (3, 4)])
+def test_structural_checks_match_the_loop(depth, branching):
+    rng = np.random.default_rng(41 + depth)
+    sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
+    v = random_process(sp, rng, kind="heavy")
+    grid = oscillation_grid(v)
+    unit = variation_control(grid, 1)
+    for p in (1, 2.0, 3):
+        control = variation_control(grid, p)
+        # Force violations and ties into the grid as well as the clean case.
+        for broken in (False, True):
+            if broken and depth:
+                grid.rho[0, depth] *= 0.5
+                control.w[0, depth] *= 0.5
+            reports = [monotonicity_check(grid), triangle_check(grid),
+                       pathwise_increment_check(v, unit), superadditivity_check(control),
+                       control_domination_check(grid, control)]
+            oracle = loop_structural_reports(v, grid, control, unit)
+            assert [as_json(r) for r in reports] == [as_json(r) for r in oracle]
+
+
+def loop_cond_log_mean_exp(space, leaf_exponents, level):
+    """Reference log-mean-exp of one leaf row, conditioned on F_level."""
+    g = np.asarray(leaf_exponents, dtype=float)
+    b = space.branching
+    for k in range(space.depth - 1, level - 1, -1):
+        g2 = g.reshape(space.level_size(k), b)
+        m = g2.max(axis=1)
+        g = m + np.log((space.transitions[k] * np.exp(g2 - m[:, None])).sum(axis=1))
+    return g
+
+
+@pytest.mark.parametrize("depth,branching,kind",
+                         [(5, 2, "gaussian"), (4, 3, "walk"), (3, 4, "heavy")])
+def test_exp_vmo_lhs_stacks_every_r(depth, branching, kind):
+    rng = np.random.default_rng(42 + depth)
+    sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
+    v = random_process(sp, rng, kind=kind)
+    paths = v.path_matrix()
+    for lam in (0.3, 2.0):
+        log_lhs, worst_r = -math.inf, 0
+        rows = []
+        for r in range(depth + 1):
+            anchor = v.value_at_leaves(r)
+            sup_dev = np.abs(paths[:, r:] - anchor[:, None]).max(axis=1)
+            rows.append(lam * sup_dev)
+            val = float(np.max(loop_cond_log_mean_exp(sp, lam * sup_dev, r)))
+            if val > log_lhs:
+                log_lhs, worst_r = val, r
+        stacked_lhs, stacked_r = _exp_vmo_lhs(v, lam)
+        assert (stacked_lhs.hex(), stacked_r) == (log_lhs.hex(), worst_r)
+        for level in range(depth + 1):
+            stacked = _cond_log_mean_exp(sp, rows[level:], level)
+            for r, g in enumerate(stacked, start=level):
+                assert g.tobytes() == loop_cond_log_mean_exp(sp, rows[r], r).tobytes()
+
+
+@pytest.mark.parametrize("depth,branching,s", [(5, 2, 0), (5, 2, 2), (4, 3, 1)])
+def test_garsia_hypothesis_gaps_stack_every_stop_level(depth, branching, s):
+    rng = np.random.default_rng(43 + s)
+    sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
+    v = random_process(sp, rng, kind="uniform")
+    u = rng.uniform(0.0, 2.0, sp.n_leaves)
+    eu = [sp.cond_expectation(u, k) for k in range(depth + 1)]
+    anchors = {j: v.left_limit(j)[None] for j in range(s, depth + 1)}
+    stacked = _stop_level_values(v, anchors, s, depth, cost=eu)
+    for j in range(s, depth + 1):
+        payoffs = [np.abs(v.values[k] - np.repeat(v.left_limit(j), branching ** (k - j))) - eu[k]
+                   for k in range(j, depth + 1)]
+        gap = payoffs[-1]
+        for k in range(depth - 1, j - 1, -1):
+            gap = np.maximum(payoffs[k - j], sp.step_expectation(gap, k))
+        assert stacked[j - s].shape == (1, sp.level_size(j))
+        assert stacked[j - s][0].tobytes() == gap.tobytes()

@@ -107,9 +107,11 @@ n_processes = 1
 
 
 def test_verify_battery_step_expectation_count(monkeypatch):
-    # The grid's 140 backward steps cover every window and deterministic
-    # pair; the other 100 are conditional expectations of leaf variables and
-    # the moduli of the running maximum and of the nondecreasing companion.
+    # One batched step per level and backward sweep, 13 sweeps at depth 5:
+    # the grid (every window and deterministic pair), the running maximum's
+    # modulus, the companion's 5 one-step cell moduli, garsia's E[U | F_k]
+    # and its hypothesis sweep, and 8 conditional expectations of leaf
+    # variables (3 jn-moment, maximal, 2 energy, 2 garsia tail).
     cfg = parse_config("""
 [experiment]
 kind = verify-finite
@@ -129,7 +131,35 @@ n_processes = 1
 
     monkeypatch.setattr(FiniteFilteredSpace, "step_expectation", counted)
     experiments._verify_battery(cfg, 0)
-    assert len(calls) == 240
+    assert len(calls) == 65
+
+
+def test_verify_battery_computes_exp_vmo_lhs_once_per_lambda(monkeypatch):
+    # The exp-vmo left-hand side does not depend on p: one sweep per lam
+    # serves the reports of all three p.
+    cfg = parse_config("""
+[experiment]
+kind = verify-finite
+seed = 1
+
+[verify-finite]
+depth = 4
+n_processes = 1
+p_list = 1, 2, 3
+lambda_list = 0.3, 0.7
+""")
+    lams = []
+    lhs = experiments._exp_vmo_lhs
+
+    def counted(process, lam):
+        lams.append(lam)
+        return lhs(process, lam)
+
+    monkeypatch.setattr(experiments, "_exp_vmo_lhs", counted)
+    reports = experiments._verify_battery(cfg, 0)
+    assert lams == [0.3, 0.7]
+    vmo = [rep.witness for rep in reports if rep.name == "exp-vmo"]
+    assert [(w["p"], w["lam"]) for w in vmo] == [(p, lam) for p in (1, 2, 3) for lam in (0.3, 0.7)]
 
 
 def test_verify_battery_past_the_enumeration_limit():

@@ -57,6 +57,8 @@ def test_modulus_matches_enumeration_ternary():
     (3, 3, "walk", 23),
     (5, 3, "gaussian", 24),
     (5, 4, "uniform", 25),
+    (8, 2, "gaussian", 29),
+    (6, 3, "integers", 30),
 ])
 def test_grid_equals_window_moduli_bitwise(depth, branching, kind, seed):
     rng = np.random.default_rng(seed)
@@ -70,10 +72,10 @@ def test_grid_equals_window_moduli_bitwise(depth, branching, kind, seed):
 
 
 def test_grid_step_expectation_count(monkeypatch):
-    # One Snell pass per (stop level, horizon, convention): 70 backward steps
-    # at depth 5, against 140 for one pass per (window, stop level). The
-    # deterministic pairs add one plain backward chain per (pair, convention),
-    # another 70 steps, which two separate pair grids per case used to spend.
+    # One backward sweep from level 5 to 0 carries every Snell and
+    # deterministic-pair row (stop level, convention, horizon) on leading
+    # axes: one batched step per level, 5 at depth 5, where one call per row
+    # and level took 140.
     rng = np.random.default_rng(5)
     sp = random_space(rng, depth=5, branching=2, random_transitions=True)
     v = random_process(sp, rng, kind="gaussian")
@@ -86,7 +88,7 @@ def test_grid_step_expectation_count(monkeypatch):
 
     monkeypatch.setattr(FiniteFilteredSpace, "step_expectation", counted)
     oscillation_grid(v)
-    assert len(calls) == 140
+    assert calls == [4, 3, 2, 1, 0]
 
 
 def test_fair_walk_modulus():

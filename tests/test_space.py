@@ -91,6 +91,28 @@ def test_space_validation():
         FiniteFilteredSpace(depth=2, branching=2, transitions=bad_shape)
 
 
+@pytest.mark.parametrize("branching", [2, 3, 4])
+def test_step_expectation_stacks_rows_bitwise(branching):
+    # Stacked rows take the per-row sums; for b >= 3 their order matters.
+    rng = np.random.default_rng(branching)
+    levels = [rng.dirichlet(np.ones(branching), size=branching**k) for k in range(4)]
+    sp = build_tree(4, branching, levels)
+    for k in range(4):
+        n, b = sp.level_size(k), branching
+        rows = rng.normal(size=(2, 3, n * b))
+        for stack in (rows, rows[:, 1:]):
+            out = sp.step_expectation(stack, k)
+            assert out.shape == stack.shape[:-1] + (n,)
+            for i in np.ndindex(stack.shape[:-1]):
+                row = stack[i]
+                assert out[i].tobytes() == sp.step_expectation(row, k).tobytes()
+                assert out[i].tobytes() == (row.reshape(n, b) * levels[k]).sum(axis=1).tobytes()
+    with pytest.raises(ValueError):
+        sp.step_expectation(np.zeros((2, sp.level_size(2) + 1)), 1)
+    with pytest.raises(ValueError):
+        sp.step_expectation(np.zeros((sp.level_size(2), 1)), 1)
+
+
 def test_level_and_leaf_errors():
     sp = build_tree(2, 2)
     with pytest.raises(ValueError, match="leaf values"):
