@@ -1,8 +1,9 @@
 """Closed-form oscillation bounds.
 
 Pure scalar formulas, kept separate from the engines that estimate or verify
-them. Everything is evaluated in log space first so that out-of-range
-parameters saturate to ``inf`` instead of raising overflow errors.
+them. Everything is evaluated in log space first: the exponential bounds
+return logs, and :func:`saturating_exp` maps a log back, saturating to
+``inf`` instead of raising overflow errors.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ import math
 
 __all__ = [
     "PartitionTooCoarseError",
+    "saturating_exp",
     "jn_moment_bound",
-    "khasminskii_product",
-    "vmo_exp_bound",
+    "khasminskii_log_bound",
+    "vmo_log_bound",
 ]
 
-_LOG_MAX = math.log(1.7976931348623157e308)
 _LN2 = math.log(2.0)
 
 
@@ -24,8 +25,9 @@ class PartitionTooCoarseError(ValueError):
     """A cell modulus is too large for the requested exponential rate."""
 
 
-def _exp_or_inf(log_value: float) -> float:
-    return math.inf if log_value > _LOG_MAX else math.exp(log_value)
+def saturating_exp(log_value: float) -> float:
+    """exp(log_value), or ``inf`` above 709.0, just below log DBL_MAX."""
+    return math.inf if log_value > 709.0 else math.exp(log_value)
 
 
 def jn_moment_bound(rho: float, p: int) -> float:
@@ -37,11 +39,11 @@ def jn_moment_bound(rho: float, p: int) -> float:
     p = int(p)
     if rho == 0.0:
         return 0.0
-    return _exp_or_inf(math.lgamma(p + 1) + p * math.log(11.0 * rho))
+    return saturating_exp(math.lgamma(p + 1) + p * math.log(11.0 * rho))
 
 
-def khasminskii_product(lam: float, cell_moduli) -> float:
-    """Product bound prod_k (1 - lam * rho_k)^(-1) over partition cells.
+def khasminskii_log_bound(lam: float, cell_moduli) -> float:
+    """Log of the product bound prod_k (1 - lam * rho_k)^(-1) over cells.
 
     Raises :class:`PartitionTooCoarseError` when any ``lam * rho_k >= 1``:
     the exponential moment over that cell cannot be controlled at this rate
@@ -59,13 +61,13 @@ def khasminskii_product(lam: float, cell_moduli) -> float:
                 f"partition too coarse: lam * rho = {x:.6g} >= 1 at cell {k}"
             )
         log_total -= math.log1p(-x)
-    return _exp_or_inf(log_total)
+    return log_total
 
 
-def vmo_exp_bound(lam: float, p: float, w_total: float) -> float:
-    """Exponential moment bound 2^(1 + (22 lam)^p * w_total)."""
+def vmo_log_bound(lam: float, p: float, w_total: float) -> float:
+    """Log of the exponential moment bound 2^(1 + (22 lam)^p * w_total)."""
     if lam < 0.0 or w_total < 0.0:
         raise ValueError("lam and w_total must be >= 0")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    return _exp_or_inf(_LN2 * (1.0 + (22.0 * lam) ** p * w_total))
+    return _LN2 * (1.0 + (22.0 * lam) ** p * w_total)

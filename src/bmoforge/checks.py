@@ -2,8 +2,9 @@
 
 Every checker compares an exactly computed left-hand side against a
 closed-form bound and returns a :class:`CheckReport`. Comparisons use the
-uniform tolerance ``rhs * 1e-9 + 1e-12``; exponential-moment checks compare
-in log space so that large rates saturate instead of overflowing.
+uniform tolerance :func:`check_tolerance`; exponential-moment checks compare
+in log space, against the log-scale bounds of :mod:`bmoforge.bounds`, so that
+large rates saturate instead of overflowing.
 
 Hypothesis preconditions (domination for the good-lambda lemma, the uniform
 conditional-increment bound for the energy lemma) are verified exhaustively
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import jn_moment_bound, khasminskii_product, vmo_exp_bound
+from .bounds import jn_moment_bound, khasminskii_log_bound, saturating_exp, vmo_log_bound
 from .controls import OscillationControl
 from .oscillation import (OscillationData, _stacked_payoffs, _stop_level_values,
                           oscillation_modulus)
@@ -50,10 +51,9 @@ __all__ = [
 ]
 
 
-def check_tolerance(rhs: float) -> float:
-    """Slack allowed when testing lhs <= rhs: rhs * 1e-9 + 1e-12."""
-    if math.isinf(rhs):
-        return math.inf
+def check_tolerance(rhs):
+    """Slack allowed when testing lhs <= rhs: |rhs| * 1e-9 + 1e-12, for a
+    float or elementwise for an array (inf at +-inf, NaN at NaN)."""
     return abs(rhs) * 1e-9 + 1e-12
 
 
@@ -110,8 +110,7 @@ def _worst_case_report(name, key, lhs, rhs, where, first=None) -> CheckReport:
     """
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     with np.errstate(invalid="ignore"):
-        tol = np.where(np.isinf(rhs), np.inf, np.abs(rhs) * 1e-9 + 1e-12)
-        holds = not np.any(lhs > rhs + tol)
+        holds = not np.any(lhs > rhs + check_tolerance(rhs))
         gap = lhs - rhs
     # Slot 0 is the starting case; argmax keeps the first of equal gaps.
     gap = np.concatenate([[0.0], np.where(np.isnan(gap), -np.inf, gap)])
@@ -122,10 +121,6 @@ def _worst_case_report(name, key, lhs, rhs, where, first=None) -> CheckReport:
     return report
 
 
-def _saturating_exp(x: float) -> float:
-    return math.inf if x > 709.0 else math.exp(x)
-
-
 def _log_report(name, log_lhs, log_rhs, witness=None) -> CheckReport:
     # Equivalent of the linear tolerance, applied on the log scale so that
     # saturating values still compare meaningfully.
@@ -133,9 +128,9 @@ def _log_report(name, log_lhs, log_rhs, witness=None) -> CheckReport:
     return CheckReport(
         name=name,
         holds=bool(holds),
-        lhs=_saturating_exp(log_lhs),
-        rhs=_saturating_exp(log_rhs),
-        tolerance=check_tolerance(_saturating_exp(log_rhs)),
+        lhs=saturating_exp(log_lhs),
+        rhs=saturating_exp(log_rhs),
+        tolerance=check_tolerance(saturating_exp(log_rhs)),
         witness=witness or {},
     )
 
@@ -169,9 +164,8 @@ def jn_moment_check(process: AdaptedProcess, grid: OscillationData, r: int,
     tau = space.depth
     if not 0 <= r <= tau:
         raise ValueError(f"r = {r} outside [0, {tau}]")
-    paths = process.path_matrix()
-    anchor = process.value_at_leaves(r)
-    dev = np.abs(paths[:, r:] - anchor[:, None]).max(axis=1) ** p
+    paths = process.paths
+    dev = np.abs(paths[:, r:] - paths[:, r:r + 1]).max(axis=1) ** p
     lhs_atoms = space.cond_expectation(dev, r)
     rho = grid.window(r, tau)
     rhs = jn_moment_bound(rho, p)
@@ -196,9 +190,9 @@ def maximal_check(process: AdaptedProcess, grid: OscillationData, s: int,
     space = process.space
     rho_v = grid.window(s, t)
     rho_star = oscillation_modulus(maximal_process(space, process), s, t)
-    paths = process.path_matrix()
-    anchor = space.broadcast_to_leaves(process.left_limit(s), s)
-    sup_dev = np.abs(paths[:, s:t + 1] - anchor[:, None]).max(axis=1)
+    # V_{s-} along each path is its level s - 1 value (V_0 at s = 0).
+    paths = process.paths
+    sup_dev = np.abs(paths[:, s:t + 1] - paths[:, max(s - 1, 0), None]).max(axis=1)
     lhs_mid = float(np.max(space.cond_expectation(sup_dev, s)))
     rhs_mid = 4.0 * rho_v
     mid_holds = lhs_mid <= rhs_mid + check_tolerance(rhs_mid)
@@ -273,7 +267,7 @@ def garsia_check(process: AdaptedProcess, u_leaf, y, s: int,
                 f"E_S U by {gap[worst]:.3e}"
             )
 
-    paths = process.path_matrix()
+    paths = process.paths
     y_leaf = space.broadcast_to_leaves(y, s)
     x_star = np.abs(paths[:, s:] - y_leaf[:, None]).max(axis=1)
     p_tail = space.cond_expectation((x_star >= alpha + beta).astype(float), s)
@@ -287,8 +281,7 @@ def garsia_check(process: AdaptedProcess, u_leaf, y, s: int,
         {"s": s, "alpha": alpha, "beta": beta, "atom": worst},
     )
     # Per-atom inequality: every atom must pass, not just the reported one.
-    tol = np.array([check_tolerance(v) for v in rhs_atoms])
-    report.holds = bool(np.all(lhs_atoms <= rhs_atoms + tol))
+    report.holds = bool(np.all(lhs_atoms <= rhs_atoms + check_tolerance(rhs_atoms)))
     return report
 
 
@@ -330,9 +323,8 @@ def energy_check(process: AdaptedProcess, s: int, c: float | None = None,
             f"hypothesis fails: some stopping time gives E_S(A_tau - A_S-) = "
             f"{c_star:.6g} > c = {c:.6g}"
         )
-    a_tau = process.value_at_leaves(space.depth)
-    a_s = process.value_at_leaves(s)
-    lhs_atoms = space.cond_expectation((a_tau - a_s) ** p, s)
+    paths = process.paths
+    lhs_atoms = space.cond_expectation((paths[:, space.depth] - paths[:, s]) ** p, s)
     rhs = math.factorial(int(p)) * float(c) ** p
     worst = int(np.argmax(lhs_atoms))
     return _report(
@@ -363,11 +355,9 @@ def khasminskii_check(process: AdaptedProcess, r: int, lam: float, partition) ->
         raise ValueError("partition must be strictly increasing grid points from 0 to depth")
     cells = [(max(a, r), b) for a, b in zip(pts[:-1], pts[1:]) if b > r]
     moduli = [oscillation_modulus(process, a, b) for a, b in cells]
-    rhs = khasminskii_product(lam, moduli)  # raises PartitionTooCoarseError
-    log_rhs = -sum(math.log1p(-lam * rho) for rho in moduli)
-    a_tau = process.value_at_leaves(tau)
-    a_r = process.value_at_leaves(r)
-    log_lhs = float(np.max(_cond_log_mean_exp(space, [lam * (a_tau - a_r)], r)[0]))
+    log_rhs = khasminskii_log_bound(lam, moduli)  # raises PartitionTooCoarseError
+    paths = process.paths
+    log_lhs = float(np.max(_cond_log_mean_exp(space, [lam * (paths[:, tau] - paths[:, r])], r)[0]))
     return _log_report(
         "khasminskii-exp",
         log_lhs,
@@ -381,7 +371,7 @@ def _exp_vmo_lhs(process: AdaptedProcess, lam: float) -> tuple[float, int]:
     over levels r, and the first r attaining it, with every r in one sweep."""
     if lam <= 0.0:
         raise ValueError("lam must be > 0")
-    paths = process.path_matrix()
+    paths = process.paths
     sup_dev = np.stack([np.abs(paths[:, r:] - paths[:, r:r + 1]).max(axis=1)
                         for r in range(process.depth + 1)])
     vals = [float(np.max(g)) for g in _cond_log_mean_exp(process.space, lam * sup_dev, 0)]
@@ -394,14 +384,11 @@ def _exp_vmo_report(lhs: tuple[float, int], control: OscillationControl,
     """:func:`exp_vmoa_check` from its left-hand side, which depends on the
     process and lam only, so one serves every control."""
     log_lhs, worst_r = lhs
-    p = control.p
-    vmo_exp_bound(lam, p, control.total)  # validates p and the control
-    log_rhs = math.log(2.0) * (1.0 + (22.0 * lam) ** p * control.total)
     return _log_report(
         "exp-vmo",
         log_lhs,
-        log_rhs,
-        {"lam": lam, "p": p, "w_total": control.total, "worst_r": worst_r},
+        vmo_log_bound(lam, control.p, control.total),
+        {"lam": lam, "p": control.p, "w_total": control.total, "worst_r": worst_r},
     )
 
 
@@ -423,7 +410,7 @@ def pathwise_increment_check(process: AdaptedProcess, control: OscillationContro
     """Pathwise |V_t - V_s| <= 22 * w[s, t] with ``control`` the 1-variation control."""
     if control.p != 1:
         raise ValueError(f"needs the p = 1 variation control (got p = {control.p})")
-    paths = process.path_matrix()
+    paths = process.paths
     s, t = _scan_cases(process.depth, 2)
     lhs = np.abs(paths[:, t] - paths[:, s]).max(axis=0)
     return _worst_case_report("pathwise-increment", "window", lhs, 22.0 * control.w[s, t],

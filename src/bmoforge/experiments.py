@@ -156,7 +156,7 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
             pass  # inequality not applicable at this lam; not a violation
 
     # Tail bound with the always-valid dominating variable 2 sup|V|.
-    u_leaf = 2.0 * np.abs(proc.path_matrix()).max(axis=1)
+    u_leaf = 2.0 * np.abs(proc.paths).max(axis=1)
     spread = float(u_leaf.max())
     if spread > 0.0:
         alpha = 0.25 * spread * (1.0 + float(rng.uniform(0.0, 1.0)))

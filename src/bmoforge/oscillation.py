@@ -213,7 +213,6 @@ def oscillation_grid(process: AdaptedProcess) -> OscillationData:
     jumps = np.array([np.max(np.abs(inc)) for inc in process.increments()])
     # Independent route to the largest jump: pathwise jumps off the full
     # trajectory matrix, rather than per-level increment arrays.
-    paths = process.path_matrix()
-    max_jump = float(np.max(np.abs(np.diff(paths, axis=1)))) if d > 0 else 0.0
+    max_jump = float(np.max(np.abs(np.diff(process.paths, axis=1)))) if d > 0 else 0.0
     return OscillationData(rho=rho, rho_left=rho_left, pairs=pairs[1], pairs_left=pairs[0],
                            jumps=jumps, max_jump=max_jump)

@@ -8,6 +8,7 @@ the convention ``V_{k-} = V_{k-1}`` with ``V_{0-} = V_0``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,14 @@ class AdaptedProcess:
     def depth(self) -> int:
         return self.space.depth
 
-    def value_at_leaves(self, level: int) -> np.ndarray:
-        """The level-``level`` value of each path, at leaf granularity."""
-        return self.space.broadcast_to_leaves(self.values[level], level)
+    @functools.cached_property
+    def paths(self) -> np.ndarray:
+        """Shape ``(n_leaves, depth+1)``: the full trajectory of each path,
+        built once and read-only, since every reader shares it."""
+        lifted = [self.space.broadcast_to_leaves(v, k) for k, v in enumerate(self.values)]
+        out = np.stack(lifted, axis=1)
+        out.flags.writeable = False
+        return out
 
     def left_limit(self, level: int) -> np.ndarray:
         """Values of ``V_{level-}`` indexed by level-``level`` atoms."""
@@ -60,30 +66,21 @@ class AdaptedProcess:
             return self.values[0].copy()
         return np.repeat(self.values[level - 1], self.space.branching)
 
-    def path_matrix(self) -> np.ndarray:
-        """Shape ``(n_leaves, depth+1)``: the full trajectory of each path."""
-        return np.stack([self.value_at_leaves(k) for k in range(self.depth + 1)], axis=1)
-
     def increments(self) -> list[np.ndarray]:
         """Per-level jumps ``V_k - V_{k-1}`` indexed by level-k atoms."""
-        return [
-            self.values[k] - np.repeat(self.values[k - 1], self.space.branching)
-            for k in range(1, self.depth + 1)
-        ]
+        return [self.values[k] - self.left_limit(k) for k in range(1, self.depth + 1)]
 
     def is_nondecreasing(self, tol: float = 1e-12) -> bool:
-        return all(np.min(inc) >= -tol for inc in self.increments()) if self.depth else True
+        return bool(np.all(np.diff(self.paths, axis=1) >= -tol))
 
 
 def maximal_process(space: FiniteFilteredSpace, process: AdaptedProcess) -> AdaptedProcess:
     """Running maximum of ``|V_k - V_0|`` along each path, as a process."""
-    v0 = process.values[0][0]
-    # V_0 is a single root value; |V_0 - V_0| = 0 seeds the running max.
-    out = [np.zeros(1)]
-    for k in range(1, space.depth + 1):
-        dev = np.abs(process.values[k] - v0)
-        out.append(np.maximum(np.repeat(out[-1], space.branching), dev))
-    return AdaptedProcess(space=space, values=out)
+    paths = process.paths
+    run = np.maximum.accumulate(np.abs(paths - paths[:, :1]), axis=1)
+    # Leaf i lies in level-k atom i // b**(d-k): take every b**(d-k)-th leaf.
+    d, b = space.depth, space.branching
+    return AdaptedProcess(space=space, values=[run[::b ** (d - k), k] for k in range(d + 1)])
 
 
 def deterministic_process(space: FiniteFilteredSpace, level_values) -> AdaptedProcess:

@@ -38,8 +38,7 @@ def _load_manifest(path: Path) -> dict:
     return manifest
 
 
-def _rows_for_manifest(path: Path) -> list[list]:
-    manifest = _load_manifest(path)
+def _rows_for_manifest(path: Path, manifest: dict) -> list[list]:
     kind = manifest["kind"]
     run = manifest["config_hash"][:12]
     out_dir = path.parent
@@ -81,10 +80,9 @@ def _rows_for_manifest(path: Path) -> list[list]:
     return rows
 
 
-def _pooled_rows(manifest_paths) -> list[list]:
+def _pooled_rows(manifests) -> list[list]:
     fits = []
-    for path in manifest_paths:
-        manifest = _load_manifest(Path(path))
+    for manifest in manifests:
         extra = manifest.get("extra", {})
         if manifest["kind"] == "davie" and "m2_slope" in extra:
             fits.append(RateFit(slope=extra["m2_slope"], intercept=0.0, r_squared=0.0,
@@ -113,10 +111,9 @@ def report_summary(manifest_paths, out_path=None) -> tuple[list[list], str]:
     raise OSError; a manifest that is not JSON or lacks ``kind`` or
     ``config_hash`` raises ValueError.
     """
-    rows: list[list] = []
-    for path in manifest_paths:
-        rows.extend(_rows_for_manifest(Path(path)))
-    rows.extend(_pooled_rows(manifest_paths))
+    loaded = [(path, _load_manifest(path)) for path in map(Path, manifest_paths)]
+    rows = [row for path, manifest in loaded for row in _rows_for_manifest(path, manifest)]
+    rows.extend(_pooled_rows([manifest for _, manifest in loaded]))
     if out_path is not None:
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import estimators
 from .ensemble import PathEnsemble
 from .estimators import MomentEstimate, RateFit, rate_fit
 from .rng import PURPOSE_INNER, PURPOSE_OUTER, philox_stream
@@ -376,7 +377,8 @@ def quadrature_modulus_proxy(
     read off a coupled family.
 
     Every anchor time must sit on every coarse mesh, and every mesh must
-    divide the finest one.
+    divide the finest one. Inner paths are drawn in chunks of
+    ``estimators._INNER_CHUNK``; results do not depend on the chunk size.
     """
     ns = sorted(set(int(n) for n in ns))
     if ns[0] < 1:
@@ -402,21 +404,25 @@ def quadrature_modulus_proxy(
         anchor_idx = {n: (np.arange(n_fine) // (f_unit // n)) * (f_unit // n) for n in ns}
         means = {n: np.empty(n_outer) for n in ns}
         sds = {n: np.empty(n_outer) for n in ns}
+        d = {n: np.empty(n_inner) for n in ns}  # |V_1 - V_s| of each inner path
         for o in range(n_outer):
             rng_outer = philox_stream(seed, PURPOSE_OUTER, o, s_idx)
             x0 = rng_outer.standard_normal() * math.sqrt(s) if s > 0.0 else 0.0
             rng = philox_stream(seed, PURPOSE_INNER, o, s_idx + 1)
-            inc = rng.standard_normal((n_inner, n_fine)) * math.sqrt(h)
-            b = np.empty((n_inner, n_fine))
-            b[:, 0] = x0
-            np.cumsum(inc[:, :-1], axis=1, out=b[:, 1:])
-            b[:, 1:] += x0
-            f_left = np.asarray(f(left_times, b), dtype=float)
+            for lo in range(0, n_inner, estimators._INNER_CHUNK):
+                m = min(estimators._INNER_CHUNK, n_inner - lo)
+                inc = rng.standard_normal((m, n_fine)) * math.sqrt(h)
+                b = np.empty((m, n_fine))
+                b[:, 0] = x0
+                np.cumsum(inc[:, :-1], axis=1, out=b[:, 1:])
+                b[:, 1:] += x0
+                f_left = np.asarray(f(left_times, b), dtype=float)
+                for n in ns:
+                    diff = f_left - np.asarray(f(left_times, b[:, anchor_idx[n]]), dtype=float)
+                    d[n][lo:lo + m] = np.abs(diff.sum(axis=1) * h)
             for n in ns:
-                diff = f_left - np.asarray(f(left_times, b[:, anchor_idx[n]]), dtype=float)
-                d = np.abs(diff.sum(axis=1) * h)
-                means[n][o] = d.mean()
-                sds[n][o] = d.std(ddof=1) / math.sqrt(n_inner)
+                means[n][o] = d[n].mean()
+                sds[n][o] = d[n].std(ddof=1) / math.sqrt(n_inner)
         for n in ns:
             pick = int(np.argmax(means[n]))
             per_anchor[n][s] = (float(means[n][pick]), float(sds[n][pick]))

@@ -103,7 +103,7 @@ def test_criterion_2_exact_appendix_suite(corpus):
         for p in (1, 2, 3):
             n_checks += 1
             violations += not energy_check(companion, 0, p=p).holds
-        u_leaf = 2.0 * np.abs(proc.path_matrix()).max(axis=1)
+        u_leaf = 2.0 * np.abs(proc.paths).max(axis=1)
         spread = float(u_leaf.max())
         if spread > 0.0:
             n_checks += 1

@@ -5,8 +5,9 @@ import pytest
 from bmoforge.bounds import (
     PartitionTooCoarseError,
     jn_moment_bound,
-    khasminskii_product,
-    vmo_exp_bound,
+    khasminskii_log_bound,
+    saturating_exp,
+    vmo_log_bound,
 )
 
 
@@ -28,25 +29,69 @@ def test_jn_moment_bound_validation():
 
 def test_khasminskii_product_values():
     # (1 - 0.2)^-1 (1 - 0.3)^-1 = 25/14
-    assert khasminskii_product(1.0, [0.2, 0.3]) == pytest.approx(25.0 / 14.0)
-    assert khasminskii_product(2.0, []) == 1.0
-    assert khasminskii_product(0.0, [5.0, 7.0]) == 1.0
+    assert khasminskii_log_bound(1.0, [0.2, 0.3]) == pytest.approx(math.log(25.0 / 14.0))
+    assert khasminskii_log_bound(2.0, []) == 0.0
+    assert khasminskii_log_bound(0.0, [5.0, 7.0]) == 0.0
 
 
 def test_khasminskii_product_refuses_coarse_cells():
     with pytest.raises(PartitionTooCoarseError, match="cell 1"):
-        khasminskii_product(2.0, [0.1, 0.5])
+        khasminskii_log_bound(2.0, [0.1, 0.5])
     with pytest.raises(ValueError, match="negative"):
-        khasminskii_product(1.0, [-0.1])
+        khasminskii_log_bound(1.0, [-0.1])
 
 
 def test_vmo_exp_bound_values():
     # (22 lam)^p = 1 at lam = 1/22: 2^(1+1) = 4.
-    assert vmo_exp_bound(1.0 / 22.0, 2.0, 1.0) == pytest.approx(4.0)
-    assert vmo_exp_bound(5.0, 2.0, 0.0) == pytest.approx(2.0)
+    assert vmo_log_bound(1.0 / 22.0, 2.0, 1.0) == pytest.approx(math.log(4.0))
+    assert vmo_log_bound(5.0, 2.0, 0.0) == pytest.approx(math.log(2.0))
 
 
 def test_bounds_saturate_to_inf():
-    assert vmo_exp_bound(10.0, 2.0, 1e6) == math.inf
+    assert saturating_exp(vmo_log_bound(10.0, 2.0, 1e6)) == math.inf
     assert jn_moment_bound(1e200, 3) == math.inf
-    assert khasminskii_product(1.0, [1.0 - 1e-16] * 5000) > 0
+    assert saturating_exp(khasminskii_log_bound(1.0, [1.0 - 1e-16] * 5000)) > 0
+
+
+def test_saturating_exp_cuts_at_709():
+    assert saturating_exp(709.0) == math.exp(709.0)
+    # Finite logs above the cut, such as the exp-vmo bounds with log rhs
+    # 709.13-709.67 that verify-finite writes, saturate too.
+    assert saturating_exp(709.13) == math.inf
+    assert saturating_exp(math.log(1.7976931348623157e308)) == math.inf
+    assert saturating_exp(math.inf) == math.inf
+    assert saturating_exp(-math.inf) == 0.0
+
+
+@pytest.mark.parametrize("lam, moduli", [
+    (0.3, [0.1, 0.7, 2.5, 0.0, 1.2]),
+    (1.7, [0.05, 0.3, 0.41, 0.2]),
+    (0.02, [3.0] * 7),
+    (2.0, []),
+])
+def test_khasminskii_log_bound_is_the_inline_formula(lam, moduli):
+    # Oracle: the sum written out as khasminskii_check once wrote it inline.
+    inline = -sum(math.log1p(-lam * rho) for rho in moduli)
+    assert khasminskii_log_bound(lam, moduli).hex() == float(inline).hex()
+
+
+@pytest.mark.parametrize("lam, p, w_total", [
+    (0.02, 1, 3.7), (0.3, 2, 0.9), (2.0, 2, 11.4), (0.3, 3, 1e-3), (0.02, 1.5, 0.0),
+])
+def test_vmo_log_bound_is_the_inline_formula(lam, p, w_total):
+    # Oracle: the expression written out as exp_vmoa_check once wrote it inline.
+    inline = math.log(2.0) * (1.0 + (22.0 * lam) ** p * w_total)
+    assert vmo_log_bound(lam, p, w_total).hex() == inline.hex()
+
+
+def test_log_bounds_validate():
+    with pytest.raises(ValueError, match="lam"):
+        khasminskii_log_bound(-0.1, [0.1])
+    with pytest.raises(ValueError, match="lam and w_total"):
+        vmo_log_bound(-0.1, 2.0, 1.0)
+    with pytest.raises(ValueError, match="lam and w_total"):
+        vmo_log_bound(0.1, 2.0, -1.0)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        vmo_log_bound(0.1, 0.5, 1.0)
+    with pytest.raises(PartitionTooCoarseError, match="cell 0"):
+        khasminskii_log_bound(1.0, [1.0])

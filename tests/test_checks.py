@@ -65,6 +65,17 @@ def test_check_tolerance():
     assert check_tolerance(math.inf) == math.inf
 
 
+def test_check_tolerance_on_arrays_is_the_scalar_rule():
+    rhs = np.array([0.0, -0.0, 2.0, -2.0, 1e300, 5e-324, math.inf, -math.inf, math.nan])
+    tol = check_tolerance(rhs)
+    assert tol.shape == rhs.shape
+    for r, t in zip(rhs.tolist(), tol.tolist()):
+        scalar = check_tolerance(r)
+        assert (math.isnan(t) and math.isnan(scalar)) or t.hex() == scalar.hex()
+    assert check_tolerance(-math.inf) == math.inf
+    assert math.isnan(check_tolerance(math.nan))
+
+
 def test_jn_moment_fair_walk_frozen():
     # E max_k |V_k - V_0| = (2 + 1 + 1 + 2)/4 = 1.5 against 1! (11 * 1)^1.
     rep = jn(fair_walk(), 0, 1)
@@ -174,7 +185,7 @@ def test_garsia_frozen():
     # U = 2 sup|V - V_0| dominates every conditional increment of the fair
     # walk; alpha = beta = 1 gives lhs = P(X* >= 2) = 0.5, rhs = E(U; X* >= 1) = 3.
     v = fair_walk()
-    u = 2.0 * np.abs(v.path_matrix()).max(axis=1)
+    u = 2.0 * np.abs(v.paths).max(axis=1)
     rep = garsia_check(v, u, 0.0, 0, alpha=1.0, beta=1.0)
     assert rep.holds
     assert rep.lhs == pytest.approx(0.5)
@@ -201,7 +212,7 @@ def test_garsia_validation():
 @pytest.mark.parametrize("seed", [7, 8])
 def test_garsia_random_corpus(seed):
     v = random_case(seed, "uniform")
-    paths = v.path_matrix()
+    paths = v.paths
     u = 2.0 * np.abs(paths - paths[:, :1]).max(axis=1)
     spread = float(u.max()) + 0.1
     rep = garsia_check(v, u, v.values[0][0], 0, alpha=0.3 * spread, beta=0.2 * spread)
@@ -289,7 +300,7 @@ def loop_worst_case_report(name, key, cases, first=None):
 
 
 def loop_structural_reports(process, grid, control, unit_control):
-    d, rho, w, paths = grid.depth, grid.rho, control.w, process.path_matrix()
+    d, rho, w, paths = grid.depth, grid.rho, control.w, process.paths
     return [
         loop_worst_case_report("modulus-monotone", "windows", (
             (rho[u, v], rho[s, t], [s, t, u, v])
@@ -384,12 +395,12 @@ def test_exp_vmo_lhs_stacks_every_r(depth, branching, kind):
     rng = np.random.default_rng(42 + depth)
     sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
     v = random_process(sp, rng, kind=kind)
-    paths = v.path_matrix()
+    paths = v.paths
     for lam in (0.3, 2.0):
         log_lhs, worst_r = -math.inf, 0
         rows = []
         for r in range(depth + 1):
-            anchor = v.value_at_leaves(r)
+            anchor = v.paths[:, r]
             sup_dev = np.abs(paths[:, r:] - anchor[:, None]).max(axis=1)
             rows.append(lam * sup_dev)
             val = float(np.max(loop_cond_log_mean_exp(sp, lam * sup_dev, r)))

@@ -134,6 +134,32 @@ n_processes = 1
     assert len(calls) == 65
 
 
+def test_verify_battery_builds_each_trajectory_matrix_once(monkeypatch):
+    # 13 lifts to leaf granularity at depth 5: the 6 levels of the process's
+    # trajectory matrix, the 6 of the nondecreasing companion's, and garsia's
+    # level-0 Y. Every check reads the two cached matrices.
+    cfg = parse_config("""
+[experiment]
+kind = verify-finite
+seed = 1
+
+[verify-finite]
+depth = 5
+branching = 2
+n_processes = 1
+""")
+    calls = []
+    lift = FiniteFilteredSpace.broadcast_to_leaves
+
+    def counted(self, values, level):
+        calls.append(level)
+        return lift(self, values, level)
+
+    monkeypatch.setattr(FiniteFilteredSpace, "broadcast_to_leaves", counted)
+    experiments._verify_battery(cfg, 0)
+    assert len(calls) == 13
+
+
 def test_verify_battery_computes_exp_vmo_lhs_once_per_lambda(monkeypatch):
     # The exp-vmo left-hand side does not depend on p: one sweep per lam
     # serves the reports of all three p.

@@ -155,7 +155,7 @@ def test_pair_grid_holds_every_pair_modulus():
                     assert np.isnan(data.pairs[j, k])
                     assert np.isnan(data.pairs_left[j, k])
                     continue
-                vk = v.value_at_leaves(k)
+                vk = v.paths[:, k]
                 for pairs, anchor in ((data.pairs, own), (data.pairs_left, left)):
                     oracle = np.max(sp.cond_expectation(np.abs(vk - anchor), j))
                     assert pairs[j, k] == pytest.approx(oracle, rel=1e-12, abs=1e-12)

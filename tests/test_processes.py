@@ -41,7 +41,7 @@ def test_left_limit_convention():
 
 def test_path_matrix_and_increments():
     _, v = walk_example()
-    paths = v.path_matrix()
+    paths = v.paths
     expected = np.array(
         [[0, 1, 0.5], [0, 1, 3], [0, -2, -1], [0, -2, -4]], dtype=float
     )
@@ -62,6 +62,52 @@ def test_maximal_process_exact():
     assert m.is_nondecreasing()
 
 
+@pytest.mark.parametrize("branching, depth", [(2, 5), (3, 4), (4, 3), (2, 0)])
+def test_paths_is_the_level_stack(branching, depth):
+    sp = random_space(np.random.default_rng(branching), depth, branching, random_transitions=True)
+    v = random_process(sp, np.random.default_rng(depth), kind="heavy")
+    oracle = np.stack([np.repeat(v.values[k], branching ** (depth - k))
+                       for k in range(depth + 1)], axis=1)
+    assert v.paths.shape == (sp.n_leaves, depth + 1)
+    assert v.paths.tobytes() == oracle.tobytes()
+    assert v.paths is v.paths  # built once, shared by every reader
+    with pytest.raises(ValueError, match="read-only"):
+        v.paths[0, 0] = 1.0
+
+
+def _running_max_by_level(space, process):
+    # Oracle: M_0 = 0 and M_k = max(M_{k-1} lifted one level, |V_k - V_0|).
+    v0 = process.values[0][0]
+    out = [np.zeros(1)]
+    for k in range(1, space.depth + 1):
+        dev = np.abs(process.values[k] - v0)
+        out.append(np.maximum(np.repeat(out[-1], space.branching), dev))
+    return out
+
+
+@pytest.mark.parametrize("branching, depth, kind", [
+    (2, 5, "gaussian"), (3, 4, "walk"), (4, 3, "heavy"), (2, 0, "uniform"), (3, 2, "integers"),
+])
+def test_maximal_process_matches_the_level_recursion(branching, depth, kind):
+    sp = random_space(np.random.default_rng(7), depth, branching, random_transitions=True)
+    v = random_process(sp, np.random.default_rng(11), kind=kind)
+    m = maximal_process(sp, v)
+    oracle = _running_max_by_level(sp, v)
+    assert [a.tobytes() for a in m.values] == [a.tobytes() for a in oracle]
+
+
+def test_is_nondecreasing_at_the_tolerance():
+    # Per level: min(V_k - V_{k-1}) >= -tol. An increment of exactly -1e-12
+    # (V_1 - V_0 = -1e-12 with V_0 = 0) passes; one ulp more fails.
+    sp = build_tree(2, 2)
+    for drop, expected in ((-1e-12, True), (np.nextafter(-1e-12, -1.0), False)):
+        v = AdaptedProcess(space=sp, values=[np.zeros(1), np.array([drop, 1.0]),
+                                             np.array([drop, drop, 1.0, 2.0])])
+        per_level = all(np.min(inc) >= -1e-12 for inc in v.increments())
+        assert per_level is expected
+        assert v.is_nondecreasing() is expected
+
+
 def test_deterministic_process():
     sp = build_tree(2, 2)
     v = deterministic_process(sp, [0.0, 1.0, 4.0])
@@ -72,7 +118,7 @@ def test_deterministic_process():
 
 def test_value_at_leaves():
     _, v = walk_example()
-    np.testing.assert_array_equal(v.value_at_leaves(1), [1.0, 1.0, -2.0, -2.0])
+    np.testing.assert_array_equal(v.paths[:, 1], [1.0, 1.0, -2.0, -2.0])
 
 
 def test_random_space_transitions_bounded():

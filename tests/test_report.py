@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bmoforge import report
 from bmoforge.report import REPORT_HEADER, report_summary
 
 
@@ -79,6 +80,25 @@ def test_rho_grid_rows_and_csv_output(tmp_path):
     assert lines[0] == ",".join(REPORT_HEADER)
     assert len(lines) == 1 + len(rows)
     assert any("0.92" in line for line in lines)
+
+
+def test_each_manifest_is_loaded_once(tmp_path, monkeypatch):
+    paths = [make_manifest(tmp_path / "a", "davie", {"m2_slope": 2.0, "m2_slope_stderr": 0.1},
+                           tag="aa"),
+             make_manifest(tmp_path / "b", "davie", {"m2_slope": 2.2, "m2_slope_stderr": 0.2},
+                           tag="bb"),
+             make_manifest(tmp_path / "c", "quadrature", {"exponent": 0.5}, tag="cc")]
+    expected = report_summary(paths)
+    loaded = []
+
+    def counted(path):
+        loaded.append(path)
+        return load(path)
+
+    load = report._load_manifest
+    monkeypatch.setattr(report, "_load_manifest", counted)
+    assert report_summary(paths) == expected
+    assert len(loaded) == len(paths)
 
 
 def test_missing_manifest_raises(tmp_path):

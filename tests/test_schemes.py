@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bmoforge import ensemble as ensemble_module
-from bmoforge import schemes
+from bmoforge import estimators, schemes
 from bmoforge.ensemble import PathEnsemble
 from bmoforge.estimators import scalar_field_registry
 from bmoforge.rng import PURPOSE_OUTER, philox_stream
@@ -452,6 +452,20 @@ def test_quadrature_modulus_sign_field_structure():
     assert set(res.per_anchor[4]) == {0.0, 0.5}
     assert res.fit is not None
     assert len(res.fit.table) == 3
+
+
+def test_quadrature_modulus_chunk_invariance(monkeypatch):
+    # 40 inner paths in chunks of 17 (17 + 17 + 6), non-dyadic anchors.
+    kwargs = dict(seed=5, n_outer=3, n_inner=40, anchor_times=(0.0, 0.1, 0.3),
+                  fine_per_block=2)
+    f = scalar_field_registry["sign"]
+    monkeypatch.setattr(estimators, "_INNER_CHUNK", 1024)
+    a = quadrature_modulus_proxy(f, [10, 20, 40], **kwargs)
+    monkeypatch.setattr(estimators, "_INNER_CHUNK", 17)
+    b = quadrature_modulus_proxy(f, [10, 20, 40], **kwargs)
+    assert [v.hex() for v in a.values] == [v.hex() for v in b.values]
+    assert [e.hex() for e in a.stderrs] == [e.hex() for e in b.stderrs]
+    assert a.per_anchor == b.per_anchor
 
 
 def test_quadrature_modulus_validation():
