@@ -1,9 +1,11 @@
 """Closed-form oscillation bounds.
 
 Pure scalar formulas, kept separate from the engines that estimate or verify
-them. Everything is evaluated in log space first: the exponential bounds
-return logs, and :func:`saturating_exp` maps a log back, saturating to
-``inf`` instead of raising overflow errors.
+them. Each paper constant is one named module constant, read by the one
+bound function that uses it, so that a change to a constant reaches every
+check built on it. The exponential bounds are evaluated in log space and
+return logs; :func:`saturating_exp` maps a log back, saturating to ``inf``
+instead of raising overflow errors.
 """
 
 from __future__ import annotations
@@ -11,14 +13,21 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "PartitionTooCoarseError",
-    "saturating_exp",
-    "jn_moment_bound",
-    "khasminskii_log_bound",
-    "vmo_log_bound",
+    "PartitionTooCoarseError", "saturating_exp", "jn_moment_bound", "maximal_bound",
+    "maximal_sup_bound", "pathwise_bound", "stopping_pair_bound", "energy_bound",
+    "khasminskii_log_bound", "vmo_log_bound",
 ]
 
 _LN2 = math.log(2.0)
+
+# The paper's constants, each read by the one bound function named after it.
+JN_CONSTANT = 11.0
+MAXIMAL_CONSTANT = 11.0
+MAXIMAL_SUP_CONSTANT = 4.0
+PATHWISE_CONSTANT = 22.0
+VMO_CONSTANT = 22.0
+STOPPING_PAIR_B, STOPPING_PAIR_C = 2.0, 3.0
+ENERGY_CONSTANT = 1.0  # the factor on c in p! c^p
 
 
 class PartitionTooCoarseError(ValueError):
@@ -39,7 +48,32 @@ def jn_moment_bound(rho: float, p: int) -> float:
     p = int(p)
     if rho == 0.0:
         return 0.0
-    return saturating_exp(math.lgamma(p + 1) + p * math.log(11.0 * rho))
+    return saturating_exp(math.lgamma(p + 1) + p * math.log(JN_CONSTANT * rho))
+
+
+def maximal_bound(rho: float) -> float:
+    """Bound 11 rho on the modulus of the running maximum."""
+    return MAXIMAL_CONSTANT * rho
+
+
+def maximal_sup_bound(rho: float) -> float:
+    """Bound 4 rho on the conditional expected sup of |V_r - V_{s-}|."""
+    return MAXIMAL_SUP_CONSTANT * rho
+
+
+def pathwise_bound(w):
+    """Bound 22 w on |V_t - V_s|, elementwise over the 1-variation control."""
+    return PATHWISE_CONSTANT * w
+
+
+def stopping_pair_bound(b_det: float, c_jump: float) -> float:
+    """Bound 2B + 3C on the stopping-pair modulus."""
+    return STOPPING_PAIR_B * b_det + STOPPING_PAIR_C * c_jump
+
+
+def energy_bound(c: float, p: int) -> float:
+    """Energy bound p! c^p on E_s (A_tau - A_s)^p."""
+    return math.factorial(int(p)) * (ENERGY_CONSTANT * float(c)) ** p
 
 
 def khasminskii_log_bound(lam: float, cell_moduli) -> float:
@@ -70,4 +104,4 @@ def vmo_log_bound(lam: float, p: float, w_total: float) -> float:
         raise ValueError("lam and w_total must be >= 0")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    return _LN2 * (1.0 + (22.0 * lam) ** p * w_total)
+    return _LN2 * (1.0 + (VMO_CONSTANT * lam) ** p * w_total)

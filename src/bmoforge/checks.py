@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import jn_moment_bound, khasminskii_log_bound, saturating_exp, vmo_log_bound
+from .bounds import (energy_bound, jn_moment_bound, khasminskii_log_bound, maximal_bound,
+                     maximal_sup_bound, pathwise_bound, saturating_exp, stopping_pair_bound,
+                     vmo_log_bound)
 from .controls import OscillationControl
 from .oscillation import (OscillationData, _stacked_payoffs, _stop_level_values,
                           oscillation_modulus)
@@ -194,12 +196,12 @@ def maximal_check(process: AdaptedProcess, grid: OscillationData, s: int,
     paths = process.paths
     sup_dev = np.abs(paths[:, s:t + 1] - paths[:, max(s - 1, 0), None]).max(axis=1)
     lhs_mid = float(np.max(space.cond_expectation(sup_dev, s)))
-    rhs_mid = 4.0 * rho_v
+    rhs_mid = maximal_sup_bound(rho_v)
     mid_holds = lhs_mid <= rhs_mid + check_tolerance(rhs_mid)
     report = _report(
         "maximal-modulus",
         rho_star,
-        11.0 * rho_v,
+        maximal_bound(rho_v),
         {"s": s, "t": t, "sup_lhs": lhs_mid, "sup_rhs": rhs_mid, "sup_holds": bool(mid_holds)},
     )
     report.holds = bool(report.holds and mid_holds)
@@ -325,12 +327,11 @@ def energy_check(process: AdaptedProcess, s: int, c: float | None = None,
         )
     paths = process.paths
     lhs_atoms = space.cond_expectation((paths[:, space.depth] - paths[:, s]) ** p, s)
-    rhs = math.factorial(int(p)) * float(c) ** p
     worst = int(np.argmax(lhs_atoms))
     return _report(
         "energy-moment",
         float(lhs_atoms[worst]),
-        rhs,
+        energy_bound(c, p),
         {"s": s, "p": int(p), "c": float(c), "atom": worst},
     )
 
@@ -413,7 +414,7 @@ def pathwise_increment_check(process: AdaptedProcess, control: OscillationContro
     paths = process.paths
     s, t = _scan_cases(process.depth, 2)
     lhs = np.abs(paths[:, t] - paths[:, s]).max(axis=0)
-    return _worst_case_report("pathwise-increment", "window", lhs, 22.0 * control.w[s, t],
+    return _worst_case_report("pathwise-increment", "window", lhs, pathwise_bound(control.w[s, t]),
                               np.stack([s, t], axis=1), first=[0, 0])
 
 
@@ -431,7 +432,7 @@ def stopping_pair_bound_check(grid: OscillationData, s: int, t: int) -> CheckRep
     return _report(
         "stopping-pair-bound",
         lhs,
-        2.0 * b_det + 3.0 * c_jump,
+        stopping_pair_bound(b_det, c_jump),
         {"s": s, "t": t, "B": b_det, "C": c_jump},
     )
 

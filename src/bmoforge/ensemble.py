@@ -9,11 +9,30 @@ import numpy as np
 
 from .rng import PURPOSE_OUTER, philox_stream, philox_streams
 
-__all__ = ["PathEnsemble"]
+__all__ = ["PathEnsemble", "chunk_rows", "left_points"]
 
 # Hard cap on total draws at construction; full materialization has its own cap.
 _MAX_TOTAL_DRAWS = 2**33
 _MAX_MATERIALIZE_BYTES = 2**31  # 2 GiB
+
+# Elements (2 MiB of float64) in one chunk of every path-major draw, ensemble
+# paths and inner paths alike, so that the per-chunk temporaries stay in cache.
+_CHUNK_ELEMENTS = 2**18
+
+
+def chunk_rows(row_elements: int) -> int:
+    """Paths per chunk of paths of ``row_elements`` elements, at least one."""
+    return max(1, _CHUNK_ELEMENTS // row_elements)
+
+
+def left_points(inc: np.ndarray, x0: float = 0.0) -> np.ndarray:
+    """Brownian values at t_0 .. t_{n-1} from increments of shape (paths, n):
+    each row's running sums from the left, started at 0, then x0 added."""
+    b = np.zeros(inc.shape)
+    np.cumsum(inc[:, :-1], axis=1, out=b[:, 1:])
+    if x0:
+        b += x0
+    return b
 
 
 @dataclass
@@ -108,10 +127,12 @@ class PathEnsemble:
             np.multiply(draws[:, :m].transpose(1, 0, 2), scale, out=out)
             yield out
 
-    def iter_chunks(self, chunk_size: int):
-        """Yield (start, increments) over consecutive path chunks."""
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        for start in range(0, self.n_paths, chunk_size):
-            stop = min(start + chunk_size, self.n_paths)
-            yield start, self.increments(start, stop)
+    def left_point_chunks(self):
+        """Yield (start, b) over consecutive chunks of ``chunk_rows`` paths,
+        ``b`` the :func:`left_points` of the first coordinate. A chunk's
+        increments are dropped before ``b`` is yielded, so a consumer holds
+        no draws while it works on ``b``."""
+        rows = chunk_rows(self.n_steps * self.dim)
+        for start in range(0, self.n_paths, rows):
+            stop = min(start + rows, self.n_paths)
+            yield start, left_points(self.increments(start, stop)[:, :, 0])

@@ -1,11 +1,10 @@
 """Monte Carlo estimators: nested conditional moments, empirical modulus
 grids, and log-log rate fits.
 
-Scalar integrand fields are vectorized callables ``f(times, states)`` where
-``times`` has shape (m,) and ``states`` shape (..., m, dim); the result has
-shape (..., m). ``scalar_field_registry`` provides the standard named fields,
-applied elementwise; :func:`state_functional` lifts one to the first
-coordinate of a state array, and the tamed scheme uses them as drifts.
+A field is a vectorized callable ``f(times, values)`` applied elementwise to
+scalar Brownian values of shape (..., m) at ``times`` of shape (m,).
+``scalar_field_registry`` provides the named fields that every Monte Carlo
+kind looks up, and the tamed scheme uses them as drifts.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ensemble import chunk_rows, left_points
 from .rng import PURPOSE_INNER, PURPOSE_OUTER, philox_stream
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "RateFit",
     "EmpiricalOscillationGrid",
     "scalar_field_registry",
-    "state_functional",
     "markov_conditional_moment",
     "empirical_rho_grid",
     "holder_exponent_fit",
@@ -75,19 +74,7 @@ scalar_field_registry = {
 }
 
 
-def state_functional(name: str):
-    """Named scalar field lifted to the (times, states) contract."""
-    if name not in scalar_field_registry:
-        raise KeyError(f"unknown field {name!r}; known: {sorted(scalar_field_registry)}")
-    base = scalar_field_registry[name]
-    return lambda times, states: base(times, states[..., 0])
-
-
 # -- nested conditional moments ---------------------------------------------
-
-# Inner paths drawn per chunk by markov_conditional_moment.
-_INNER_CHUNK = 1024
-
 
 def markov_conditional_moment(
     f,
@@ -109,35 +96,30 @@ def markov_conditional_moment(
     stderr is the inner-mean standard error at the selected outer sample.
     Outer states are scalars (one-dimensional Brownian motion).
 
-    Inner paths are generated in chunks of ``_INNER_CHUNK`` to bound memory;
-    each outer state draws from one stream sequentially, so results do not
-    depend on the chunk size.
+    Inner paths are drawn in chunks of ``chunk_rows(n_steps)`` paths; each
+    outer state draws from one stream in order, so results do not depend on
+    the chunk size.
     """
     if t <= s:
         raise ValueError("need t > s")
     if n_inner < 2 or n_steps < 1:
         raise ValueError("n_inner must be >= 2 and n_steps >= 1")
     x_arr = np.atleast_1d(np.asarray(x_law, dtype=float))
-    if x_arr.ndim == 1:
-        x_arr = x_arr[:, None]
-    if x_arr.shape[1] != 1:
-        raise ValueError(f"outer states have dim {x_arr.shape[1]}, expected 1")
+    if x_arr.ndim != 1:
+        raise ValueError(f"outer states have shape {x_arr.shape}; each must be a scalar (dim 1)")
     n_outer = x_arr.shape[0]
     h = (t - s) / n_steps
     times = s + h * np.arange(n_steps)
+    rows = chunk_rows(n_steps)
     means = np.empty(n_outer)
     errs = np.empty(n_outer)
     samples = np.empty(n_inner)
-    for o in range(n_outer):
+    for o, x0 in enumerate(x_arr):
         rng = philox_stream(seed, PURPOSE_INNER, o, stream_index)
-        for lo in range(0, n_inner, _INNER_CHUNK):
-            m = min(_INNER_CHUNK, n_inner - lo)
-            inc = rng.standard_normal((m, n_steps, 1)) * math.sqrt(h)
-            states = np.empty((m, n_steps, 1))
-            states[:, 0, :] = x_arr[o]
-            np.cumsum(inc[:, :-1, :], axis=1, out=states[:, 1:, :])
-            states[:, 1:, :] += x_arr[o]
-            samples[lo : lo + m] = np.abs(f(times, states).sum(axis=1) * h)
+        for lo in range(0, n_inner, rows):
+            m = min(rows, n_inner - lo)
+            b = left_points(rng.standard_normal((m, n_steps)) * math.sqrt(h), x0)
+            samples[lo : lo + m] = np.abs(f(times, b).sum(axis=1) * h)
         means[o] = samples.mean()
         errs[o] = samples.std(ddof=1) / math.sqrt(n_inner)
     if proxy == "max":

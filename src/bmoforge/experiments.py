@@ -47,7 +47,6 @@ from .estimators import (
     holder_exponent_fit,
     loglog_fit,
     scalar_field_registry,
-    state_functional,
 )
 from .oscillation import oscillation_grid
 from .processes import random_nondecreasing_process, random_process, random_space
@@ -185,7 +184,7 @@ def _run_cases(config: ExperimentConfig, battery, out_dir: Path):
 def _run_rho_grid(config: ExperimentConfig, out_dir: Path):
     p = config.params
     grid = empirical_rho_grid(
-        state_functional(p["field"]), p["grid_times"], n_outer=p["n_outer"],
+        scalar_field_registry[p["field"]], p["grid_times"], n_outer=p["n_outer"],
         n_inner=p["n_inner"], steps_per_unit=p["steps_per_unit"], seed=config.seed,
         proxy=p["proxy"],
     )

@@ -4,19 +4,20 @@ tamed explicit Euler scheme.
 
 All solvers consume increments from a :class:`~bmoforge.ensemble.PathEnsemble`
 and evaluate solutions on the ensemble's fine grid; coarse meshes must divide
-the fine step count exactly, otherwise a mesh mismatch is raised.
+the fine step count exactly, otherwise a mesh mismatch is raised. The
+path-major consumers read Brownian values at the left points, built by
+:func:`~bmoforge.ensemble.left_points` per chunk of ``chunk_rows`` paths.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimators
-from .ensemble import PathEnsemble
+from .ensemble import PathEnsemble, chunk_rows, left_points
 from .estimators import MomentEstimate, RateFit, rate_fit
 from .rng import PURPOSE_INNER, PURPOSE_OUTER, philox_stream
 from .sde import SdeModel, TamingPolicy
@@ -41,15 +42,15 @@ def _mesh_ratio(n_fine: int, n_coarse: int) -> int:
     return n_fine // n_coarse
 
 
-# Elements (2 MiB of float64) in one path chunk of the path-major consumers,
-# so that the temporaries made per shift stay in cache instead of going to DRAM.
-_CHUNK_ELEMENTS = 2**18
-
-
-def _path_chunks(ensemble: PathEnsemble):
-    """Yield (start, increments) over path chunks of at most ``_CHUNK_ELEMENTS``
-    elements, or of one path when a path alone is larger."""
-    return ensemble.iter_chunks(max(1, _CHUNK_ELEMENTS // (ensemble.n_steps * ensemble.dim)))
+def _quadrature_sums(f, left_times: np.ndarray, b: np.ndarray, ratios, h: float) -> np.ndarray:
+    """Left-point sums of f(t, B_t) - f(t, B at the last mesh point) per mesh
+    ratio, shape (len(ratios), paths), with f(t, B_t) evaluated once."""
+    plain = np.asarray(f(left_times, b), dtype=float)
+    out = np.empty((len(ratios), b.shape[0]))
+    for row, r in zip(out, ratios):
+        anchored = np.repeat(b[:, ::r], r, axis=1)
+        row[:] = (plain - np.asarray(f(left_times, anchored), dtype=float)).sum(axis=1) * h
+    return out
 
 
 # Fine steps per time block, and paths per group, of the strong-error sweep.
@@ -164,37 +165,22 @@ def quadrature_error(f, ensemble: PathEnsemble, ns) -> np.ndarray:
     ratios = [_mesh_ratio(ensemble.n_steps, n) for n in ns]
     if not ratios:
         raise ValueError("ns must be nonempty")
-    anchors = [(np.arange(ensemble.n_steps) // r) * r for r in ratios]
-    h = ensemble.dt
-    left_times = ensemble.times[:-1]
-    out = np.empty((len(anchors), ensemble.n_paths))
-    for start, inc in _path_chunks(ensemble):
-        m = inc.shape[0]
-        b = np.zeros((m, ensemble.n_steps))
-        np.cumsum(inc[:, :-1, 0], axis=1, out=b[:, 1:])
-        del inc
-        plain = np.asarray(f(left_times, b), dtype=float)
-        for row, anchor in zip(out, anchors):
-            integrand = plain - np.asarray(f(left_times, b[:, anchor]), dtype=float)
-            row[start : start + m] = integrand.sum(axis=1) * h
+    left_times, h = ensemble.times[:-1], ensemble.dt
+    out = np.empty((len(ratios), ensemble.n_paths))
+    for start, b in ensemble.left_point_chunks():
+        out[:, start : start + b.shape[0]] = _quadrature_sums(f, left_times, b, ratios, h)
     return out
 
 
 # -- shift averaging ---------------------------------------------------------
 
-def davie_functional(
-    g,
-    shifts,
-    ensemble: PathEnsemble,
-    enforce_bound: bool = True,
-) -> np.ndarray:
+def davie_functional(g, shifts, ensemble: PathEnsemble) -> np.ndarray:
     """Per-path samples of integral_0^1 [g(t, B_t + x) - g(t, B_t)] dt for
     every shift x in ``shifts``, shape (len(shifts), n_paths).
 
     Each path chunk is drawn once and g(t, B_t) evaluated once for all shifts.
-    The averaging bound needs |g| <= 1; out-of-range values are clipped with a
-    warning unless ``enforce_bound`` is False (useful for exact test fields
-    like g(t, y) = y where the integral telescopes to the shift itself).
+    The averaging bound needs |g| <= 1; out-of-range values are clipped, with
+    one warning per call.
     """
     if ensemble.dim != 1:
         raise ValueError("davie_functional expects a one-dimensional ensemble")
@@ -207,28 +193,22 @@ def davie_functional(
     left_times = ensemble.times[:-1]
     samples = np.empty((len(shifts), ensemble.n_paths))
     warned = False
-    for start, inc in _path_chunks(ensemble):
-        m = inc.shape[0]
-        b = np.zeros((m, ensemble.n_steps))
-        np.cumsum(inc[:, :-1, 0], axis=1, out=b[:, 1:])
-        del inc
+    for start, b in ensemble.left_point_chunks():
+        m = b.shape[0]
         plain = np.asarray(g(left_times, b), dtype=float)
         if np.may_share_memory(plain, b):
             plain = plain.copy()  # the clip below must not reach b
         plain_peak = np.abs(plain).max(initial=0.0)
         for k, shift in enumerate(shifts):
             shifted = np.asarray(g(left_times, b + shift), dtype=float)
-            if enforce_bound:
-                peak = max(np.abs(shifted).max(initial=0.0), plain_peak)
-                if peak > 1.0 + 1e-12:
-                    if not warned:
-                        warnings.warn(
-                            f"integrand exceeds magnitude 1 (max {peak:.6g}); clipping",
-                            stacklevel=2,
-                        )
-                        warned = True
-                    np.clip(shifted, -1.0, 1.0, out=shifted)
-                    np.clip(plain, -1.0, 1.0, out=plain)
+            peak = max(np.abs(shifted).max(initial=0.0), plain_peak)
+            if peak > 1.0 + 1e-12:
+                if not warned:
+                    warnings.warn(f"integrand exceeds magnitude 1 (max {peak:.6g}); clipping",
+                                  stacklevel=2)
+                    warned = True
+                np.clip(shifted, -1.0, 1.0, out=shifted)
+                np.clip(plain, -1.0, 1.0, out=plain)
             shifted -= plain
             samples[k, start : start + m] = shifted.sum(axis=1) * h
             del shifted
@@ -355,7 +335,6 @@ class QuadratureModulusResult:
     values: list[float]
     stderrs: list[float]
     anchor_times: list[float]
-    per_anchor: dict = field(default_factory=dict)
     fit: RateFit | None = None
 
 
@@ -377,8 +356,8 @@ def quadrature_modulus_proxy(
     read off a coupled family.
 
     Every anchor time must sit on every coarse mesh, and every mesh must
-    divide the finest one. Inner paths are drawn in chunks of
-    ``estimators._INNER_CHUNK``; results do not depend on the chunk size.
+    divide the finest one. Inner paths are drawn in chunks of ``chunk_rows``
+    paths; results do not depend on the chunk size.
     """
     ns = sorted(set(int(n) for n in ns))
     if ns[0] < 1:
@@ -395,47 +374,27 @@ def quadrature_modulus_proxy(
                 raise ValueError(f"anchor time {s} is not a mesh point of n={n}")
     f_unit = n_max * fine_per_block
     h = 1.0 / f_unit
-    values = {n: -math.inf for n in ns}
-    errors = {n: math.nan for n in ns}
-    per_anchor = {n: {} for n in ns}
+    ratios = [f_unit // n for n in ns]
+    # Inner mean and its stderr per mesh and (anchor, outer state), anchor-major.
+    means = np.empty((len(ns), len(anchor_times) * n_outer))
+    sds = np.empty_like(means)
     for s_idx, s in enumerate(anchor_times):
         n_fine = round((1.0 - s) * f_unit)
         left_times = s + h * np.arange(n_fine)
-        anchor_idx = {n: (np.arange(n_fine) // (f_unit // n)) * (f_unit // n) for n in ns}
-        means = {n: np.empty(n_outer) for n in ns}
-        sds = {n: np.empty(n_outer) for n in ns}
-        d = {n: np.empty(n_inner) for n in ns}  # |V_1 - V_s| of each inner path
+        rows = chunk_rows(n_fine)
+        d = np.empty((len(ns), n_inner))  # |V_1 - V_s| of each inner path, per mesh
         for o in range(n_outer):
             rng_outer = philox_stream(seed, PURPOSE_OUTER, o, s_idx)
             x0 = rng_outer.standard_normal() * math.sqrt(s) if s > 0.0 else 0.0
             rng = philox_stream(seed, PURPOSE_INNER, o, s_idx + 1)
-            for lo in range(0, n_inner, estimators._INNER_CHUNK):
-                m = min(estimators._INNER_CHUNK, n_inner - lo)
-                inc = rng.standard_normal((m, n_fine)) * math.sqrt(h)
-                b = np.empty((m, n_fine))
-                b[:, 0] = x0
-                np.cumsum(inc[:, :-1], axis=1, out=b[:, 1:])
-                b[:, 1:] += x0
-                f_left = np.asarray(f(left_times, b), dtype=float)
-                for n in ns:
-                    diff = f_left - np.asarray(f(left_times, b[:, anchor_idx[n]]), dtype=float)
-                    d[n][lo:lo + m] = np.abs(diff.sum(axis=1) * h)
-            for n in ns:
-                means[n][o] = d[n].mean()
-                sds[n][o] = d[n].std(ddof=1) / math.sqrt(n_inner)
-        for n in ns:
-            pick = int(np.argmax(means[n]))
-            per_anchor[n][s] = (float(means[n][pick]), float(sds[n][pick]))
-            if means[n][pick] > values[n]:
-                values[n] = float(means[n][pick])
-                errors[n] = float(sds[n][pick])
-    vals = [values[n] for n in ns]
+            for lo in range(0, n_inner, rows):
+                m = min(rows, n_inner - lo)
+                b = left_points(rng.standard_normal((m, n_fine)) * math.sqrt(h), x0)
+                d[:, lo : lo + m] = np.abs(_quadrature_sums(f, left_times, b, ratios, h))
+            means[:, s_idx * n_outer + o] = d.mean(axis=1)
+            sds[:, s_idx * n_outer + o] = d.std(axis=1, ddof=1) / math.sqrt(n_inner)
+    pick = (np.arange(len(ns)), means.argmax(axis=1))  # the first pair attaining the max
+    vals = means[pick].tolist()
     fit = rate_fit(ns, vals) if len(ns) >= 3 and all(v > 0.0 for v in vals) else None
-    return QuadratureModulusResult(
-        ns=ns,
-        values=vals,
-        stderrs=[errors[n] for n in ns],
-        anchor_times=anchor_times,
-        per_anchor=per_anchor,
-        fit=fit,
-    )
+    return QuadratureModulusResult(ns=ns, values=vals, stderrs=sds[pick].tolist(),
+                                   anchor_times=anchor_times, fit=fit)

@@ -38,7 +38,6 @@ from bmoforge.estimators import (
     loglog_fit,
     markov_conditional_moment,
     scalar_field_registry,
-    state_functional,
 )
 from bmoforge.oscillation import oscillation_grid
 from bmoforge.processes import (
@@ -177,7 +176,7 @@ def test_criterion_5_gaussian_oracles():
     start = time.monotonic()
     exact = math.sqrt(2.0 / (3.0 * math.pi))
     est = markov_conditional_moment(
-        state_functional("coordinate"), 0.0, 1.0, [0.0],
+        scalar_field_registry["coordinate"], 0.0, 1.0, [0.0],
         n_inner=10**4, n_steps=2**12, seed=seed,
     )
     markov_ok = abs(est.value - exact) <= 3.0 * est.stderr

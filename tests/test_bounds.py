@@ -1,14 +1,24 @@
+import hashlib
+import json
 import math
 
 import pytest
 
+from bmoforge import bounds
 from bmoforge.bounds import (
     PartitionTooCoarseError,
+    energy_bound,
     jn_moment_bound,
     khasminskii_log_bound,
+    maximal_bound,
+    maximal_sup_bound,
+    pathwise_bound,
     saturating_exp,
+    stopping_pair_bound,
     vmo_log_bound,
 )
+from bmoforge.config import parse_config
+from bmoforge.experiments import run_experiment
 
 
 def test_jn_moment_bound_values():
@@ -95,3 +105,64 @@ def test_log_bounds_validate():
         vmo_log_bound(0.1, 0.5, 1.0)
     with pytest.raises(PartitionTooCoarseError, match="cell 0"):
         khasminskii_log_bound(1.0, [1.0])
+
+
+def test_linear_bound_values():
+    assert maximal_bound(0.5) == 5.5
+    assert maximal_sup_bound(0.5) == 2.0
+    assert pathwise_bound(0.5) == 11.0
+    assert stopping_pair_bound(1.0, 0.5) == 3.5
+    # 3! * 0.5^3 = 0.75
+    assert energy_bound(0.5, 3) == 0.75
+
+
+# A pinned verify-finite run with the benchmark's battery parameters: seed 1,
+# 20 depth-5 cases, no violation with the paper's constants.
+_BATTERY = {"kind": "verify-finite", "seed": 1,
+            "params": {"depth": 5, "branching": 2, "p_list": [1, 2, 3], "lambda_list": [0.3],
+                       "process_kind": "gaussian", "random_transitions": True,
+                       "n_processes": 20}}
+
+
+def _battery(tmp_path):
+    cfg = parse_config(json.dumps(_BATTERY))
+    cfg.out = str(tmp_path)
+    manifest = run_experiment(cfg)
+    digest = hashlib.sha256((tmp_path / "checks.jsonl").read_bytes()).hexdigest()
+    return manifest.extra["violations"], digest
+
+
+@pytest.fixture(scope="module")
+def unmutated(tmp_path_factory):
+    return _battery(tmp_path_factory.mktemp("unmutated"))
+
+
+# Each mutant scales one paper constant (two for 2B + 3C / 8) and names the
+# violations it causes on the pinned run; 0 means the records change but
+# every case still holds.
+MUTANTS = {
+    "maximal-11-to-1": ({"MAXIMAL_CONSTANT": 1.0}, 1),
+    "maximal-11-to-8": ({"MAXIMAL_CONSTANT": 8.0}, 0),
+    "maximal-sup-4-to-0.4": ({"MAXIMAL_SUP_CONSTANT": 0.4}, 17),
+    "stopping-pair-b-over-8": ({"STOPPING_PAIR_B": 0.25}, 0),
+    "stopping-pair-c-over-8": ({"STOPPING_PAIR_C": 0.375}, 0),
+    "stopping-pair-over-8": ({"STOPPING_PAIR_B": 0.25, "STOPPING_PAIR_C": 0.375}, 20),
+    # Pathwise 22 -> 1.0 or 2.2 changes no byte: the check reports
+    # lhs = rhs = 0 when no case has a positive gap, so only a violating
+    # mutant shows that the constant is read.
+    "pathwise-22-to-0.5": ({"PATHWISE_CONSTANT": 0.5}, 20),
+    "energy-1-to-0.5": ({"ENERGY_CONSTANT": 0.5}, 20),
+    "jn-11-to-0.5": ({"JN_CONSTANT": 0.5}, 22),
+    "vmo-22-to-0.1": ({"VMO_CONSTANT": 0.1}, 44),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_each_paper_constant_has_one_definition(tmp_path, monkeypatch, unmutated, name):
+    constants, violations = MUTANTS[name]
+    assert unmutated[0] == 0
+    for constant, value in constants.items():
+        monkeypatch.setattr(bounds, constant, value)
+    mutated = _battery(tmp_path)
+    assert mutated[1] != unmutated[1]
+    assert mutated[0] == violations

@@ -5,7 +5,7 @@ import pytest
 
 from bmoforge import ensemble as ensemble_module
 from bmoforge import rng as rng_module
-from bmoforge.ensemble import PathEnsemble
+from bmoforge.ensemble import PathEnsemble, chunk_rows, left_points
 from bmoforge.rng import PURPOSE_OUTER, philox_stream
 
 
@@ -16,12 +16,14 @@ def test_regeneration_is_bit_identical():
     np.testing.assert_array_equal(a, b)
 
 
-def test_chunks_equal_full_materialization():
+def test_chunks_equal_full_materialization(monkeypatch):
     ens = PathEnsemble(n_paths=10, n_steps=8, dim=1, horizon=2.0, seed=3)
-    full = ens.increments()
+    full = left_points(ens.increments()[:, :, 0])
     for chunk_size in (1, 3, 10):
-        pieces = [inc for _, inc in ens.iter_chunks(chunk_size)]
-        np.testing.assert_array_equal(np.concatenate(pieces, axis=0), full)
+        monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", chunk_size * 8)
+        starts, pieces = zip(*ens.left_point_chunks())
+        assert starts == tuple(range(0, 10, chunk_size))
+        assert np.concatenate(pieces, axis=0).tobytes() == full.tobytes()
 
 
 def test_increments_are_scaled_per_path_streams():
@@ -122,12 +124,11 @@ def test_validation_and_caps(monkeypatch):
     with pytest.raises(MemoryError, match="chunks"):
         small.increments()
     # Chunked access stays under the cap.
-    total = sum(inc.shape[0] for _, inc in small.iter_chunks(2))
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 2 * 64)
+    total = sum(b.shape[0] for _, b in small.left_point_chunks())
     assert total == 64
     with pytest.raises(ValueError, match="out of bounds"):
         small.increments(5, 3)
-    with pytest.raises(ValueError, match="chunk_size"):
-        next(small.iter_chunks(0))
     # The cap applies to the block time_blocks materializes, not the ensemble.
     with pytest.raises(MemoryError, match="resource cap"):
         next(small.time_blocks(0, 64, 64))
@@ -136,3 +137,16 @@ def test_validation_and_caps(monkeypatch):
         next(small.time_blocks(0, 64, 0))
     with pytest.raises(ValueError, match="out of bounds"):
         next(small.time_blocks(3, 65, 2))
+
+
+def test_left_points_sum_each_row_from_x0():
+    inc = np.array([[1.0, 2.0, 4.0], [0.5, -1.0, 8.0]])
+    np.testing.assert_array_equal(left_points(inc), [[0.0, 1.0, 3.0], [0.0, 0.5, -0.5]])
+    np.testing.assert_array_equal(left_points(inc, 2.0), [[2.0, 3.0, 5.0], [2.0, 2.5, 1.5]])
+    # The last increment never reaches a left point.
+    assert left_points(inc[:, :1], 3.0).tolist() == [[3.0], [3.0]]
+
+
+def test_chunk_rows_fill_the_budget(monkeypatch):
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 100)
+    assert [chunk_rows(n) for n in (1, 30, 100, 101, 10**6)] == [100, 3, 1, 1, 1]

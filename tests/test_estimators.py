@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bmoforge import estimators
+from bmoforge import ensemble as ensemble_module
 from bmoforge.config import KIND_SCHEMAS
 from bmoforge.estimators import (
     empirical_rho_grid,
@@ -13,7 +13,6 @@ from bmoforge.estimators import (
     pooled_slope,
     rate_fit,
     scalar_field_registry,
-    state_functional,
 )
 
 
@@ -27,8 +26,6 @@ def test_registry_fields():
     np.testing.assert_allclose(
         scalar_field_registry["inv-abs-clip"](t, x), [0.5, 100.0, 2.0]
     )
-    with pytest.raises(KeyError, match="unknown field"):
-        state_functional("sine")
     # Every field and drift a config can name resolves here.
     named = {choice for schema in KIND_SCHEMAS.values()
              for key, spec in schema.items() if key in ("field", "drift")
@@ -41,18 +38,12 @@ def test_registry_fields():
     np.testing.assert_array_equal(scalar_field_registry["neg-linear"](t, x), -x)
 
 
-def test_state_functional_uses_first_coordinate():
-    f = state_functional("coordinate")
-    states = np.arange(12.0).reshape(2, 3, 2)
-    np.testing.assert_array_equal(f(np.zeros(3), states), states[..., 0])
-
-
 def test_markov_moment_exact_for_flat_fields():
-    zero = lambda times, states: np.zeros(states.shape[:-1])
+    zero = scalar_field_registry["zero"]
     est = markov_conditional_moment(zero, 0.0, 1.0, [0.0, 3.0], n_inner=16, n_steps=8, seed=0)
     assert est.value == 0.0
     assert est.stderr == 0.0
-    one = state_functional("one")
+    one = scalar_field_registry["one"]
     est = markov_conditional_moment(one, 0.5, 2.0, [1.0], n_inner=16, n_steps=8, seed=0)
     assert est.value == pytest.approx(1.5)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
@@ -60,7 +51,7 @@ def test_markov_moment_exact_for_flat_fields():
 
 def test_markov_moment_gaussian_oracle():
     # E | integral_0^1 B dr | = sqrt(2/(3 pi)) for the coordinate field.
-    f = state_functional("coordinate")
+    f = scalar_field_registry["coordinate"]
     est = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=4000, n_steps=512, seed=7)
     exact = math.sqrt(2.0 / (3.0 * math.pi))
     assert abs(est.value - exact) <= 3.0 * est.stderr
@@ -69,17 +60,17 @@ def test_markov_moment_gaussian_oracle():
 
 
 def test_markov_moment_chunk_invariance(monkeypatch):
-    f = state_functional("sign")
-    monkeypatch.setattr(estimators, "_INNER_CHUNK", 1024)
+    f = scalar_field_registry["sign"]
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 1024 * 32)
     a = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=500, n_steps=32, seed=5)
-    monkeypatch.setattr(estimators, "_INNER_CHUNK", 17)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 17 * 32)
     b = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=500, n_steps=32, seed=5)
     assert a.value == b.value
     assert a.stderr == b.stderr
 
 
 def test_markov_moment_grows_with_horizon():
-    f = state_functional("coordinate")
+    f = scalar_field_registry["coordinate"]
     vals = [
         markov_conditional_moment(f, 0.0, t, [0.0], n_inner=2000, n_steps=128, seed=3).value
         for t in (0.5, 1.0, 2.0)
@@ -88,7 +79,7 @@ def test_markov_moment_grows_with_horizon():
 
 
 def test_markov_moment_stderr_shrinks():
-    f = state_functional("coordinate")
+    f = scalar_field_registry["coordinate"]
     small = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=800, n_steps=64, seed=9)
     large = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=3200, n_steps=64, seed=9)
     ratio = large.stderr / small.stderr
@@ -96,7 +87,7 @@ def test_markov_moment_stderr_shrinks():
 
 
 def test_markov_moment_proxy_and_validation():
-    f = state_functional("coordinate")
+    f = scalar_field_registry["coordinate"]
     xs = [0.0, 1.0, -2.0]
     hi = markov_conditional_moment(f, 0.0, 1.0, xs, n_inner=64, n_steps=16, seed=1, proxy="max")
     q = markov_conditional_moment(f, 0.0, 1.0, xs, n_inner=64, n_steps=16, seed=1,
@@ -118,12 +109,12 @@ def test_markov_moment_proxy_and_validation():
 
 
 def test_rho_grid_exact_fields():
-    zero = lambda times, states: np.zeros(states.shape[:-1])
+    zero = scalar_field_registry["zero"]
     grid = empirical_rho_grid(zero, [0.5, 1.0, 1.5], n_outer=4, n_inner=8,
                               steps_per_unit=8, seed=2)
     assert np.all(grid.values[np.triu_indices(3, 1)] == 0.0)
     assert not grid.monotone_violations
-    one = state_functional("one")
+    one = scalar_field_registry["one"]
     grid = empirical_rho_grid(one, [0.5, 1.0, 2.0], n_outer=4, n_inner=8,
                               steps_per_unit=8, seed=2)
     # | integral of 1 | = t - s exactly, for every pair.
@@ -133,7 +124,7 @@ def test_rho_grid_exact_fields():
 
 
 def test_rho_grid_validation():
-    one = state_functional("one")
+    one = scalar_field_registry["one"]
     with pytest.raises(ValueError, match="increasing"):
         empirical_rho_grid(one, [1.0, 0.5], n_outer=2, n_inner=8, steps_per_unit=4, seed=0)
     with pytest.raises(ValueError, match="increasing"):
@@ -142,7 +133,7 @@ def test_rho_grid_validation():
 
 def test_holder_exponent_sign_field():
     # Scale invariance of sign makes the modulus linear in the window width.
-    f = state_functional("sign")
+    f = scalar_field_registry["sign"]
     grid = empirical_rho_grid(f, [0.25, 0.5, 1.0, 2.0], n_outer=24, n_inner=600,
                               steps_per_unit=256, seed=29)
     fit = holder_exponent_fit(grid)
@@ -152,7 +143,7 @@ def test_holder_exponent_sign_field():
 
 def test_holder_exponent_clipped_reciprocal():
     # Singular reciprocal field: modulus grows like the square root of the window.
-    f = state_functional("inv-abs-clip")
+    f = scalar_field_registry["inv-abs-clip"]
     grid = empirical_rho_grid(f, [0.25, 0.5, 1.0, 2.0], n_outer=24, n_inner=600,
                               steps_per_unit=256, seed=29)
     fit = holder_exponent_fit(grid)
@@ -160,7 +151,7 @@ def test_holder_exponent_clipped_reciprocal():
 
 
 def test_holder_fit_needs_positive_values():
-    zero = lambda times, states: np.zeros(states.shape[:-1])
+    zero = scalar_field_registry["zero"]
     grid = empirical_rho_grid(zero, [0.5, 1.0], n_outer=2, n_inner=8,
                               steps_per_unit=4, seed=0)
     with pytest.raises(ValueError, match="positive grid values"):

@@ -1,8 +1,8 @@
-"""Frozen output bytes of the exact kinds.
+"""Frozen output bytes of the exact and Monte Carlo kinds.
 
-The CSV/JSONL bytes of a fixed config and seed must survive a refactor of
-the exact side unchanged, so a drift shows here rather than only in the
-benchmark's reference check. Like ``benchmarks/reference.json``, these
+The CSV/JSONL bytes of a fixed config and seed must survive a refactor
+unchanged, so a drift shows here rather than only in the benchmark's
+reference check, which runs no `rho-grid` or `quadrature` config. Like ``benchmarks/reference.json``, these
 sha256 digests are tied to the numpy version they were recorded with
 (2.4.6): the bytes depend on its summation order and float formatting.
 """
@@ -50,3 +50,44 @@ def test_exact_kind_bytes_are_frozen(tmp_path, name):
     digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
               for f in ("checks.jsonl", "summary.csv")}
     assert digest == {"checks.jsonl": checks_sha, "summary.csv": summary_sha}
+
+
+# Each Monte Carlo config crosses a chunk edge of its inner or path draws:
+# 1,500 and 1,100 inner paths, a 5,000 x 777 ensemble, and 120 outer states
+# so that the quantile proxy picks another state than the max. The quadrature
+# and davie configs fail their acceptance bands at these sizes (ok false);
+# only the bytes are pinned.
+GOLDEN_MONTE_CARLO = {
+    "rho-grid-inv-abs-clip": (
+        {"kind": "rho-grid", "seed": 7,
+         "params": {"field": "inv-abs-clip", "n_outer": 8, "n_inner": 1500,
+                    "steps_per_unit": 300}},
+        "grid.csv", "866e031a862128bd43e5562fe9bac93f5485d2fd824ad56a8bef1c13454a752e",
+    ),
+    "rho-grid-quantile": (
+        {"kind": "rho-grid", "seed": 5,
+         "params": {"field": "coordinate", "proxy": "quantile", "n_outer": 120, "n_inner": 40,
+                    "steps_per_unit": 2000, "grid_times": [0.1, 0.7, 1.3]}},
+        "grid.csv", "4954ff0c639a8b9485a51c9790274a746f2e79c65b7f1c89da7e3f957e82c9a6",
+    ),
+    "quadrature-anchors": (
+        {"kind": "quadrature", "seed": 2,
+         "params": {"field": "coordinate", "ns": [10, 20, 40], "fine_per_block": 7,
+                    "n_outer": 4, "n_inner": 1100, "anchor_times": [0.0, 0.1, 0.3]}},
+        "rates.csv", "b96ade7c66688642b81fe423173bb1a6bdc3f23e652a43ce9a24f316982de4de",
+    ),
+    "davie-sign": (
+        {"kind": "davie", "seed": 1,
+         "params": {"field": "sign", "n_paths": 5000, "n_steps": 777, "moments": [2, 4, 8]}},
+        "moments.csv", "3142a098494c0c4b22fef54a48d82bca53c62bb588cd0903e2e7c6e23580ae77",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MONTE_CARLO))
+def test_monte_carlo_kind_bytes_are_frozen(tmp_path, name):
+    doc, output, sha = GOLDEN_MONTE_CARLO[name]
+    cfg = parse_config(json.dumps(doc))
+    cfg.out = str(tmp_path)
+    run_experiment(cfg)
+    assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == sha

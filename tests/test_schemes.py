@@ -7,7 +7,7 @@ import pytest
 from bmoforge import ensemble as ensemble_module
 from bmoforge import estimators, schemes
 from bmoforge.ensemble import PathEnsemble
-from bmoforge.estimators import scalar_field_registry
+from bmoforge.estimators import markov_conditional_moment, scalar_field_registry
 from bmoforge.rng import PURPOSE_OUTER, philox_stream
 from bmoforge.schemes import (
     _brownian_blocks,
@@ -133,9 +133,9 @@ def test_quadrature_error_increment_bound(unit_ensemble):
 
 def test_quadrature_error_chunk_invariance(unit_ensemble, monkeypatch):
     f = scalar_field_registry["sign"]
-    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 2048 * unit_ensemble.n_steps)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 2048 * unit_ensemble.n_steps)
     a = quadrature_error(f, unit_ensemble, [4, 8])
-    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 5 * unit_ensemble.n_steps)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 5 * unit_ensemble.n_steps)
     b = quadrature_error(f, unit_ensemble, [4, 8])
     assert np.array_equal(a, b)
 
@@ -159,14 +159,18 @@ def test_davie_constant_field_cancels(unit_ensemble):
 
 
 def test_davie_linear_field_telescopes(unit_ensemble):
-    g = scalar_field_registry["coordinate"]
-    samples = davie_functional(g, [0.5], unit_ensemble, enforce_bound=False)
-    np.testing.assert_array_equal(samples, np.full((1, 16), 0.5))
+    # |B_t + 0.5| / 4 stays below 1 on this ensemble, so nothing is clipped,
+    # and scaling by a power of 2 keeps the telescoping sum exact.
+    g = lambda t, y: y / 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = davie_functional(g, [0.5], unit_ensemble)
+    np.testing.assert_array_equal(samples, np.full((1, 16), 0.125))
 
 
 def test_davie_clip_warns_once(unit_ensemble, monkeypatch):
     g = lambda t, y: 2.0 * np.ones_like(y)
-    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 4 * unit_ensemble.n_steps)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 4 * unit_ensemble.n_steps)
     with pytest.warns(UserWarning, match="clipping") as record:
         samples = davie_functional(g, [0.5, 0.25], unit_ensemble)
     # Four chunks and two shifts clip, but the call warns once.
@@ -213,7 +217,7 @@ def test_davie_multi_shift_matches_per_shift_formula(field, chunk_size, monkeypa
     # "coordinate" hands back its argument and exceeds 1, so the clip of the
     # unshifted term must not leak into the paths the next shift reads.
     ens = PathEnsemble(n_paths=23, n_steps=50, dim=1, horizon=1.0, seed=4)
-    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", chunk_size * ens.n_steps)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", chunk_size * ens.n_steps)
     g = scalar_field_registry[field]
     shifts = [0.05, 0.1, 0.2, 0.4]
     with warnings.catch_warnings():
@@ -358,7 +362,7 @@ def count_draws(monkeypatch):
 
 def test_davie_draws_each_chunk_once(count_draws, monkeypatch):
     ens = PathEnsemble(n_paths=23, n_steps=20, dim=1, horizon=1.0, seed=2)
-    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 5 * ens.n_steps)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 5 * ens.n_steps)
     davie_functional(scalar_field_registry["sign"], [0.05, 0.1, 0.2, 0.4], ens)
     assert len(count_draws) == math.ceil(23 / 5)
     assert count_draws == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
@@ -367,7 +371,7 @@ def test_davie_draws_each_chunk_once(count_draws, monkeypatch):
 def test_quadrature_error_draws_each_chunk_once(count_draws, monkeypatch):
     # All meshes come from one draw per chunk and match one call per mesh.
     ens = PathEnsemble(n_paths=23, n_steps=20, dim=1, horizon=1.0, seed=2)
-    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", 5 * ens.n_steps)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 5 * ens.n_steps)
     f = scalar_field_registry["coordinate"]
     meshes = [4, 5, 20]
     v = quadrature_error(f, ens, meshes)
@@ -376,10 +380,31 @@ def test_quadrature_error_draws_each_chunk_once(count_draws, monkeypatch):
         assert np.array_equal(row, quadrature_error(f, ens, [n])[0])
 
 
+@pytest.fixture
+def count_normals(monkeypatch):
+    """Shapes of the normal draws made by the nested estimators."""
+    shapes = []
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size=None):
+            shapes.append(() if size is None else tuple(np.atleast_1d(size).tolist()))
+            return self.rng.standard_normal(size)
+
+    def counted(*args):
+        return Counted(philox_stream(*args))
+
+    monkeypatch.setattr(estimators, "philox_stream", counted)
+    monkeypatch.setattr(schemes, "philox_stream", counted)
+    return shapes
+
+
 @pytest.mark.parametrize("budget", [1, 7, 64, 10**6])
-def test_path_chunks_stay_within_the_budget(count_draws, monkeypatch, budget):
+def test_path_chunks_stay_within_the_budget(count_draws, count_normals, monkeypatch, budget):
     # A chunk spans at most max(budget, one path) elements, whatever the budget.
-    monkeypatch.setattr(schemes, "_CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", budget)
     ens = PathEnsemble(n_paths=23, n_steps=16, dim=1, horizon=1.0, seed=2)
     field = scalar_field_registry["sign"]
     davie_functional(field, [0.1, 0.2], ens)
@@ -392,13 +417,22 @@ def test_path_chunks_stay_within_the_budget(count_draws, monkeypatch, budget):
     assert count_draws[:halves] == count_draws[halves:]  # both consumers chunk alike
     assert [start for start, _ in count_draws[:halves]] == list(
         range(0, 23, max(1, budget // per_path)))
+    # The inner draws of the nested estimators obey the same budget: paths
+    # of 16 steps (markov) and of 16 and 8 fine steps (proxy anchors 0, 0.5).
+    markov_conditional_moment(field, 0.0, 1.0, [0.0, 0.5], n_inner=40, n_steps=16, seed=2)
+    quadrature_modulus_proxy(field, [2, 4], seed=2, n_outer=2, n_inner=40,
+                             anchor_times=(0.0, 0.5), fine_per_block=4)
+    inner = [shape for shape in count_normals if shape]
+    assert {shape[1] for shape in inner} == {16, 8}
+    assert all(math.prod(shape) <= max(budget, shape[1]) for shape in inner)
+    assert sum(shape[0] for shape in inner) == 40 * (2 + 2 * 2)  # each inner path once
 
 
 def test_davie_long_paths_fit_the_materialization_cap(monkeypatch):
     # The cap refuses all 20 paths in one chunk but admits a budget chunk.
     monkeypatch.setattr(ensemble_module, "_MAX_MATERIALIZE_BYTES", 2**21)
     ens = PathEnsemble(n_paths=20, n_steps=20000, dim=1, horizon=1.0, seed=8)
-    assert schemes._CHUNK_ELEMENTS * 8 <= ensemble_module._MAX_MATERIALIZE_BYTES < 20 * 20000 * 8
+    assert ensemble_module._CHUNK_ELEMENTS * 8 <= ensemble_module._MAX_MATERIALIZE_BYTES < 20 * 20000 * 8
     with pytest.raises(MemoryError, match="resource cap"):
         ens.increments()
     g = scalar_field_registry["sign"]
@@ -449,23 +483,23 @@ def test_quadrature_modulus_sign_field_structure():
     assert res.ns == [2, 4, 8]
     assert all(v > 0.0 for v in res.values)
     assert all(np.isfinite(res.stderrs))
-    assert set(res.per_anchor[4]) == {0.0, 0.5}
     assert res.fit is not None
     assert len(res.fit.table) == 3
 
 
 def test_quadrature_modulus_chunk_invariance(monkeypatch):
-    # 40 inner paths in chunks of 17 (17 + 17 + 6), non-dyadic anchors.
+    # Non-dyadic anchors give inner paths of 80, 72 and 56 fine steps, so a
+    # budget of 17 paths of 80 steps draws the 40 inner paths in chunks of
+    # 17, 18 and 24 paths: every anchor crosses a chunk edge.
     kwargs = dict(seed=5, n_outer=3, n_inner=40, anchor_times=(0.0, 0.1, 0.3),
                   fine_per_block=2)
     f = scalar_field_registry["sign"]
-    monkeypatch.setattr(estimators, "_INNER_CHUNK", 1024)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 1024 * 80)
     a = quadrature_modulus_proxy(f, [10, 20, 40], **kwargs)
-    monkeypatch.setattr(estimators, "_INNER_CHUNK", 17)
+    monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 17 * 80)
     b = quadrature_modulus_proxy(f, [10, 20, 40], **kwargs)
     assert [v.hex() for v in a.values] == [v.hex() for v in b.values]
     assert [e.hex() for e in a.stderrs] == [e.hex() for e in b.stderrs]
-    assert a.per_anchor == b.per_anchor
 
 
 def test_quadrature_modulus_validation():
