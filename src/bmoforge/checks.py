@@ -6,10 +6,11 @@ uniform tolerance :func:`check_tolerance`; exponential-moment checks compare
 in log space, against the log-scale bounds of :mod:`bmoforge.bounds`, so that
 large rates saturate instead of overflowing.
 
-Hypothesis preconditions (domination for the good-lambda lemma, the uniform
-conditional-increment bound for the energy lemma) are verified exhaustively
-over all stopping times before the conclusion is tested, and a violating
-stopping pair is reported when verification fails.
+The domination hypothesis of the good-lambda lemma is verified exhaustively
+over all stopping pairs before the conclusion is tested, and a violating
+stopping pair is reported when verification fails. The energy lemma takes
+the smallest uniform conditional-increment bound, computed over all stopping
+times, so its hypothesis holds by construction.
 """
 
 from __future__ import annotations
@@ -304,27 +305,19 @@ def energy_constant(process: AdaptedProcess) -> float:
     return best
 
 
-def energy_check(process: AdaptedProcess, s: int, c: float | None = None,
-                 p: int = 2) -> CheckReport:
+def energy_check(process: AdaptedProcess, s: int, p: int = 2) -> CheckReport:
     """Energy inequality: ess-sup E_s (A_tau - A_s)^p <= p! c^p.
 
-    ``c`` must dominate E_S(A_tau - A_{S-}) for every stopping time S; it is
-    verified exhaustively (and computed, when omitted) via the stop-atom sweep
-    of :func:`energy_constant`.
+    ``c`` is the smallest constant dominating E_S(A_tau - A_{S-}) for every
+    stopping time S, computed exhaustively by the stop-atom sweep of
+    :func:`energy_constant`.
     """
     space = process.space
     if p < 1 or int(p) != p:
         raise ValueError("p must be a positive integer")
     if not process.is_nondecreasing():
         raise ValueError("process must be nondecreasing")
-    c_star = energy_constant(process)
-    if c is None:
-        c = c_star
-    elif c_star > c + check_tolerance(c):
-        raise ValueError(
-            f"hypothesis fails: some stopping time gives E_S(A_tau - A_S-) = "
-            f"{c_star:.6g} > c = {c:.6g}"
-        )
+    c = energy_constant(process)
     paths = process.paths
     lhs_atoms = space.cond_expectation((paths[:, space.depth] - paths[:, s]) ** p, s)
     worst = int(np.argmax(lhs_atoms))
@@ -496,16 +489,11 @@ def reports_to_jsonl(reports, path) -> None:
 
 def summarize_reports(reports) -> list[dict]:
     """Aggregate rows (check, n_cases, violations, worst_ratio) by check name."""
-    order: list[str] = []
     buckets: dict[str, list[CheckReport]] = {}
     for report in reports:
-        if report.name not in buckets:
-            buckets[report.name] = []
-            order.append(report.name)
-        buckets[report.name].append(report)
+        buckets.setdefault(report.name, []).append(report)
     rows = []
-    for name in order:
-        group = buckets[name]
+    for name, group in buckets.items():
         ratios = []
         for rep in group:
             if rep.rhs > 0.0 and math.isfinite(rep.rhs):

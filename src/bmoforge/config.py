@@ -316,6 +316,11 @@ def parse_config(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"syntax: {exc}"]) from exc
+    # configparser copies [DEFAULT] keys into every section.
+    if cp.defaults():
+        keys = ", ".join(sorted(cp.defaults()))
+        raise ConfigError([f"[DEFAULT]: unsupported section (keys: {keys}); put each key "
+                           "in [experiment] or in the kind's section"])
     if "experiment" not in cp:
         raise ConfigError(["missing [experiment] section"])
     exp = dict(cp["experiment"])

@@ -11,15 +11,6 @@ from .oscillation import OscillationData
 __all__ = ["OscillationControl", "variation_control"]
 
 
-def _rho_matrix(rho) -> np.ndarray:
-    if isinstance(rho, OscillationData):
-        rho = rho.rho
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("rho grid must be a square matrix")
-    return rho
-
-
 @dataclass
 class OscillationControl:
     """p-variation control ``w`` of a modulus grid.
@@ -40,20 +31,17 @@ class OscillationControl:
     def total(self) -> float:
         return float(self.w[0, self.depth])
 
-    def window(self, s: int, t: int) -> float:
-        return float(self.w[s, t])
 
-
-def variation_control(rho, p: float) -> OscillationControl:
-    """Interval dynamic program for the p-variation control of a modulus grid.
+def variation_control(grid: OscillationData, p: float) -> OscillationControl:
+    """Interval dynamic program for the p-variation control of ``grid.rho``.
 
     w[s, t] = max( rho[s, t]^p, max over s < u < t of w[s, u] + w[u, t] ).
     ``p`` is stored as given, so an integer exponent stays an integer.
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    rho = _rho_matrix(rho)
-    d = rho.shape[0] - 1
+    rho = grid.rho
+    d = grid.depth
     w = np.zeros_like(rho)
     for width in range(1, d + 1):
         for s in range(0, d - width + 1):

@@ -47,14 +47,13 @@ class RateFit:
     intercept: float
     r_squared: float
     slope_stderr: float
-    table: list[tuple[float, float]] = field(default_factory=list)
 
 
 # -- integrand fields -------------------------------------------------------
 
-def _inv_abs_clip(t, x, clip=100.0):
+def _inv_abs_clip(t, x):
     with np.errstate(divide="ignore"):
-        return np.minimum(1.0 / np.abs(x), clip)
+        return np.minimum(1.0 / np.abs(x), 100.0)
 
 
 def _one(t, x):
@@ -166,16 +165,13 @@ def empirical_rho_grid(
     if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
         raise ValueError("grid_times must be increasing and nonnegative")
     n = len(times)
-    states = np.empty((n_outer, n))
+    # Only the first gap, from time 0, can be zero: the positive ones are a suffix.
+    gaps = np.diff(times, prepend=0.0)
+    steps = np.sqrt(gaps[gaps > 0.0])
+    states = np.zeros((n_outer, n))
     for o in range(n_outer):
-        rng = philox_stream(seed, PURPOSE_OUTER, o)
-        prev_t, x = 0.0, 0.0
-        for k, tk in enumerate(times):
-            gap = tk - prev_t
-            if gap > 0.0:
-                x += rng.standard_normal() * math.sqrt(gap)
-            states[o, k] = x
-            prev_t = tk
+        z = philox_stream(seed, PURPOSE_OUTER, o).standard_normal(len(steps))
+        states[o, n - len(steps):] = np.cumsum(z * steps)
     values = np.full((n, n), np.nan)
     stderrs = np.full((n, n), np.nan)
     pair_id = 0
@@ -227,9 +223,7 @@ def holder_exponent_fit(grid: EmpiricalOscillationGrid) -> RateFit:
                 ys.append(math.log(v))
     if len(xs) < 2:
         raise ValueError("need at least two positive grid values to fit")
-    fit = loglog_fit(np.array(xs), np.array(ys))
-    fit.table = [(float(math.exp(x)), float(math.exp(y))) for x, y in zip(xs, ys)]
-    return fit
+    return loglog_fit(np.array(xs), np.array(ys))
 
 
 # -- rate fitting ------------------------------------------------------------
@@ -269,9 +263,7 @@ def rate_fit(ns, errors) -> RateFit:
         raise ValueError("ns must be positive")
     if np.any(errors <= 0.0):
         raise ValueError("errors must be positive to fit in log space")
-    fit = loglog_fit(-np.log(ns), np.log(errors))
-    fit.table = [(float(n), float(e)) for n, e in zip(ns, errors)]
-    return fit
+    return loglog_fit(-np.log(ns), np.log(errors))
 
 
 def pooled_slope(fits) -> tuple[float, float]:

@@ -7,9 +7,9 @@ The window modulus of an adapted process V over levels [s, t] is
 
 where the anchor is the left limit ``V_{S-}`` (grid convention) and, because
 the embedded step process also admits stopping times strictly inside a grid
-interval, the own value ``V_S`` (intra-interval convention). Both are taken
-by default; dropping the intra convention underestimates the modulus of the
-embedded process.
+interval, the own value ``V_S`` (intra-interval convention). Both are always
+taken; only ``OscillationData.rho_left`` drops the intra convention, which
+underestimates the modulus of the embedded process.
 
 The supremum over pairs factors through stop atoms: every node u at a level
 j in [s, t] is a stop atom of some S, and conditionally on stopping at u the
@@ -37,12 +37,10 @@ __all__ = [
 ]
 
 
-def _anchors(process: AdaptedProcess, j: int, include_intra: bool) -> np.ndarray:
+def _anchors(process: AdaptedProcess, j: int) -> np.ndarray:
     """Stop-atom anchors at level j, one row per convention: the left limit,
     then the own value."""
-    if include_intra:
-        return np.array([process.left_limit(j), process.values[j]])
-    return process.left_limit(j)[None]
+    return np.array([process.left_limit(j), process.values[j]])
 
 
 def _stacked_payoffs(process: AdaptedProcess, anchors: dict, lo: int, k: int) -> np.ndarray:
@@ -79,17 +77,12 @@ def _stop_level_values(process: AdaptedProcess, anchors: dict, s: int, t: int,
     return done[::-1]
 
 
-def oscillation_modulus(
-    process: AdaptedProcess,
-    s: int,
-    t: int,
-    include_intra: bool = True,
-) -> float:
+def oscillation_modulus(process: AdaptedProcess, s: int, t: int) -> float:
     """Exact window modulus of ``process`` over levels [s, t]: t - s
     ``step_expectation`` calls, every stop level and anchor stacked."""
     if not 0 <= s <= t <= process.space.depth:
         raise ValueError(f"window [{s}, {t}] outside [0, {process.space.depth}]")
-    anchors = {j: _anchors(process, j, include_intra) for j in range(s, t + 1)}
+    anchors = {j: _anchors(process, j) for j in range(s, t + 1)}
     return max(0.0, *(float(np.max(g)) for g in _stop_level_values(process, anchors, s, t)))
 
 
@@ -187,7 +180,7 @@ def oscillation_grid(process: AdaptedProcess) -> OscillationData:
     """
     space = process.space
     d = process.depth
-    anchors = {j: _anchors(process, j, include_intra=True) for j in range(d + 1)}
+    anchors = {j: _anchors(process, j) for j in range(d + 1)}
     # stop[c, j, t]: Snell value M[j, t] under convention c (0 left limit, 1 own
     # value); pairs[c, j, t]: the deterministic pair (j, t) under the same anchor.
     stop = np.full((2, d + 1, d + 1), np.nan)

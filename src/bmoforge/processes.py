@@ -70,8 +70,8 @@ class AdaptedProcess:
         """Per-level jumps ``V_k - V_{k-1}`` indexed by level-k atoms."""
         return [self.values[k] - self.left_limit(k) for k in range(1, self.depth + 1)]
 
-    def is_nondecreasing(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.diff(self.paths, axis=1) >= -tol))
+    def is_nondecreasing(self) -> bool:
+        return bool(np.all(np.diff(self.paths, axis=1) >= -1e-12))
 
 
 def maximal_process(space: FiniteFilteredSpace, process: AdaptedProcess) -> AdaptedProcess:
@@ -107,7 +107,7 @@ def random_space(rng: np.random.Generator, depth: int, branching: int = 2,
 
 
 def random_process(space: FiniteFilteredSpace, rng: np.random.Generator,
-                   kind: str = "gaussian", scale: float = 1.0) -> AdaptedProcess:
+                   kind: str = "gaussian") -> AdaptedProcess:
     """Randomized adapted process families used by verification corpora.
 
     Kinds: ``gaussian`` (iid node values), ``walk`` (signed-increment walk),
@@ -119,17 +119,17 @@ def random_process(space: FiniteFilteredSpace, rng: np.random.Generator,
         for k in range(space.depth + 1):
             n = space.level_size(k)
             if kind == "gaussian":
-                v = rng.normal(0.0, scale, size=n)
+                v = rng.normal(0.0, 1.0, size=n)
             elif kind == "uniform":
-                v = rng.uniform(-scale, scale, size=n)
+                v = rng.uniform(-1.0, 1.0, size=n)
             elif kind == "integers":
-                v = rng.integers(-3, 4, size=n).astype(float) * scale
+                v = rng.integers(-3, 4, size=n).astype(float)
             else:
-                v = rng.standard_t(df=3, size=n) * scale
+                v = rng.standard_t(df=3, size=n)
             values.append(v)
     elif kind == "walk":
         values.append(np.zeros(1))
-        step = scale * rng.uniform(0.5, 1.5)
+        step = rng.uniform(0.5, 1.5)
         for k in range(1, space.depth + 1):
             inc = rng.choice([-step, step], size=space.level_size(k))
             values.append(np.repeat(values[k - 1], space.branching) + inc)
@@ -138,17 +138,12 @@ def random_process(space: FiniteFilteredSpace, rng: np.random.Generator,
     return AdaptedProcess(space=space, values=values)
 
 
-def random_nondecreasing_process(space: FiniteFilteredSpace, rng: np.random.Generator,
-                                 kind: str = "abs-gaussian", scale: float = 1.0) -> AdaptedProcess:
-    """Nondecreasing adapted process with nonnegative random increments."""
-    values = [np.abs(rng.normal(0.0, scale, size=1)) if kind == "abs-gaussian" else np.zeros(1)]
+def random_nondecreasing_process(space: FiniteFilteredSpace,
+                                 rng: np.random.Generator) -> AdaptedProcess:
+    """Nondecreasing adapted process: |N(0, 1)| at the root and |N(0, 1)|
+    increments at every node."""
+    values = [np.abs(rng.normal(0.0, 1.0, size=1))]
     for k in range(1, space.depth + 1):
-        n = space.level_size(k)
-        if kind == "abs-gaussian":
-            inc = np.abs(rng.normal(0.0, scale, size=n))
-        elif kind == "bernoulli":
-            inc = rng.choice([0.0, scale], size=n)
-        else:
-            raise ValueError(f"unknown increment kind {kind!r}")
+        inc = np.abs(rng.normal(0.0, 1.0, size=space.level_size(k)))
         values.append(np.repeat(values[k - 1], space.branching) + inc)
     return AdaptedProcess(space=space, values=values)

@@ -78,10 +78,8 @@ def _brownian_blocks(ensemble: PathEnsemble, start: int, stop: int):
         t0 += m
 
 
-def _clipped_drift(model: SdeModel, level: float | None, t: float, x: np.ndarray):
+def _clipped_drift(model: SdeModel, level: float, t: float, x: np.ndarray):
     b = np.asarray(model.drift(t, x), dtype=float)
-    if level is None:
-        return b
     # np.clip's values without its Python-level wrapper.
     b = np.maximum(b, -level)
     return np.minimum(b, level, out=b)
@@ -100,7 +98,7 @@ class _EulerMesh:
     and the anchor carry over.
     """
 
-    def __init__(self, model: SdeModel, level: float | None, n: int, n_fine: int,
+    def __init__(self, model: SdeModel, level: float, n: int, n_fine: int,
                  horizon: float, n_paths: int):
         self.model, self.level, self.n, self.horizon = model, level, n, horizon
         self.ratio = _mesh_ratio(n_fine, n)
@@ -258,7 +256,7 @@ class StrongErrorResult:
 
 def strong_error(
     model: SdeModel,
-    taming: TamingPolicy | None,
+    taming: TamingPolicy,
     ns,
     fine_factor: int,
     ensemble: PathEnsemble,
@@ -291,8 +289,8 @@ def strong_error(
         )
     for n in ns:
         _mesh_ratio(n_ref, n)
-    level_ref = None if taming is None else taming.clip_level(n_ref)
-    levels = [None if taming is None else taming.clip_level(n) for n in ns]
+    level_ref = taming.clip_level(n_ref)
+    levels = [taming.clip_level(n) for n in ns]
     # Both solutions start at x0, so the running sup starts at 0.
     sup_err = np.zeros((len(ns), ensemble.n_paths))
     for start in range(0, ensemble.n_paths, _PATH_GROUP):

@@ -29,7 +29,7 @@ class FiniteFilteredSpace:
     depth: int
     branching: int
     transitions: list[np.ndarray]
-    atom_probs: list[np.ndarray] = field(default_factory=list)
+    atom_probs: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         if self.depth < 0:
@@ -109,9 +109,8 @@ def build_tree(
 ) -> FiniteFilteredSpace:
     """Construct a uniform-branching filtered space.
 
-    ``transition_probs`` may be None (uniform), a single length-``branching``
-    vector reused at every node, or a list of per-level ``(nodes, branching)``
-    arrays.
+    ``transition_probs`` is None (every child equally likely) or a list of
+    ``depth`` per-level arrays, level k of shape ``(branching**k, branching)``.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -123,15 +122,7 @@ def build_tree(
         for k in range(depth):
             levels.append(np.tile(row, (branching**k, 1)))
     else:
-        seq = list(transition_probs)
-        if seq and np.ndim(seq[0]) == 0:
-            probe = np.asarray(seq, dtype=float)
-            if probe.shape != (branching,):
-                raise ValueError(f"transition vector must have length {branching}")
-            for k in range(depth):
-                levels.append(np.tile(probe, (branching**k, 1)))
-        else:
-            if len(seq) != depth:
-                raise ValueError(f"expected {depth} per-level transition arrays")
-            levels = [np.asarray(t, dtype=float) for t in seq]
+        levels = [np.asarray(t, dtype=float) for t in transition_probs]
+        if len(levels) != depth:
+            raise ValueError(f"expected {depth} per-level transition arrays")
     return FiniteFilteredSpace(depth=depth, branching=branching, transitions=levels)

@@ -1,13 +1,19 @@
-"""The package namespace re-exports only names that a run reaches.
+"""The package namespace re-exports only names that a run reaches, and
+every option has a caller.
 
 A name is reached when the CLI runners (``experiments``, ``cli``, ``report``)
 or the acceptance suite import it from a ``bmoforge`` module. Anything else
 stays importable from its own module but is not re-exported. Every name a
 module lists in its ``__all__`` must exist in that module.
+
+A parameter with a default is an option; some call in the package or in the
+acceptance suite must set it, or it is one value and belongs in the code.
 """
 
 import ast
 import importlib
+import inspect
+import math
 import pkgutil
 from pathlib import Path
 
@@ -50,3 +56,75 @@ def test_every_module_name_resolves():
         missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert missing == []
+
+
+# Defaulted parameters no scanned call sets, kept on purpose: the CLI entry
+# point's argv, and the two knobs of the literal-enumeration oracle.
+UNSET_ALLOWED = {
+    "cli.main.argv",
+    "oscillation.pair_oscillation.convention",
+    "stopping.enumerate_stopping_pairs.cap",
+}
+CALLERS = [*sorted((ROOT / "src" / "bmoforge").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+
+def defaulted_parameters():
+    """(qualified name, call name, position, parameter) for every parameter
+    with a default of a function, class or method defined in ``bmoforge``.
+
+    A method's position excludes ``self``, a keyword-only parameter has
+    none, and a class's parameters are its constructor's.
+    """
+    out = []
+    for info in pkgutil.iter_modules(bmoforge.__path__):
+        module = importlib.import_module(f"bmoforge.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            targets = []
+            if inspect.isfunction(obj):
+                targets.append((name, name, obj, False))
+            elif inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    if attr == "__init__":
+                        targets.append((name, name, fn, True))
+                    elif inspect.isfunction(fn) and not attr.startswith("__"):
+                        targets.append((f"{name}.{attr}", attr, fn, True))
+            for qual, call_name, fn, bound in targets:
+                params = list(inspect.signature(fn).parameters.values())[int(bound):]
+                out += [(f"{info.name}.{qual}.{p.name}", call_name,
+                         math.inf if p.kind is p.KEYWORD_ONLY else i, p.name)
+                        for i, p in enumerate(params) if p.default is not p.empty]
+    return out
+
+
+def set_arguments():
+    """Call name -> (most positional arguments, keyword names) over every call
+    in the scanned files, a call's name being its last dotted part. A ``*``
+    argument counts as every position, a ``**`` one as the keyword None."""
+    calls: dict[str, tuple[float, set]] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            positional = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                          else len(node.args))
+            keywords = {k.arg for k in node.keywords}
+            most, names = calls.get(name, (0, set()))
+            calls[name] = (max(most, positional), names | keywords)
+    return calls
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    calls = set_arguments()
+    unset = set()
+    for qual, call_name, position, param in defaulted_parameters():
+        most, names = calls.get(call_name, (0, set()))
+        if not (position < most or param in names or None in names):
+            unset.add(qual)
+    assert sorted(unset - UNSET_ALLOWED) == []
+    assert UNSET_ALLOWED <= unset  # no stale entry

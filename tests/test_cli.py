@@ -184,6 +184,22 @@ def test_ternary_tree_past_the_enumeration_limit_runs(tmp_path, capsys):
     assert (tmp_path / "run" / "checks.jsonl").exists()
 
 
+@pytest.mark.parametrize("text", [
+    # Alone, the seed used to reach [experiment] and the run started with it.
+    "[DEFAULT]\nseed = 3\n\n[experiment]\nkind = jn-check\n",
+    # Beside [jn-check], it used to fail as an unknown jn-check key.
+    "[DEFAULT]\nseed = 3\n" + JN_TINY.replace("seed = 11\n", ""),
+    # A kind parameter used to fail as an unknown key in [experiment].
+    "[DEFAULT]\nn_processes = 2\n" + JN_TINY,
+], ids=["seed-alone", "seed-beside-kind-section", "kind-key"])
+def test_default_section_exits_two(tmp_path, capsys, text):
+    cfg = write(tmp_path, text)
+    code = main(["jn-check", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert one_problem(capsys).startswith("  - [DEFAULT]: unsupported section")
+    assert not (tmp_path / "run").exists()
+
+
 def test_enumeration_cap_is_an_unknown_key(tmp_path, capsys):
     cfg = write(tmp_path, JN_TINY + "enumeration_cap = 1000000\n")
     code = main(["jn-check", "--config", cfg, "--out", str(tmp_path / "run")])

@@ -2,24 +2,27 @@ import numpy as np
 import pytest
 
 from bmoforge.controls import variation_control
-from bmoforge.oscillation import oscillation_grid
+from bmoforge.oscillation import OscillationData, oscillation_grid
 from bmoforge.processes import random_process, random_space
 
 
-def grid_matrix():
-    # Hand grid: rho[0,1] = 1, rho[1,2] = 1, rho[0,2] = 1.5.
-    return np.array([[0.0, 1.0, 1.5], [np.nan, 0.0, 1.0], [np.nan, np.nan, 0.0]])
+def hand_grid():
+    # Hand grid: rho[0,1] = 1, rho[1,2] = 1, rho[0,2] = 1.5; the control
+    # reads rho only.
+    rho = np.array([[0.0, 1.0, 1.5], [np.nan, 0.0, 1.0], [np.nan, np.nan, 0.0]])
+    return OscillationData(rho=rho, rho_left=rho, pairs=rho, pairs_left=rho,
+                           jumps=np.ones(2), max_jump=1.0)
 
 
 def test_variation_control_frozen():
-    rho = grid_matrix()
+    grid = hand_grid()
     # p = 2: max(1.5^2, 1 + 1) = 2.25; p = 1: max(1.5, 2) = 2.
-    c2 = variation_control(rho, 2.0)
+    c2 = variation_control(grid, 2.0)
     assert c2.w[0, 2] == pytest.approx(2.25)
     assert c2.total == pytest.approx(2.25)
     assert c2.depth == 2
-    assert c2.window(0, 1) == pytest.approx(1.0)
-    c1 = variation_control(rho, 1.0)
+    assert c2.w[0, 1] == pytest.approx(1.0)
+    c1 = variation_control(grid, 1.0)
     assert c1.w[0, 2] == pytest.approx(2.0)
 
 
@@ -49,6 +52,4 @@ def test_control_dominates_cells_and_is_superadditive():
 
 def test_variation_control_validation():
     with pytest.raises(ValueError, match="p must be"):
-        variation_control(grid_matrix(), 0.5)
-    with pytest.raises(ValueError, match="square"):
-        variation_control(np.zeros((2, 3)), 2.0)
+        variation_control(hand_grid(), 0.5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bmoforge.oscillation import (
+    _stop_level_values,
     oscillation_grid,
     oscillation_modulus,
     pair_oscillation,
@@ -16,9 +17,8 @@ from bmoforge.stopping import (
 )
 
 
-def brute_force_modulus(process, s, t, include_intra):
+def brute_force_modulus(process, s, t, conventions=("grid", "intra")):
     """Literal supremum over every stopping pair, the defining formula."""
-    conventions = ("grid", "intra") if include_intra else ("grid",)
     best = 0.0
     for stop_s, stop_t in enumerate_stopping_pairs(process.space, s, t):
         for conv in conventions:
@@ -26,16 +26,27 @@ def brute_force_modulus(process, s, t, include_intra):
     return best
 
 
+def left_modulus(process, s, t):
+    """Modulus over [s, t] with the left-limit anchor only, from a Snell
+    sweep of its own: the sums ``rho_left`` must reproduce bit for bit."""
+    anchors = {j: process.left_limit(j)[None] for j in range(s, t + 1)}
+    return max(0.0, *(float(np.max(g)) for g in _stop_level_values(process, anchors, s, t)))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("include_intra", [True, False])
-def test_modulus_matches_enumeration(seed, include_intra):
+@pytest.mark.parametrize("both_anchors", [True, False])
+def test_modulus_matches_enumeration(seed, both_anchors):
+    # Both anchors: oscillation_modulus; the left-limit anchor only: rho_left.
     rng = np.random.default_rng(seed)
     sp = random_space(rng, depth=3, branching=2, random_transitions=True)
     v = random_process(sp, rng, kind="gaussian")
+    rho_left = oscillation_grid(v).rho_left
     for s in range(4):
         for t in range(s, 4):
-            fast = oscillation_modulus(v, s, t, include_intra=include_intra)
-            brute = brute_force_modulus(v, s, t, include_intra)
+            if both_anchors:
+                fast, brute = oscillation_modulus(v, s, t), brute_force_modulus(v, s, t)
+            else:
+                fast, brute = rho_left[s, t], brute_force_modulus(v, s, t, ("grid",))
             assert fast == pytest.approx(brute, abs=1e-12)
 
 
@@ -43,12 +54,13 @@ def test_modulus_matches_enumeration_ternary():
     rng = np.random.default_rng(7)
     sp = random_space(rng, depth=2, branching=3, random_transitions=True)
     v = random_process(sp, rng, kind="uniform")
-    for include_intra in (True, False):
-        for s in range(3):
-            for t in range(s, 3):
-                fast = oscillation_modulus(v, s, t, include_intra=include_intra)
-                brute = brute_force_modulus(v, s, t, include_intra)
-                assert fast == pytest.approx(brute, abs=1e-12)
+    rho_left = oscillation_grid(v).rho_left
+    for s in range(3):
+        for t in range(s, 3):
+            assert oscillation_modulus(v, s, t) == pytest.approx(
+                brute_force_modulus(v, s, t), abs=1e-12)
+            assert rho_left[s, t] == pytest.approx(
+                brute_force_modulus(v, s, t, ("grid",)), abs=1e-12)
 
 
 @pytest.mark.parametrize("depth,branching,kind,seed", [
@@ -68,7 +80,7 @@ def test_grid_equals_window_moduli_bitwise(depth, branching, kind, seed):
     for s in range(depth + 1):
         for t in range(s, depth + 1):
             assert data.rho[s, t] == oscillation_modulus(v, s, t)
-            assert data.rho_left[s, t] == oscillation_modulus(v, s, t, include_intra=False)
+            assert data.rho_left[s, t] == left_modulus(v, s, t)
 
 
 def test_grid_step_expectation_count(monkeypatch):
@@ -206,11 +218,10 @@ def test_intra_anchors_only_add():
     rng = np.random.default_rng(9)
     sp = build_tree(3, 2)
     v = random_process(sp, rng, kind="integers")
+    data = oscillation_grid(v)
     for s in range(4):
         for t in range(s, 4):
-            with_intra = oscillation_modulus(v, s, t, include_intra=True)
-            without = oscillation_modulus(v, s, t, include_intra=False)
-            assert without <= with_intra + 1e-12
+            assert data.rho_left[s, t] <= oscillation_modulus(v, s, t) + 1e-12
 
 
 def test_pair_oscillation_validation():

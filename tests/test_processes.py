@@ -141,10 +141,10 @@ def test_random_process_kinds(kind):
 
 def test_random_walk_steps_uniform_magnitude():
     sp = build_tree(3, 2)
-    v = random_process(sp, np.random.default_rng(2), kind="walk", scale=2.0)
+    v = random_process(sp, np.random.default_rng(2), kind="walk")
     mags = np.concatenate([np.abs(inc) for inc in v.increments()])
     assert np.allclose(mags, mags[0])
-    assert 1.0 <= mags[0] <= 3.0
+    assert 0.5 <= mags[0] <= 1.5
 
 
 def test_random_process_unknown_kind():
@@ -153,13 +153,11 @@ def test_random_process_unknown_kind():
         random_process(sp, np.random.default_rng(0), kind="cauchy")
 
 
-@pytest.mark.parametrize("kind", ["abs-gaussian", "bernoulli"])
-def test_random_nondecreasing(kind):
+def test_random_nondecreasing():
     sp = build_tree(4, 2)
-    v = random_nondecreasing_process(sp, np.random.default_rng(3), kind=kind)
+    v = random_nondecreasing_process(sp, np.random.default_rng(3))
     assert v.is_nondecreasing()
-    with pytest.raises(ValueError, match="unknown increment kind"):
-        random_nondecreasing_process(sp, np.random.default_rng(0), kind="poisson")
+    assert v.values[0][0] >= 0.0
 
 
 def test_is_nondecreasing_detects_drops():

@@ -22,15 +22,20 @@ def test_atom_probs_uniform():
         assert abs(sp.atom_probs[k].sum() - 1.0) < 1e-12
 
 
+def weighted_tree():
+    # The same transition row (0.3, 0.7) at every node.
+    return build_tree(2, 2, [np.tile([0.3, 0.7], (2**k, 1)) for k in range(2)])
+
+
 def test_atom_probs_weighted():
-    # Single transition vector reused at every node: level probs are products.
-    sp = build_tree(2, 2, [0.3, 0.7])
+    # One transition row reused at every node: level probs are products.
+    sp = weighted_tree()
     np.testing.assert_allclose(sp.atom_probs[1], [0.3, 0.7])
     np.testing.assert_allclose(sp.atom_probs[2], [0.09, 0.21, 0.21, 0.49])
 
 
 def test_expectation_exact():
-    sp = build_tree(2, 2, [0.3, 0.7])
+    sp = weighted_tree()
     # indicator of the last leaf
     ind = np.zeros(4)
     ind[3] = 1.0
@@ -70,8 +75,6 @@ def test_build_tree_validation():
         build_tree(-1, 2)
     with pytest.raises(ValueError, match="branching"):
         build_tree(2, 1)
-    with pytest.raises(ValueError, match="length"):
-        build_tree(2, 2, [0.5, 0.25, 0.25])
     with pytest.raises(ValueError, match="per-level"):
         build_tree(3, 2, [np.full((1, 2), 0.5)])
 
