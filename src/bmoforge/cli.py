@@ -73,6 +73,8 @@ def _resolve_config(args) -> ExperimentConfig:
         overrides.append(("--jobs", "jobs", args.jobs))
     apply_overrides(config, overrides)
     if args.out is not None:
+        if not args.out.strip():
+            raise ConfigError([f"--out: expected a nonempty path (got {args.out!r})"])
         config.out = args.out
     # The output directory, or its nearest existing ancestor, must be a directory.
     for path in (Path(config.out), *Path(config.out).parents):

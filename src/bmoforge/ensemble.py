@@ -1,4 +1,5 @@
-"""Brownian path ensembles with per-path reproducible streams."""
+"""Ensembles of one-dimensional Brownian paths on [0, 1], with per-path
+reproducible streams."""
 
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ _MAX_MATERIALIZE_BYTES = 2**31  # 2 GiB
 _CHUNK_ELEMENTS = 2**18
 
 
-def chunk_rows(row_elements: int) -> int:
-    """Paths per chunk of paths of ``row_elements`` elements, at least one."""
-    return max(1, _CHUNK_ELEMENTS // row_elements)
+def chunk_rows(n_steps: int) -> int:
+    """Paths per chunk of paths of ``n_steps`` steps, at least one."""
+    return max(1, _CHUNK_ELEMENTS // n_steps)
 
 
 def left_points(inc: np.ndarray, x0: float = 0.0) -> np.ndarray:
@@ -37,7 +38,7 @@ def left_points(inc: np.ndarray, x0: float = 0.0) -> np.ndarray:
 
 @dataclass
 class PathEnsemble:
-    """Lazy ensemble of Brownian increments on a uniform grid over [0, horizon].
+    """Lazy ensemble of Brownian increments on a uniform grid over [0, 1].
 
     Increment arrays are regenerated on demand from the per-path streams and
     nothing is cached: every call draws afresh and returns a new array, so a
@@ -50,16 +51,14 @@ class PathEnsemble:
 
     n_paths: int
     n_steps: int
-    dim: int
-    horizon: float
     seed: int
+    # Not a field: benchmarks/spans.py reads it to count draws in traced runs.
+    dim = 1
 
     def __post_init__(self):
-        if self.n_paths < 1 or self.n_steps < 1 or self.dim < 1:
-            raise ValueError("n_paths, n_steps, dim must be positive")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be > 0")
-        total = self.n_paths * self.n_steps * self.dim
+        if self.n_paths < 1 or self.n_steps < 1:
+            raise ValueError("n_paths, n_steps must be positive")
+        total = self.n_paths * self.n_steps
         if total > _MAX_TOTAL_DRAWS:
             raise ValueError(
                 f"resource cap exceeded: {total} normal draws requested, cap is {_MAX_TOTAL_DRAWS}"
@@ -67,25 +66,25 @@ class PathEnsemble:
 
     @property
     def dt(self) -> float:
-        return self.horizon / self.n_steps
+        return 1.0 / self.n_steps
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
+        return np.linspace(0.0, 1.0, self.n_steps + 1)
 
     def increments(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Increments of paths [start, stop), shape (paths, n_steps, dim)."""
+        """Increments of paths [start, stop), shape (paths, n_steps)."""
         stop = self.n_paths if stop is None else stop
         if not 0 <= start <= stop <= self.n_paths:
             raise ValueError(f"path range [{start}, {stop}) out of bounds")
         n = stop - start
-        need = n * self.n_steps * self.dim * 8
+        need = n * self.n_steps * 8
         if need > _MAX_MATERIALIZE_BYTES:
             raise MemoryError(
                 f"resource cap exceeded: materializing {need} bytes of increments, "
                 f"cap is {_MAX_MATERIALIZE_BYTES}; iterate in chunks instead"
             )
-        out = np.empty((n, self.n_steps, self.dim))
+        out = np.empty((n, self.n_steps))
         streams = philox_streams(self.seed, PURPOSE_OUTER, range(start, stop))
         for row, stream in zip(out, streams):
             stream.standard_normal(out=row)
@@ -95,7 +94,7 @@ class PathEnsemble:
     def time_blocks(self, start: int, stop: int, block: int):
         """Yield increments of paths [start, stop) time-major, block by block.
 
-        Each array has shape (steps, paths, dim) with ``block`` steps, the last
+        Each array has shape (steps, paths) with ``block`` steps, the last
         one fewer when ``block`` does not divide ``n_steps``. Each path's
         stream is opened once and drawn ``block`` normals at a time; a stream
         drawn in pieces returns the same numbers as one draw, so the blocks
@@ -108,7 +107,7 @@ class PathEnsemble:
             raise ValueError("block must be positive")
         n = stop - start
         block = min(block, self.n_steps)
-        need = n * block * self.dim * 8
+        need = n * block * 8
         if need > _MAX_MATERIALIZE_BYTES:
             raise MemoryError(
                 f"resource cap exceeded: materializing {need} bytes of increments, "
@@ -118,21 +117,21 @@ class PathEnsemble:
         scale = math.sqrt(self.dt)
         # standard_normal(out=) needs a contiguous target, so each path draws
         # into its own row before the block is transposed to time-major.
-        draws = np.empty((n, block, self.dim))
+        draws = np.empty((n, block))
         for t0 in range(0, self.n_steps, block):
             m = min(block, self.n_steps - t0)
             for offset, stream in enumerate(streams):
                 stream.standard_normal(out=draws[offset, :m])
-            out = np.empty((m, n, self.dim))
-            np.multiply(draws[:, :m].transpose(1, 0, 2), scale, out=out)
+            out = np.empty((m, n))
+            np.multiply(draws[:, :m].T, scale, out=out)
             yield out
 
     def left_point_chunks(self):
         """Yield (start, b) over consecutive chunks of ``chunk_rows`` paths,
-        ``b`` the :func:`left_points` of the first coordinate. A chunk's
+        ``b`` the :func:`left_points` of the chunk's paths. A chunk's
         increments are dropped before ``b`` is yielded, so a consumer holds
         no draws while it works on ``b``."""
-        rows = chunk_rows(self.n_steps * self.dim)
+        rows = chunk_rows(self.n_steps)
         for start in range(0, self.n_paths, rows):
             stop = min(start + rows, self.n_paths)
-            yield start, left_points(self.increments(start, stop)[:, :, 0])
+            yield start, left_points(self.increments(start, stop))

@@ -212,8 +212,7 @@ def _run_rho_grid(config: ExperimentConfig, out_dir: Path):
 def _run_davie(config: ExperimentConfig, out_dir: Path):
     p = config.params
     g = scalar_field_registry[p["field"]]
-    ensemble = PathEnsemble(n_paths=p["n_paths"], n_steps=p["n_steps"], dim=1,
-                            horizon=1.0, seed=config.seed)
+    ensemble = PathEnsemble(n_paths=p["n_paths"], n_steps=p["n_steps"], seed=config.seed)
     shifts = [float(x) for x in p["shifts"]]
     rows = []
     m2 = {}
@@ -261,24 +260,20 @@ def _run_quadrature(config: ExperimentConfig, out_dir: Path):
 
 def _run_tamed_em(config: ExperimentConfig, out_dir: Path):
     p = config.params
-    model = SdeModel(drift=scalar_field_registry[p["drift"]], sigma=p["sigma"],
-                     dim=1, x0=p["x0"], horizon=1.0)
+    model = SdeModel(drift=scalar_field_registry[p["drift"]], sigma=p["sigma"], x0=p["x0"])
     taming = TamingPolicy(scale=p["taming_scale"], exponent=p["taming_exponent"],
                           log_power=p["taming_log_power"])
     extra = {}
     if p["sigma"] > 0.0:
-        check = ellipticity_check(model, p["ellipticity_bound"])
-        extra["ellipticity"] = {"holds": check["holds"], "bound": check["bound"]}
+        extra["ellipticity"] = ellipticity_check(model, p["ellipticity_bound"])
     ns = sorted(set(int(n) for n in p["ns"]))
     n_ref = p["fine_factor"] * max(ns)
-    ensemble = PathEnsemble(n_paths=p["n_paths"], n_steps=n_ref, dim=1,
-                            horizon=1.0, seed=config.seed)
+    ensemble = PathEnsemble(n_paths=p["n_paths"], n_steps=n_ref, seed=config.seed)
     result = strong_error(model, taming, ns, p["fine_factor"], ensemble)
     _write_csv(
         out_dir / "rates.csv",
         ["n", "mean_sup_error", "stderr", "L2", "L4"],
-        [(r["n"], r["mean_sup_error"], r["stderr"], r["L2"], r["L4"])
-         for r in result.rows()],
+        list(zip(result.ns, result.mean_sup_error, result.stderr, result.l2, result.l4)),
     )
     extra["reference_n"] = result.reference_n
     extra["taming_diagnostic"] = {str(n): taming.decay_diagnostic(n) for n in ns}

@@ -1,6 +1,6 @@
-"""Numerical schemes on Brownian ensembles: the quadrature-error process, the
-shift-averaging functional, and the coupled strong-error experiment for the
-tamed explicit Euler scheme.
+"""Numerical schemes on one-dimensional Brownian ensembles over [0, 1]: the
+quadrature-error process, the shift-averaging functional, and the coupled
+strong-error experiment for the tamed explicit Euler scheme.
 
 All solvers consume increments from a :class:`~bmoforge.ensemble.PathEnsemble`
 and evaluate solutions on the ensemble's fine grid; coarse meshes must divide
@@ -62,12 +62,12 @@ def _brownian_blocks(ensemble: PathEnsemble, start: int, stop: int):
     """Yield ``(t0, w)`` over the time blocks of paths [start, stop).
 
     ``w`` holds the Brownian values at fine points t0 .. t0 + m, time-major
-    with shape (m + 1, paths, dim); row 0 repeats the previous block's last
+    with shape (m + 1, paths); row 0 repeats the previous block's last
     row and each later row adds one row of increments, the same left-to-right
     sums as a cumsum over the whole path. The buffer is reused: read it before
     the next block is drawn.
     """
-    buf = np.zeros((min(_TIME_BLOCK, ensemble.n_steps) + 1, stop - start, ensemble.dim))
+    buf = np.zeros((min(_TIME_BLOCK, ensemble.n_steps) + 1, stop - start))
     t0 = m = 0
     for inc in ensemble.time_blocks(start, stop, _TIME_BLOCK):
         buf[0] = buf[m]
@@ -98,12 +98,11 @@ class _EulerMesh:
     and the anchor carry over.
     """
 
-    def __init__(self, model: SdeModel, level: float, n: int, n_fine: int,
-                 horizon: float, n_paths: int):
-        self.model, self.level, self.n, self.horizon = model, level, n, horizon
+    def __init__(self, model: SdeModel, level: float, n: int, n_fine: int, n_paths: int):
+        self.model, self.level, self.n = model, level, n
         self.ratio = _mesh_ratio(n_fine, n)
-        self.drift_times = (horizon / n_fine) * np.arange(1, self.ratio + 1)
-        self.state = model.initial_states(n_paths)
+        self.drift_times = (1.0 / n_fine) * np.arange(1, self.ratio + 1)
+        self.state = np.full(n_paths, model.x0)
         self.anchor = -self.ratio  # fine index where the current coarse step opened
         self.c = self.b = None
 
@@ -111,7 +110,7 @@ class _EulerMesh:
         """Write the solution at fine points t0 + 1 .. t0 + m into ``out``.
 
         ``u`` is sigma times a block of :func:`_brownian_blocks`, shape
-        (m + 1, paths, dim); ``out`` has shape (m, paths, dim).
+        (m + 1, paths); ``out`` has shape (m, paths).
         """
         if self.ratio == 1:
             return self._advance_steps(u, t0, out)
@@ -121,13 +120,13 @@ class _EulerMesh:
             done = t0 + pos - self.anchor  # fine steps of this coarse step written
             if done == ratio:
                 self.anchor, done = t0 + pos, 0
-                t_j = (self.anchor // ratio) * self.horizon / self.n
+                t_j = (self.anchor // ratio) / self.n
                 self.b = _clipped_drift(self.model, self.level, t_j, self.state)
                 self.c = self.state - u[pos]
             k = min(ratio - done, m - pos)
             seg = out[pos : pos + k]
             # b * t + c + u in that order: the same sums as (c + b * t) + u.
-            np.multiply(self.drift_times[done : done + k, None, None], self.b, out=seg)
+            np.multiply(self.drift_times[done : done + k, None], self.b, out=seg)
             seg += self.c
             seg += u[pos + 1 : pos + k + 1]
             pos += k
@@ -140,7 +139,7 @@ class _EulerMesh:
         drift at the previous row x."""
         h, x, c = self.drift_times[0], self.state, np.empty_like(self.state)
         for k in range(out.shape[0]):
-            b = _clipped_drift(self.model, self.level, (t0 + k) * self.horizon / self.n, x)
+            b = _clipped_drift(self.model, self.level, (t0 + k) / self.n, x)
             np.subtract(x, u[k], out=c)
             x = np.multiply(h, b, out=out[k])
             x += c
@@ -158,8 +157,6 @@ def quadrature_error(f, ensemble: PathEnsemble, ns) -> np.ndarray:
     in ``ns``. Each path chunk is drawn once and f(t, B_t) evaluated once for
     all meshes. Returns an array of shape (len(ns), n_paths).
     """
-    if ensemble.dim != 1:
-        raise ValueError("quadrature_error expects a one-dimensional ensemble")
     ratios = [_mesh_ratio(ensemble.n_steps, n) for n in ns]
     if not ratios:
         raise ValueError("ns must be nonempty")
@@ -180,10 +177,6 @@ def davie_functional(g, shifts, ensemble: PathEnsemble) -> np.ndarray:
     The averaging bound needs |g| <= 1; out-of-range values are clipped, with
     one warning per call.
     """
-    if ensemble.dim != 1:
-        raise ValueError("davie_functional expects a one-dimensional ensemble")
-    if abs(ensemble.horizon - 1.0) > 1e-12:
-        raise ValueError("davie_functional is defined over the unit horizon")
     shifts = list(shifts)
     if not shifts:
         raise ValueError("shifts must be nonempty")
@@ -245,14 +238,6 @@ class StrongErrorResult:
     reference_n: int
     fit: RateFit | None = None
 
-    def rows(self) -> list[dict]:
-        return [
-            {"n": n, "mean_sup_error": e, "stderr": s, "L2": l2, "L4": l4}
-            for n, e, s, l2, l4 in zip(
-                self.ns, self.mean_sup_error, self.stderr, self.l2, self.l4
-            )
-        ]
-
 
 def strong_error(
     model: SdeModel,
@@ -279,8 +264,6 @@ def strong_error(
         raise ValueError("ns must be positive integers")
     if fine_factor < 2:
         raise ValueError("fine_factor must be >= 2")
-    if ensemble.dim != model.dim:
-        raise ValueError(f"ensemble dim {ensemble.dim} != model dim {model.dim}")
     n_ref = fine_factor * ns[-1]
     if ensemble.n_steps != n_ref:
         raise ValueError(
@@ -296,10 +279,10 @@ def strong_error(
     for start in range(0, ensemble.n_paths, _PATH_GROUP):
         stop = min(start + _PATH_GROUP, ensemble.n_paths)
         rows = min(_TIME_BLOCK, n_ref)
-        ref_block, seg = np.empty((2, rows, stop - start, ensemble.dim))
-        noise = np.empty((rows + 1, stop - start, ensemble.dim))
-        ref = _EulerMesh(model, level_ref, n_ref, n_ref, ensemble.horizon, stop - start)
-        meshes = [_EulerMesh(model, level, n, n_ref, ensemble.horizon, stop - start)
+        ref_block, seg = np.empty((2, rows, stop - start))
+        noise = np.empty((rows + 1, stop - start))
+        ref = _EulerMesh(model, level_ref, n_ref, n_ref, stop - start)
+        meshes = [_EulerMesh(model, level, n, n_ref, stop - start)
                   for n, level in zip(ns, levels)]
         for t0, w in _brownian_blocks(ensemble, start, stop):
             m = w.shape[0] - 1
@@ -309,7 +292,7 @@ def strong_error(
                 mesh.advance(u, t0, seg[:m])
                 diff = np.subtract(seg[:m], ref_block[:m], out=seg[:m])
                 err = sup_err[k, start:stop]
-                np.maximum(err, np.abs(diff, out=diff).max(axis=(0, 2)), out=err)
+                np.maximum(err, np.abs(diff, out=diff).max(axis=0), out=err)
     means, errs, l2s, l4s = [], [], [], []
     n_paths = ensemble.n_paths
     for k in range(len(ns)):

@@ -1,10 +1,10 @@
-"""SDE models with constant diagonal noise, and the drift taming policy.
+"""The scalar SDE model with constant noise, and the drift taming policy.
 
-``SdeModel(drift, sigma, ...)`` is dX = drift(t, X) dt + sigma dW, with a
-vectorized ``drift(t, x)`` mapping a scalar time and states of shape
-(n, dim) to (n, dim), and a constant noise scale sigma: one value, or one
-per coordinate. Noise that depends on time or state, or mixes coordinates,
-is out of scope, so ellipticity is the closed form 1/B <= sigma_i^2 <= B.
+``SdeModel(drift, sigma, x0)`` is dX = drift(t, X) dt + sigma dW on [0, 1],
+driven by a one-dimensional Brownian motion W, with a vectorized
+``drift(t, x)`` mapping a scalar time and states of shape (n,) to (n,), and
+a constant noise scale sigma. Noise that depends on time or state is out of
+scope, so ellipticity is the closed form 1/B <= sigma^2 <= B.
 """
 
 from __future__ import annotations
@@ -24,44 +24,26 @@ __all__ = [
 
 @dataclass
 class SdeModel:
-    """dX = drift dt + sigma dW; ``sigma`` is stored with shape (dim,)."""
+    """dX = drift dt + sigma dW, X_0 = x0."""
 
     drift: Callable[[float, np.ndarray], np.ndarray]
-    sigma: float | np.ndarray
-    dim: int = 1
-    x0: float | np.ndarray = 0.0
-    horizon: float = 1.0
+    sigma: float
+    x0: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be > 0")
-        x0 = np.broadcast_to(np.asarray(self.x0, dtype=float), (self.dim,)).copy()
-        if not np.all(np.isfinite(x0)):
+        self.sigma, self.x0 = float(self.sigma), float(self.x0)
+        if not math.isfinite(self.x0):
             raise ValueError("x0 must be finite")
-        self.x0 = x0
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape not in ((), (self.dim,)):
-            raise ValueError(f"sigma must be a scalar or have shape ({self.dim},)")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma < 0.0):
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValueError("sigma must be finite and >= 0")
-        self.sigma = np.broadcast_to(sigma, (self.dim,)).copy()
-
-    def initial_states(self, n_paths: int) -> np.ndarray:
-        return np.tile(self.x0, (n_paths, 1))
 
 
 def ellipticity_check(model: SdeModel, bound: float) -> dict:
-    """Test 1/bound <= sigma_i^2 <= bound for every coordinate, with 1e-12
-    slack at both ends; the witness names the first coordinate that fails."""
+    """Test 1/bound <= sigma^2 <= bound, with 1e-12 slack at both ends."""
     if bound < 1.0:
         raise ValueError("bound must be >= 1")
     sq = model.sigma**2
-    bad = np.flatnonzero((sq < 1.0 / bound - 1e-12) | (sq > bound + 1e-12))
-    witness = ({"coordinate": int(bad[0]), "sigma_squared": float(sq[bad[0]])}
-               if bad.size else None)
-    return {"holds": witness is None, "bound": bound, "witness": witness}
+    return {"holds": 1.0 / bound - 1e-12 <= sq <= bound + 1e-12, "bound": bound}
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,7 @@ def test_criterion_5_gaussian_oracles():
         n_inner=10**4, n_steps=2**12, seed=seed,
     )
     markov_ok = abs(est.value - exact) <= 3.0 * est.stderr
-    ensemble = PathEnsemble(n_paths=10**4, n_steps=2**12, dim=1, horizon=1.0, seed=seed)
+    ensemble = PathEnsemble(n_paths=10**4, n_steps=2**12, seed=seed)
     coord = scalar_field_registry["coordinate"]
     quad_ok = True
     devs = []
@@ -205,7 +205,7 @@ def davie_run():
     seed = 1  # pinned
     shifts = [0.05, 0.1, 0.2, 0.4]
     start = time.monotonic()
-    ensemble = PathEnsemble(n_paths=10**5, n_steps=10**3, dim=1, horizon=1.0, seed=seed)
+    ensemble = PathEnsemble(n_paths=10**5, n_steps=10**3, seed=seed)
     g = scalar_field_registry["sign"]
     m2, ratios = {}, {}
     for shift, samples in zip(shifts, davie_functional(g, shifts, ensemble)):
@@ -281,7 +281,7 @@ def test_criterion_8_tamed_scheme_convergence():
     seed = 1  # pinned
     start = time.monotonic()
     ns = [8, 16, 32, 64, 128, 256]
-    ensemble = PathEnsemble(n_paths=2000, n_steps=64 * 256, dim=1, horizon=1.0, seed=seed)
+    ensemble = PathEnsemble(n_paths=2000, n_steps=64 * 256, seed=seed)
     sign_model = SdeModel(drift=lambda t, x: np.sign(x), sigma=1.0, x0=0.0)
     res = strong_error(sign_model, TamingPolicy(), ns, 64, ensemble)
     slope_ok = res.fit.slope >= 0.4

@@ -7,7 +7,8 @@ stays importable from its own module but is not re-exported. Every name a
 module lists in its ``__all__`` must exist in that module.
 
 A parameter with a default is an option; some call in the package or in the
-acceptance suite must set it, or it is one value and belongs in the code.
+acceptance suite must set it to a value other than a literal equal to the
+default, or it is one value and belongs in the code.
 """
 
 import ast
@@ -69,8 +70,9 @@ CALLERS = [*sorted((ROOT / "src" / "bmoforge").glob("*.py")), ROOT / "tests" / "
 
 
 def defaulted_parameters():
-    """(qualified name, call name, position, parameter) for every parameter
-    with a default of a function, class or method defined in ``bmoforge``.
+    """(qualified name, call name, position, parameter, default) for every
+    parameter with a default of a function, class or method defined in
+    ``bmoforge``.
 
     A method's position excludes ``self``, a keyword-only parameter has
     none, and a class's parameters are its constructor's.
@@ -93,38 +95,52 @@ def defaulted_parameters():
             for qual, call_name, fn, bound in targets:
                 params = list(inspect.signature(fn).parameters.values())[int(bound):]
                 out += [(f"{info.name}.{qual}.{p.name}", call_name,
-                         math.inf if p.kind is p.KEYWORD_ONLY else i, p.name)
+                         math.inf if p.kind is p.KEYWORD_ONLY else i, p.name, p.default)
                         for i, p in enumerate(params) if p.default is not p.empty]
     return out
 
 
+def is_default(node: ast.expr, default) -> bool:
+    """Whether an argument is a literal equal to the parameter's default."""
+    try:
+        return ast.literal_eval(node) == default
+    except ValueError:
+        return False
+
+
 def set_arguments():
-    """Call name -> (most positional arguments, keyword names) over every call
-    in the scanned files, a call's name being its last dotted part. A ``*``
-    argument counts as every position, a ``**`` one as the keyword None."""
-    calls: dict[str, tuple[float, set]] = {}
+    """Call name -> [(args, keywords)] over every call in the scanned files,
+    a call's name being its last dotted part and keywords mapping each
+    keyword to its value, a ``**`` argument under the keyword None."""
+    calls: dict[str, list] = {}
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name is None:
-                continue
-            positional = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
-                          else len(node.args))
-            keywords = {k.arg for k in node.keywords}
-            most, names = calls.get(name, (0, set()))
-            calls[name] = (max(most, positional), names | keywords)
+            if name is not None:
+                calls.setdefault(name, []).append(
+                    (node.args, {k.arg: k.value for k in node.keywords}))
     return calls
+
+
+def sets(args, keywords, position, param, default) -> bool:
+    """Whether one call may set the parameter to another value than its
+    default: a ``*`` or ``**`` argument may set anything, and a literal equal
+    to the default sets nothing."""
+    if None in keywords or any(isinstance(a, ast.Starred) for a in args):
+        return True
+    value = args[position] if position < len(args) else keywords.get(param)
+    return value is not None and not is_default(value, default)
 
 
 def test_every_defaulted_parameter_has_a_caller():
     calls = set_arguments()
     unset = set()
-    for qual, call_name, position, param in defaulted_parameters():
-        most, names = calls.get(call_name, (0, set()))
-        if not (position < most or param in names or None in names):
+    for qual, call_name, position, param, default in defaulted_parameters():
+        if not any(sets(args, keywords, position, param, default)
+                   for args, keywords in calls.get(call_name, [])):
             unset.add(qual)
     assert sorted(unset - UNSET_ALLOWED) == []
     assert UNSET_ALLOWED <= unset  # no stale entry

@@ -258,6 +258,15 @@ def test_out_naming_a_file_exits_two(tmp_path, capsys, source):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
 
 
+@pytest.mark.parametrize("out", ["", "   "], ids=["empty", "spaces"])
+def test_blank_out_flag_exits_two(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    code = main(["jn-check", "--seed", "1", "--out", out])
+    assert code == 2
+    assert one_problem(capsys) == f"  - --out: expected a nonempty path (got {out!r})"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags,env,problem", [
     (["--jobs", "0"], None, "--jobs: must lie in [1, 256] (got 0)"),
     (["--jobs", "100000"], None, "--jobs: must lie in [1, 256] (got 100000)"),

@@ -10,15 +10,15 @@ from bmoforge.rng import PURPOSE_OUTER, philox_stream
 
 
 def test_regeneration_is_bit_identical():
-    ens = PathEnsemble(n_paths=8, n_steps=16, dim=2, horizon=1.0, seed=9)
+    ens = PathEnsemble(n_paths=8, n_steps=16, seed=9)
     a = ens.increments().copy()
-    b = PathEnsemble(n_paths=8, n_steps=16, dim=2, horizon=1.0, seed=9).increments()
+    b = PathEnsemble(n_paths=8, n_steps=16, seed=9).increments()
     np.testing.assert_array_equal(a, b)
 
 
 def test_chunks_equal_full_materialization(monkeypatch):
-    ens = PathEnsemble(n_paths=10, n_steps=8, dim=1, horizon=2.0, seed=3)
-    full = left_points(ens.increments()[:, :, 0])
+    ens = PathEnsemble(n_paths=10, n_steps=8, seed=3)
+    full = left_points(ens.increments())
     for chunk_size in (1, 3, 10):
         monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", chunk_size * 8)
         starts, pieces = zip(*ens.left_point_chunks())
@@ -27,9 +27,9 @@ def test_chunks_equal_full_materialization(monkeypatch):
 
 
 def test_increments_are_scaled_per_path_streams():
-    ens = PathEnsemble(n_paths=4, n_steps=9, dim=2, horizon=3.0, seed=12)
+    ens = PathEnsemble(n_paths=4, n_steps=9, seed=12)
     expect = np.stack([
-        philox_stream(12, PURPOSE_OUTER, 1 + i).standard_normal((9, 2)) * math.sqrt(ens.dt)
+        philox_stream(12, PURPOSE_OUTER, 1 + i).standard_normal(9) * math.sqrt(1 / 9)
         for i in range(3)
     ])
     assert ens.increments(1, 4).tobytes() == expect.tobytes()
@@ -44,7 +44,7 @@ def test_increments_build_at_most_one_generator(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(rng_module.np.random, "Philox", counted)
-    ens = PathEnsemble(n_paths=9, n_steps=5, dim=2, horizon=1.0, seed=1)
+    ens = PathEnsemble(n_paths=9, n_steps=5, seed=1)
     for start, stop in ((0, 9), (2, 7), (4, 5), (3, 3)):
         built.clear()
         ens.increments(start, stop)
@@ -53,7 +53,7 @@ def test_increments_build_at_most_one_generator(monkeypatch):
 
 def test_full_range_calls_draw_afresh():
     # No cache: each call returns a new array holding the same draws.
-    ens = PathEnsemble(n_paths=5, n_steps=7, dim=2, horizon=1.0, seed=6)
+    ens = PathEnsemble(n_paths=5, n_steps=7, seed=6)
     first, second = ens.increments(), ens.increments()
     assert first is not second
     assert not np.shares_memory(first, second)
@@ -62,50 +62,54 @@ def test_full_range_calls_draw_afresh():
 
 def test_path_subsets_are_stable():
     # Path i does not depend on which slice requests it.
-    ens = PathEnsemble(n_paths=6, n_steps=4, dim=1, horizon=1.0, seed=1)
+    ens = PathEnsemble(n_paths=6, n_steps=4, seed=1)
     np.testing.assert_array_equal(ens.increments(2, 5)[1], ens.increments()[3])
 
 
 def test_extra_paths_extend_not_reshuffle():
-    small = PathEnsemble(n_paths=4, n_steps=8, dim=1, horizon=1.0, seed=5).increments()
-    large = PathEnsemble(n_paths=9, n_steps=8, dim=1, horizon=1.0, seed=5).increments()
+    small = PathEnsemble(n_paths=4, n_steps=8, seed=5).increments()
+    large = PathEnsemble(n_paths=9, n_steps=8, seed=5).increments()
     np.testing.assert_array_equal(large[:4], small)
 
 
 def test_paths_prepend_zero_and_cumsum():
-    ens = PathEnsemble(n_paths=3, n_steps=5, dim=2, horizon=1.0, seed=0)
-    p = np.zeros((3, 6, 2))
-    np.cumsum(ens.increments(), axis=1, out=p[:, 1:, :])
-    assert p.shape == (3, 6, 2)
-    np.testing.assert_array_equal(p[:, 0, :], 0.0)
+    ens = PathEnsemble(n_paths=3, n_steps=5, seed=0)
+    p = np.zeros((3, 6))
+    np.cumsum(ens.increments(), axis=1, out=p[:, 1:])
+    assert p.shape == (3, 6)
+    np.testing.assert_array_equal(p[:, 0], 0.0)
     np.testing.assert_allclose(np.diff(p, axis=1), ens.increments(), atol=1e-15)
 
 
 @pytest.mark.parametrize("block", [1, 4, 7, 9, 100])
 def test_time_blocks_join_to_increments(block):
     # A stream drawn in pieces returns the same numbers as one draw.
-    ens = PathEnsemble(n_paths=6, n_steps=9, dim=2, horizon=3.0, seed=12)
+    ens = PathEnsemble(n_paths=6, n_steps=9, seed=12)
     blocks = list(ens.time_blocks(2, 5, block))
-    assert [b.shape for b in blocks[:-1]] == [(min(block, 9), 3, 2)] * (len(blocks) - 1)
+    assert [b.shape for b in blocks[:-1]] == [(min(block, 9), 3)] * (len(blocks) - 1)
     assert sum(b.shape[0] for b in blocks) == 9
     joined = np.concatenate(blocks, axis=0)
-    assert joined.tobytes() == ens.increments(2, 5).transpose(1, 0, 2).tobytes()
+    assert joined.tobytes() == ens.increments(2, 5).T.tobytes()
 
 
 def test_grid_properties():
-    ens = PathEnsemble(n_paths=1, n_steps=4, dim=1, horizon=2.0, seed=0)
-    assert ens.dt == pytest.approx(0.5)
-    np.testing.assert_allclose(ens.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+    ens = PathEnsemble(n_paths=1, n_steps=4, seed=0)
+    assert ens.dt == 0.25
+    np.testing.assert_array_equal(ens.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_terminal_variance_and_independence():
-    # E B_T^2 = T and consecutive increments are uncorrelated, within 3 stderr.
-    ens = PathEnsemble(n_paths=20000, n_steps=16, dim=1, horizon=2.0, seed=11)
-    inc = ens.increments()[:, :, 0]
+    # E dB^2 = 1/n_steps per step, E B_1^2 = 1, and consecutive increments
+    # are uncorrelated, within 3 stderr.
+    ens = PathEnsemble(n_paths=20000, n_steps=16, seed=11)
+    inc = ens.increments()
+    step_var = float(np.mean(inc**2))
+    se_step = float(np.std(inc**2, ddof=1) / math.sqrt(inc.size))
+    assert abs(step_var - 1.0 / 16) <= 3 * se_step
     b_t = inc.sum(axis=1)
     var = float(np.mean(b_t**2))
     se = float(np.std(b_t**2, ddof=1) / math.sqrt(ens.n_paths))
-    assert abs(var - 2.0) <= 3 * se
+    assert abs(var - 1.0) <= 3 * se
     lag = inc[:, :-1] * inc[:, 1:]
     corr = float(np.mean(lag))
     se_corr = float(np.std(lag, ddof=1) / math.sqrt(lag.size))
@@ -114,13 +118,13 @@ def test_terminal_variance_and_independence():
 
 def test_validation_and_caps(monkeypatch):
     with pytest.raises(ValueError, match="positive"):
-        PathEnsemble(n_paths=0, n_steps=4, dim=1, horizon=1.0, seed=0)
-    with pytest.raises(ValueError, match="horizon"):
-        PathEnsemble(n_paths=1, n_steps=4, dim=1, horizon=0.0, seed=0)
+        PathEnsemble(n_paths=0, n_steps=4, seed=0)
+    with pytest.raises(ValueError, match="positive"):
+        PathEnsemble(n_paths=1, n_steps=0, seed=0)
     with pytest.raises(ValueError, match="resource cap"):
-        PathEnsemble(n_paths=2**20, n_steps=2**14, dim=1, horizon=1.0, seed=0)
+        PathEnsemble(n_paths=2**20, n_steps=2**14, seed=0)
     monkeypatch.setattr(ensemble_module, "_MAX_MATERIALIZE_BYTES", 1024)
-    small = PathEnsemble(n_paths=64, n_steps=64, dim=1, horizon=1.0, seed=0)
+    small = PathEnsemble(n_paths=64, n_steps=64, seed=0)
     with pytest.raises(MemoryError, match="chunks"):
         small.increments()
     # Chunked access stays under the cap.

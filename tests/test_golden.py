@@ -2,9 +2,11 @@
 
 The CSV/JSONL bytes of a fixed config and seed must survive a refactor
 unchanged, so a drift shows here rather than only in the benchmark's
-reference check, which runs no `rho-grid` or `quadrature` config. Like ``benchmarks/reference.json``, these
-sha256 digests are tied to the numpy version they were recorded with
-(2.4.6): the bytes depend on its summation order and float formatting.
+reference check, which runs no `rho-grid` or `quadrature` config and
+`tamed-em` only with sign drift, x0 = 0 and sigma = 1. Like
+``benchmarks/reference.json``, these sha256 digests are tied to the numpy
+version they were recorded with (2.4.6): the bytes depend on its summation
+order and float formatting.
 """
 
 import hashlib
@@ -53,10 +55,12 @@ def test_exact_kind_bytes_are_frozen(tmp_path, name):
 
 
 # Each Monte Carlo config crosses a chunk edge of its inner or path draws:
-# 1,500 and 1,100 inner paths, a 5,000 x 777 ensemble, and 120 outer states
-# so that the quantile proxy picks another state than the max. The quadrature
-# and davie configs fail their acceptance bands at these sizes (ok false);
-# only the bytes are pinned.
+# 1,500 and 1,100 inner paths, a 5,000 x 777 ensemble, 120 outer states so
+# that the quantile proxy picks another state than the max, and 4,100
+# tamed-em paths, past one 4,096-path group, of 300 fine steps, a partial
+# last time block (256 + 44), with taming that clips on the coarse meshes.
+# The quadrature and davie configs fail their acceptance bands at these
+# sizes (ok false); only the bytes are pinned.
 GOLDEN_MONTE_CARLO = {
     "rho-grid-inv-abs-clip": (
         {"kind": "rho-grid", "seed": 7,
@@ -80,6 +84,12 @@ GOLDEN_MONTE_CARLO = {
         {"kind": "davie", "seed": 1,
          "params": {"field": "sign", "n_paths": 5000, "n_steps": 777, "moments": [2, 4, 8]}},
         "moments.csv", "3142a098494c0c4b22fef54a48d82bca53c62bb588cd0903e2e7c6e23580ae77",
+    ),
+    "tamed-em-neg-linear": (
+        {"kind": "tamed-em", "seed": 4,
+         "params": {"drift": "neg-linear", "sigma": 0.7, "x0": 2.0, "ns": [3, 6, 12],
+                    "fine_factor": 25, "n_paths": 4100, "taming_scale": 0.05}},
+        "rates.csv", "c6c57ff24a19c91760f8176f09360952f0da1a99064e29d51c0823e8ac9493e3",
     ),
 }
 

@@ -23,7 +23,7 @@ from bmoforge.sde import SdeModel, TamingPolicy
 
 @pytest.fixture(scope="module")
 def unit_ensemble():
-    return PathEnsemble(n_paths=16, n_steps=64, dim=1, horizon=1.0, seed=42)
+    return PathEnsemble(n_paths=16, n_steps=64, seed=42)
 
 
 def zero_drift(t, x):
@@ -33,29 +33,29 @@ def zero_drift(t, x):
 # -- solver -------------------------------------------------------------------
 
 def paths(ensemble):
-    """Brownian paths including time 0, shape (paths, n_steps + 1, dim)."""
+    """Brownian paths including time 0, shape (paths, n_steps + 1)."""
     inc = ensemble.increments()
-    out = np.zeros((ensemble.n_paths, ensemble.n_steps + 1, ensemble.dim))
-    np.cumsum(inc, axis=1, out=out[:, 1:, :])
+    out = np.zeros((ensemble.n_paths, ensemble.n_steps + 1))
+    np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
 
 
 def solve(model, level, n, ensemble):
     """The Euler kernel behind strong_error, on the whole fine grid."""
-    mesh = _EulerMesh(model, level, n, ensemble.n_steps, ensemble.horizon, ensemble.n_paths)
-    out = np.empty((ensemble.n_steps + 1, ensemble.n_paths, ensemble.dim))
+    mesh = _EulerMesh(model, level, n, ensemble.n_steps, ensemble.n_paths)
+    out = np.empty((ensemble.n_steps + 1, ensemble.n_paths))
     out[0] = model.x0
     for t0, w in _brownian_blocks(ensemble, 0, ensemble.n_paths):
         m = w.shape[0] - 1
         mesh.advance(model.sigma * w, t0, out[t0 + 1 : t0 + m + 1])
-    return out.transpose(1, 0, 2)
+    return out.T
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
 @pytest.mark.parametrize("start,stop", [(0, 16), (5, 12)])
 def test_brownian_blocks_carry_the_cumsum(unit_ensemble, monkeypatch, block, start, stop):
     monkeypatch.setattr(schemes, "_TIME_BLOCK", block)
-    rows, t_next = [np.zeros((stop - start, 1))], 0
+    rows, t_next = [np.zeros(stop - start)], 0
     for t0, w in _brownian_blocks(unit_ensemble, start, stop):
         assert t0 == t_next
         np.testing.assert_array_equal(w[0], rows[-1])
@@ -75,14 +75,14 @@ def test_solver_identity_on_brownian(unit_ensemble):
 def test_solver_constant_drift(unit_ensemble):
     model = SdeModel(drift=lambda t, x: 2.0 * np.ones_like(x), sigma=1.0, x0=0.5)
     sol = solve(model, math.inf, 16, unit_ensemble)
-    expect = 0.5 + 2.0 * unit_ensemble.times[None, :, None] + paths(unit_ensemble)
+    expect = 0.5 + 2.0 * unit_ensemble.times[None, :] + paths(unit_ensemble)
     np.testing.assert_allclose(sol, expect, atol=1e-12)
 
 
 def test_solver_linear_ode_nodes(unit_ensemble):
     model = SdeModel(drift=lambda t, x: -x, sigma=0.0, x0=1.0)
     sol = solve(model, math.inf, 4, unit_ensemble)
-    nodes = sol[:, ::16, 0]
+    nodes = sol[:, ::16]
     expect = [(1.0 - 0.25) ** j for j in range(5)]
     np.testing.assert_allclose(nodes, np.tile(expect, (16, 1)), rtol=1e-12)
 
@@ -91,21 +91,8 @@ def test_solver_applies_clip(unit_ensemble):
     model = SdeModel(drift=lambda t, x: 100.0 * np.ones_like(x), sigma=1.0, x0=0.0)
     policy = TamingPolicy(scale=1.0, exponent=0.25, log_power=0.0)  # level 2 at n=16
     sol = solve(model, policy.clip_level(16), 16, unit_ensemble)
-    expect = 2.0 * unit_ensemble.times[None, :, None] + paths(unit_ensemble)
+    expect = 2.0 * unit_ensemble.times[None, :] + paths(unit_ensemble)
     np.testing.assert_allclose(sol, expect, atol=1e-12)
-
-
-def test_solver_dim_mismatch(unit_ensemble):
-    model = SdeModel(drift=zero_drift, sigma=1.0, dim=2)
-    with pytest.raises(ValueError, match="dim"):
-        strong_error(model, TamingPolicy(scale=1e6), [4, 8, 16], fine_factor=4,
-                     ensemble=unit_ensemble)
-    flat = SdeModel(drift=zero_drift, sigma=1.0)
-    wide = PathEnsemble(n_paths=8, n_steps=64, dim=2, horizon=1.0, seed=1)
-    with pytest.raises(ValueError, match="dim"):
-        strong_error(flat, TamingPolicy(scale=1e6), [4, 8, 16], fine_factor=4, ensemble=wide)
-    with pytest.raises(ValueError, match="mesh mismatch"):
-        solve(flat, math.inf, 5, unit_ensemble)
 
 
 # -- quadrature error ---------------------------------------------------------
@@ -145,9 +132,6 @@ def test_quadrature_error_validation(unit_ensemble):
     f = scalar_field_registry["sign"]
     with pytest.raises(ValueError, match="mesh mismatch"):
         quadrature_error(f, unit_ensemble, [4, 5])
-    ens2 = PathEnsemble(n_paths=2, n_steps=8, dim=2, horizon=1.0, seed=0)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        quadrature_error(f, ens2, [4])
     with pytest.raises(ValueError, match="nonempty"):
         quadrature_error(f, unit_ensemble, [])
 
@@ -187,22 +171,15 @@ def test_davie_sign_field_bounded(unit_ensemble):
 
 
 def test_davie_validation(unit_ensemble):
-    g = scalar_field_registry["sign"]
-    long = PathEnsemble(n_paths=2, n_steps=8, dim=1, horizon=2.0, seed=0)
-    with pytest.raises(ValueError, match="unit horizon"):
-        davie_functional(g, [0.1], long)
-    wide = PathEnsemble(n_paths=2, n_steps=8, dim=2, horizon=1.0, seed=0)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        davie_functional(g, [0.1], wide)
     with pytest.raises(ValueError, match="nonempty"):
-        davie_functional(g, [], unit_ensemble)
+        davie_functional(scalar_field_registry["sign"], [], unit_ensemble)
 
 
 def per_shift_davie(g, shift, ensemble):
     """One shift at a time, drawing the whole ensemble per call."""
     inc = ensemble.increments()
     b = np.zeros((ensemble.n_paths, ensemble.n_steps))
-    np.cumsum(inc[:, :-1, 0], axis=1, out=b[:, 1:])
+    np.cumsum(inc[:, :-1], axis=1, out=b[:, 1:])
     left_times = ensemble.times[:-1]
     shifted = np.asarray(g(left_times, b + shift), dtype=float)
     plain = np.asarray(g(left_times, b), dtype=float)
@@ -217,7 +194,7 @@ def per_shift_davie(g, shift, ensemble):
 def test_davie_multi_shift_matches_per_shift_formula(field, chunk_size, monkeypatch):
     # "coordinate" hands back its argument and exceeds 1, so the clip of the
     # unshifted term must not leak into the paths the next shift reads.
-    ens = PathEnsemble(n_paths=23, n_steps=50, dim=1, horizon=1.0, seed=4)
+    ens = PathEnsemble(n_paths=23, n_steps=50, seed=4)
     monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", chunk_size * ens.n_steps)
     g = scalar_field_registry[field]
     shifts = [0.05, 0.1, 0.2, 0.4]
@@ -262,54 +239,49 @@ def full_buffer_strong_error(model, taming, ns, fine_factor, ensemble):
         level = taming.clip_level(n)
         ratio = n_ref // n
         out = np.empty_like(w)
-        out[:, 0, :] = model.x0
-        state = model.initial_states(ensemble.n_paths)
+        out[:, 0] = model.x0
+        state = np.full(ensemble.n_paths, model.x0)
         drift_times = ensemble.dt * np.arange(1, ratio + 1)
         for j in range(n):
             t_j = j / n
             b_vals = np.clip(model.drift(t_j, state), -level, level)
-            s_vals = np.broadcast_to(model.sigma, state.shape)
             a = j * ratio
-            c = state - s_vals * w[:, a, :]
-            out[:, a + 1 : a + ratio + 1, :] = (
-                c[:, None, :]
-                + b_vals[:, None, :] * drift_times[None, :, None]
-                + s_vals[:, None, :] * w[:, a + 1 : a + ratio + 1, :]
+            c = state - model.sigma * w[:, a]
+            out[:, a + 1 : a + ratio + 1] = (
+                c[:, None]
+                + b_vals[:, None] * drift_times[None, :]
+                + model.sigma * w[:, a + 1 : a + ratio + 1]
             )
-            state = out[:, a + ratio, :].copy()
+            state = out[:, a + ratio].copy()
         return out
 
     ref = solve(n_ref)
-    return [np.abs(solve(n) - ref).max(axis=(1, 2)) for n in ns]
+    return [np.abs(solve(n) - ref).max(axis=1) for n in ns]
 
 
 FULL_BUFFER_CASES = [
-    # drift, taming, x0, sigma, dim, ns, fine_factor, time block, path group
-    ("sign", TamingPolicy(), 0.0, 1.0, 1, [2, 8, 32], 4, 256, 4096),
+    # drift, taming, x0, sigma, ns, fine_factor, time block, path group
+    ("sign", TamingPolicy(), 0.0, 1.0, [2, 8, 32], 4, 256, 4096),
     # Odd ratios, coarse steps straddling time blocks, path-group boundaries.
-    ("sign", TamingPolicy(), 0.3, 1.5, 1, [3, 6, 12], 5, 7, 5),
-    ("sign", TamingPolicy(scale=1e6), -0.4, 0.5, 2, [3, 6, 12], 5, 1, 4),
-    ("neg-linear", TamingPolicy(scale=1e6), 1.5, 0.8, 1, [3, 6, 12], 5, 1000, 4096),
-    ("neg-linear", TamingPolicy(), 0.0, 1.0, 1, [2, 8, 32], 4, 7, 6),
+    ("sign", TamingPolicy(), 0.3, 1.5, [3, 6, 12], 5, 7, 5),
+    ("sign", TamingPolicy(scale=1e6), -0.4, 0.5, [3, 6, 12], 5, 1, 4),
+    ("neg-linear", TamingPolicy(scale=1e6), 1.5, 0.8, [3, 6, 12], 5, 1000, 4096),
+    ("neg-linear", TamingPolicy(), 0.0, 1.0, [2, 8, 32], 4, 7, 6),
     # A time-dependent drift: drift times must round as the kernel's do. At
     # 98 steps, k / 98 and k * (1 / 98) differ for 48 of the 98 k.
-    (lambda t, x: np.sign(x) + t, TamingPolicy(), 0.2, 1.0, 1, [2, 7, 14], 7, 7, 5),
+    (lambda t, x: np.sign(x) + t, TamingPolicy(), 0.2, 1.0, [2, 7, 14], 7, 7, 5),
     # Clip level 0.023 at the reference's n = 128: taming bites on every mesh.
-    ("sign", TamingPolicy(scale=0.01), 0.0, 1.0, 1, [2, 8, 32], 4, 256, 4096),
-    # One noise scale per coordinate.
-    ("sign", TamingPolicy(), 0.1, (0.5, 2.0), 2, [3, 6, 12], 5, 7, 6),
+    ("sign", TamingPolicy(scale=0.01), 0.0, 1.0, [2, 8, 32], 4, 256, 4096),
 ]
 
 
 def test_strong_error_matches_full_buffer_reference(monkeypatch):
-    for drift, taming, x0, sigma, dim, ns, fine_factor, block, group in FULL_BUFFER_CASES:
+    for drift, taming, x0, sigma, ns, fine_factor, block, group in FULL_BUFFER_CASES:
         monkeypatch.setattr(schemes, "_TIME_BLOCK", block)
         monkeypatch.setattr(schemes, "_PATH_GROUP", group)
-        ens = PathEnsemble(n_paths=13, n_steps=fine_factor * max(ns), dim=dim,
-                           horizon=1.0, seed=8)
+        ens = PathEnsemble(n_paths=13, n_steps=fine_factor * max(ns), seed=8)
         model = SdeModel(drift=scalar_field_registry[drift] if isinstance(drift, str) else drift,
-                         sigma=sigma,
-                         dim=dim, x0=x0)
+                         sigma=sigma, x0=x0)
         res = strong_error(model, taming, ns, fine_factor=fine_factor, ensemble=ens)
         sup = full_buffer_strong_error(model, taming, ns, fine_factor, ens)
         assert res.mean_sup_error == [float(e.mean()) for e in sup]
@@ -328,9 +300,8 @@ def test_strong_error_linear_ode_rate(unit_ensemble):
     assert res.mean_sup_error[0] == pytest.approx(0.04858027424390737, rel=1e-9)
     assert 1.1 <= res.fit.slope <= 1.35
     assert res.fit.r_squared > 0.99
-    rows = res.rows()
-    assert [r["n"] for r in rows] == [4, 8, 16]
-    assert set(rows[0]) == {"n", "mean_sup_error", "stderr", "L2", "L4"}
+    assert res.ns == [4, 8, 16]
+    assert [len(v) for v in (res.mean_sup_error, res.stderr, res.l2, res.l4)] == [3] * 4
 
 
 def test_strong_error_validation(unit_ensemble):
@@ -344,6 +315,8 @@ def test_strong_error_validation(unit_ensemble):
         strong_error(model, taming, [4], fine_factor=1, ensemble=unit_ensemble)
     with pytest.raises(ValueError, match="mesh mismatch"):
         strong_error(model, taming, [4, 8], fine_factor=4, ensemble=unit_ensemble)
+    with pytest.raises(ValueError, match="mesh mismatch"):
+        solve(model, math.inf, 5, unit_ensemble)
 
 
 # -- one draw per path chunk --------------------------------------------------
@@ -362,7 +335,7 @@ def count_draws(monkeypatch):
 
 
 def test_davie_draws_each_chunk_once(count_draws, monkeypatch):
-    ens = PathEnsemble(n_paths=23, n_steps=20, dim=1, horizon=1.0, seed=2)
+    ens = PathEnsemble(n_paths=23, n_steps=20, seed=2)
     monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 5 * ens.n_steps)
     davie_functional(scalar_field_registry["sign"], [0.05, 0.1, 0.2, 0.4], ens)
     assert len(count_draws) == math.ceil(23 / 5)
@@ -371,7 +344,7 @@ def test_davie_draws_each_chunk_once(count_draws, monkeypatch):
 
 def test_quadrature_error_draws_each_chunk_once(count_draws, monkeypatch):
     # All meshes come from one draw per chunk and match one call per mesh.
-    ens = PathEnsemble(n_paths=23, n_steps=20, dim=1, horizon=1.0, seed=2)
+    ens = PathEnsemble(n_paths=23, n_steps=20, seed=2)
     monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 5 * ens.n_steps)
     f = scalar_field_registry["coordinate"]
     meshes = [4, 5, 20]
@@ -406,11 +379,11 @@ def count_normals(monkeypatch):
 def test_path_chunks_stay_within_the_budget(count_draws, count_normals, monkeypatch, budget):
     # A chunk spans at most max(budget, one path) elements, whatever the budget.
     monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", budget)
-    ens = PathEnsemble(n_paths=23, n_steps=16, dim=1, horizon=1.0, seed=2)
+    ens = PathEnsemble(n_paths=23, n_steps=16, seed=2)
     field = scalar_field_registry["sign"]
     davie_functional(field, [0.1, 0.2], ens)
     quadrature_error(field, ens, [4])
-    per_path = ens.n_steps * ens.dim
+    per_path = ens.n_steps
     assert count_draws
     assert all((stop - start) * per_path <= max(budget, per_path)
                for start, stop in count_draws)
@@ -432,7 +405,7 @@ def test_path_chunks_stay_within_the_budget(count_draws, count_normals, monkeypa
 def test_davie_long_paths_fit_the_materialization_cap(monkeypatch):
     # The cap refuses all 20 paths in one chunk but admits a budget chunk.
     monkeypatch.setattr(ensemble_module, "_MAX_MATERIALIZE_BYTES", 2**21)
-    ens = PathEnsemble(n_paths=20, n_steps=20000, dim=1, horizon=1.0, seed=8)
+    ens = PathEnsemble(n_paths=20, n_steps=20000, seed=8)
     assert ensemble_module._CHUNK_ELEMENTS * 8 <= ensemble_module._MAX_MATERIALIZE_BYTES < 20 * 20000 * 8
     with pytest.raises(MemoryError, match="resource cap"):
         ens.increments()
@@ -459,7 +432,7 @@ def test_strong_error_opens_each_stream_once(monkeypatch):
 
     monkeypatch.setattr(ensemble_module, "philox_stream", counted)
     monkeypatch.setattr(PathEnsemble, "increments", refused)
-    ens = PathEnsemble(n_paths=11, n_steps=4 * 16, dim=1, horizon=1.0, seed=2)
+    ens = PathEnsemble(n_paths=11, n_steps=4 * 16, seed=2)
     model = SdeModel(drift=lambda t, x: np.sign(x), sigma=1.0)
     strong_error(model, TamingPolicy(), [4, 8, 16], fine_factor=4, ensemble=ens)
     assert opened == [(PURPOSE_OUTER, i, 0) for i in range(11)]
