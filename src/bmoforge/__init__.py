@@ -38,7 +38,6 @@ from .config import ExperimentConfig, config_hash
 from .controls import variation_control
 from .ensemble import PathEnsemble
 from .estimators import (
-    RateFit,
     empirical_rho_grid,
     holder_exponent_fit,
     loglog_fit,
@@ -83,7 +82,6 @@ __all__ = [
     "config_hash",
     "variation_control",
     "PathEnsemble",
-    "RateFit",
     "empirical_rho_grid",
     "holder_exponent_fit",
     "loglog_fit",

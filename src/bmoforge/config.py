@@ -28,6 +28,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .ensemble import _MAX_TOTAL_DRAWS
@@ -152,13 +153,13 @@ def _coerce(name: str, spec: _Param, raw, violations: list[str]):
                 return int(v.strip())
             raise ValueError
         if kind == "float":
-            if isinstance(v, bool):
+            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                 raise ValueError
-            if isinstance(v, (int, float)):
-                return float(v)
-            if isinstance(v, str):
-                return float(v.strip())
-            raise ValueError
+            val = float(v.strip() if isinstance(v, str) else v)
+            # NaN passes every range comparison, so it is refused here.
+            if not math.isfinite(val):
+                raise ValueError
+            return val
         raise ValueError
 
     if spec.kind == "bool":
@@ -178,7 +179,7 @@ def _coerce(name: str, spec: _Param, raw, violations: list[str]):
         try:
             val = one(raw, spec.kind)
         except (ValueError, TypeError):
-            return fail(f"expected {spec.kind}")
+            return fail("expected a finite float" if spec.kind == "float" else "expected int")
         if spec.lo is not None and val < spec.lo or spec.hi is not None and val > spec.hi:
             return fail(f"must lie in [{spec.lo}, {spec.hi}]")
         return val
@@ -193,7 +194,8 @@ def _coerce(name: str, spec: _Param, raw, violations: list[str]):
         try:
             vals = [one(p, base) for p in parts]
         except (ValueError, TypeError):
-            return fail(f"expected a list of {base}s")
+            return fail("expected a list of finite floats" if base == "float"
+                        else "expected a list of ints")
         if not vals:
             return fail("list must be nonempty")
         bad = [v for v in vals
@@ -257,7 +259,7 @@ def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]
 
 def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentConfig:
     violations: list[str] = []
-    if kind not in KIND_SCHEMAS:
+    if not isinstance(kind, str) or kind not in KIND_SCHEMAS:
         raise ConfigError([f"kind: must be one of {list(KINDS)} (got {kind!r})"])
     schema = KIND_SCHEMAS[kind]
     if seed_raw is None:

@@ -22,6 +22,7 @@ __all__ = [
     "RateFit",
     "EmpiricalOscillationGrid",
     "scalar_field_registry",
+    "inner_means",
     "markov_conditional_moment",
     "empirical_rho_grid",
     "holder_exponent_fit",
@@ -35,8 +36,6 @@ __all__ = [
 class MomentEstimate:
     value: float
     stderr: float
-    n_outer: int
-    n_inner: int
 
 
 @dataclass
@@ -75,6 +74,39 @@ scalar_field_registry = {
 
 # -- nested conditional moments ---------------------------------------------
 
+def inner_means(fun, states, seed: int, sub: int, n_inner: int, n_steps: int, h: float):
+    """Inner mean of |fun(b)| over Brownian continuations from each state.
+
+    For outer state o, ``n_inner`` paths of ``n_steps`` steps of size ``h``
+    are drawn from stream (seed, inner, o, sub), in chunks of
+    ``chunk_rows(n_steps)`` paths; ``fun`` maps their left points, shape
+    (paths, n_steps), to shape (..., paths). Returns (means, stderrs), each of
+    shape (..., len(states)), the stderr being std(ddof=1) / sqrt(n_inner).
+    Each state draws from one stream in order, so results do not depend on
+    the chunk size.
+    """
+    if not len(states):
+        raise ValueError("need at least one outer state")
+    rows = chunk_rows(n_steps)
+    means = errs = samples = None
+    for o, x0 in enumerate(states):
+        rng = philox_stream(seed, PURPOSE_INNER, o, sub)
+        for lo in range(0, n_inner, rows):
+            m = min(rows, n_inner - lo)
+            # b stays bound until the next chunk is drawn: freed at once, its
+            # pages go back to the system and every chunk faults them in anew.
+            b = left_points(rng.standard_normal((m, n_steps)) * math.sqrt(h), x0)
+            vals = np.abs(fun(b))
+            if samples is None:
+                samples = np.empty(vals.shape[:-1] + (n_inner,))
+                means = np.empty(vals.shape[:-1] + (len(states),))
+                errs = np.empty_like(means)
+            samples[..., lo : lo + m] = vals
+        means[..., o] = samples.mean(axis=-1)
+        errs[..., o] = samples.std(axis=-1, ddof=1) / math.sqrt(n_inner)
+    return means, errs
+
+
 def markov_conditional_moment(
     f,
     s: float,
@@ -89,15 +121,12 @@ def markov_conditional_moment(
     """Worst-case conditional first moment of | integral_s^t f(r, X_r) dr |.
 
     For each outer state x the inner mean over Brownian continuations from x
-    is estimated with a left-point Riemann sum on ``n_steps`` uniform steps.
-    The essential supremum over the conditioning state is then proxied by the
-    max (default) or the 0.99 quantile over the outer samples; the reported
-    stderr is the inner-mean standard error at the selected outer sample.
-    Outer states are scalars (one-dimensional Brownian motion).
-
-    Inner paths are drawn in chunks of ``chunk_rows(n_steps)`` paths; each
-    outer state draws from one stream in order, so results do not depend on
-    the chunk size.
+    is estimated by :func:`inner_means` with a left-point Riemann sum on
+    ``n_steps`` uniform steps. The essential supremum over the conditioning
+    state is then proxied by the max (default) or the 0.99 quantile over the
+    outer samples; the reported stderr is the inner-mean standard error at
+    the selected outer sample. Outer states are scalars (one-dimensional
+    Brownian motion).
     """
     if t <= s:
         raise ValueError("need t > s")
@@ -109,18 +138,8 @@ def markov_conditional_moment(
     n_outer = x_arr.shape[0]
     h = (t - s) / n_steps
     times = s + h * np.arange(n_steps)
-    rows = chunk_rows(n_steps)
-    means = np.empty(n_outer)
-    errs = np.empty(n_outer)
-    samples = np.empty(n_inner)
-    for o, x0 in enumerate(x_arr):
-        rng = philox_stream(seed, PURPOSE_INNER, o, stream_index)
-        for lo in range(0, n_inner, rows):
-            m = min(rows, n_inner - lo)
-            b = left_points(rng.standard_normal((m, n_steps)) * math.sqrt(h), x0)
-            samples[lo : lo + m] = np.abs(f(times, b).sum(axis=1) * h)
-        means[o] = samples.mean()
-        errs[o] = samples.std(ddof=1) / math.sqrt(n_inner)
+    means, errs = inner_means(lambda b: f(times, b).sum(axis=1) * h, x_arr, seed,
+                              stream_index, n_inner, n_steps, h)
     if proxy == "max":
         pick = int(np.argmax(means))
     elif proxy == "quantile":
@@ -128,9 +147,7 @@ def markov_conditional_moment(
         pick = int(order[min(n_outer - 1, int(math.ceil(0.99 * n_outer)) - 1)])
     else:
         raise ValueError(f"unknown proxy {proxy!r}")
-    return MomentEstimate(
-        value=float(means[pick]), stderr=float(errs[pick]), n_outer=n_outer, n_inner=n_inner
-    )
+    return MomentEstimate(value=float(means[pick]), stderr=float(errs[pick]))
 
 
 @dataclass
@@ -140,8 +157,6 @@ class EmpiricalOscillationGrid:
     times: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray
-    n_outer: int
-    n_inner: int
     monotone_violations: list[dict] = field(default_factory=list)
 
 
@@ -205,10 +220,8 @@ def empirical_rho_grid(
                             {"inner": [int(a), int(b)], "outer": [int(i), int(j)],
                              "inner_value": float(values[a, b]), "outer_value": float(values[i, j])}
                         )
-    return EmpiricalOscillationGrid(
-        times=times, values=values, stderrs=stderrs,
-        n_outer=n_outer, n_inner=n_inner, monotone_violations=violations,
-    )
+    return EmpiricalOscillationGrid(times=times, values=values, stderrs=stderrs,
+                                    monotone_violations=violations)
 
 
 def holder_exponent_fit(grid: EmpiricalOscillationGrid) -> RateFit:
@@ -267,11 +280,11 @@ def rate_fit(ns, errors) -> RateFit:
 
 
 def pooled_slope(fits) -> tuple[float, float]:
-    """Inverse-variance pooling of fitted slopes; returns (slope, stderr)."""
+    """Inverse-variance pooling of (slope, stderr) pairs; returns (slope, stderr)."""
     fits = list(fits)
     if not fits:
         raise ValueError("need at least one fit")
-    weights = [1.0 / max(f.slope_stderr, 1e-12) ** 2 for f in fits]
+    weights = [1.0 / max(err, 1e-12) ** 2 for _, err in fits]
     total = sum(weights)
-    slope = sum(w * f.slope for w, f in zip(weights, fits)) / total
+    slope = sum(w * s for w, (s, _) in zip(weights, fits)) / total
     return slope, math.sqrt(1.0 / total)

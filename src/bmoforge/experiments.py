@@ -249,7 +249,7 @@ def _run_quadrature(config: ExperimentConfig, out_dir: Path):
     )
     _write_csv(out_dir / "rates.csv", ["n", "value", "stderr"],
                list(zip(result.ns, result.values, result.stderrs)))
-    extra = {"anchor_times": result.anchor_times}
+    extra = {"anchor_times": p["anchor_times"]}
     ok = True
     if result.fit is not None:
         extra["exponent"] = result.fit.slope
@@ -266,21 +266,20 @@ def _run_tamed_em(config: ExperimentConfig, out_dir: Path):
     extra = {}
     if p["sigma"] > 0.0:
         extra["ellipticity"] = ellipticity_check(model, p["ellipticity_bound"])
-    ns = sorted(set(int(n) for n in p["ns"]))
-    n_ref = p["fine_factor"] * max(ns)
+    n_ref = p["fine_factor"] * max(p["ns"])
     ensemble = PathEnsemble(n_paths=p["n_paths"], n_steps=n_ref, seed=config.seed)
-    result = strong_error(model, taming, ns, p["fine_factor"], ensemble)
+    result = strong_error(model, taming, p["ns"], ensemble)
     _write_csv(
         out_dir / "rates.csv",
         ["n", "mean_sup_error", "stderr", "L2", "L4"],
         list(zip(result.ns, result.mean_sup_error, result.stderr, result.l2, result.l4)),
     )
-    extra["reference_n"] = result.reference_n
-    extra["taming_diagnostic"] = {str(n): taming.decay_diagnostic(n) for n in ns}
+    extra["reference_n"] = n_ref
+    extra["taming_diagnostic"] = {str(n): taming.decay_diagnostic(n) for n in result.ns}
     monotone = all(
         result.mean_sup_error[k + 1]
         <= result.mean_sup_error[k] + result.stderr[k] + result.stderr[k + 1]
-        for k in range(len(ns) - 1)
+        for k in range(len(result.ns) - 1)
     )
     extra["monotone_within_stderr"] = monotone
     if result.fit is None:

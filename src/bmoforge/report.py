@@ -9,7 +9,7 @@ import csv
 import json
 from pathlib import Path
 
-from .estimators import RateFit, pooled_slope
+from .estimators import pooled_slope
 
 __all__ = ["report_summary", "REPORT_HEADER"]
 
@@ -85,8 +85,7 @@ def _pooled_rows(manifests) -> list[list]:
     for manifest in manifests:
         extra = manifest.get("extra", {})
         if manifest["kind"] == "davie" and "m2_slope" in extra:
-            fits.append(RateFit(slope=extra["m2_slope"], intercept=0.0, r_squared=0.0,
-                                slope_stderr=extra.get("m2_slope_stderr", 0.0)))
+            fits.append((extra["m2_slope"], extra.get("m2_slope_stderr", 0.0)))
     if len(fits) < 2:
         return []
     slope, err = pooled_slope(fits)

@@ -1,12 +1,16 @@
 """Numerical schemes on one-dimensional Brownian ensembles over [0, 1]: the
-quadrature-error process, the shift-averaging functional, and the coupled
-strong-error experiment for the tamed explicit Euler scheme.
+quadrature-error process, the shift-averaging functional, the coupled
+strong-error experiment for the tamed explicit Euler scheme, and the
+conditional modulus proxy of the quadrature error.
 
 All solvers consume increments from a :class:`~bmoforge.ensemble.PathEnsemble`
 and evaluate solutions on the ensemble's fine grid; coarse meshes must divide
 the fine step count exactly, otherwise a mesh mismatch is raised. The
-path-major consumers read Brownian values at the left points, built by
-:func:`~bmoforge.ensemble.left_points` per chunk of ``chunk_rows`` paths.
+path-major consumers read Brownian values at the left points per chunk of
+paths, from :meth:`~bmoforge.ensemble.PathEnsemble.left_point_chunks`; the
+modulus proxy gets its inner means from
+:func:`~bmoforge.estimators.inner_means`, the loop it shares with the Markov
+moment.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import PathEnsemble, chunk_rows, left_points
-from .estimators import MomentEstimate, RateFit, rate_fit
-from .rng import PURPOSE_INNER, PURPOSE_OUTER, philox_stream
+from .ensemble import PathEnsemble
+from .estimators import MomentEstimate, RateFit, inner_means, rate_fit
+from .rng import PURPOSE_OUTER, philox_stream
 from .sde import SdeModel, TamingPolicy
 
 __all__ = [
@@ -217,12 +221,8 @@ def davie_moments(samples: np.ndarray, ms=(2, 4)) -> dict[int, MomentEstimate]:
         if m < 1 or m % 2 != 0:
             raise ValueError("moment orders must be positive even integers")
         powered = samples**m
-        out[m] = MomentEstimate(
-            value=float(powered.mean()),
-            stderr=float(powered.std(ddof=1) / math.sqrt(n)),
-            n_outer=n,
-            n_inner=1,
-        )
+        out[m] = MomentEstimate(value=float(powered.mean()),
+                                stderr=float(powered.std(ddof=1) / math.sqrt(n)))
     return out
 
 
@@ -235,7 +235,6 @@ class StrongErrorResult:
     stderr: list[float]
     l2: list[float]
     l4: list[float]
-    reference_n: int
     fit: RateFit | None = None
 
 
@@ -243,13 +242,12 @@ def strong_error(
     model: SdeModel,
     taming: TamingPolicy,
     ns,
-    fine_factor: int,
     ensemble: PathEnsemble,
 ) -> StrongErrorResult:
     """Self-convergence of the tamed scheme against a coupled finer reference.
 
-    The reference is the same scheme on the mesh fine_factor * max(ns), which
-    must equal the ensemble's fine grid; every n must divide it. Coarse and
+    The reference is the same scheme on the ensemble's fine grid, at least
+    twice as fine as max(ns); every n must divide it. Coarse and
     reference solutions for one path consume the same increments, so the
     b = 0 control has error exactly zero.
 
@@ -262,16 +260,11 @@ def strong_error(
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
         raise ValueError("ns must be positive integers")
-    if fine_factor < 2:
-        raise ValueError("fine_factor must be >= 2")
-    n_ref = fine_factor * ns[-1]
-    if ensemble.n_steps != n_ref:
-        raise ValueError(
-            f"mesh mismatch: ensemble has {ensemble.n_steps} steps but the "
-            f"reference mesh needs {n_ref}"
-        )
+    n_ref = ensemble.n_steps
     for n in ns:
         _mesh_ratio(n_ref, n)
+    if n_ref < 2 * ns[-1]:
+        raise ValueError(f"the reference mesh {n_ref} must be at least 2 * max(ns) = {2 * ns[-1]}")
     level_ref = taming.clip_level(n_ref)
     levels = [taming.clip_level(n) for n in ns]
     # Both solutions start at x0, so the running sup starts at 0.
@@ -302,10 +295,7 @@ def strong_error(
         l2s.append(float(np.sqrt(np.mean(e**2))))
         l4s.append(float(np.mean(e**4) ** 0.25))
     fit = rate_fit(ns, means) if len(ns) >= 3 and all(v > 0.0 for v in means) else None
-    return StrongErrorResult(
-        ns=ns, mean_sup_error=means, stderr=errs, l2=l2s, l4=l4s,
-        reference_n=n_ref, fit=fit,
-    )
+    return StrongErrorResult(ns=ns, mean_sup_error=means, stderr=errs, l2=l2s, l4=l4s, fit=fit)
 
 
 # -- conditional modulus proxy for the quadrature process --------------------
@@ -315,7 +305,6 @@ class QuadratureModulusResult:
     ns: list[int]
     values: list[float]
     stderrs: list[float]
-    anchor_times: list[float]
     fit: RateFit | None = None
 
 
@@ -337,8 +326,9 @@ def quadrature_modulus_proxy(
     read off a coupled family.
 
     Every anchor time must sit on every coarse mesh, and every mesh must
-    divide the finest one. Inner paths are drawn in chunks of ``chunk_rows``
-    paths; results do not depend on the chunk size.
+    divide the finest one. The inner means come from
+    :func:`~bmoforge.estimators.inner_means`, one call per anchor with all
+    meshes' sums as rows; results do not depend on its chunk size.
     """
     ns = sorted(set(int(n) for n in ns))
     if ns[0] < 1:
@@ -357,25 +347,16 @@ def quadrature_modulus_proxy(
     h = 1.0 / f_unit
     ratios = [f_unit // n for n in ns]
     # Inner mean and its stderr per mesh and (anchor, outer state), anchor-major.
-    means = np.empty((len(ns), len(anchor_times) * n_outer))
-    sds = np.empty_like(means)
+    per_anchor = []
     for s_idx, s in enumerate(anchor_times):
         n_fine = round((1.0 - s) * f_unit)
         left_times = s + h * np.arange(n_fine)
-        rows = chunk_rows(n_fine)
-        d = np.empty((len(ns), n_inner))  # |V_1 - V_s| of each inner path, per mesh
-        for o in range(n_outer):
-            rng_outer = philox_stream(seed, PURPOSE_OUTER, o, s_idx)
-            x0 = rng_outer.standard_normal() * math.sqrt(s) if s > 0.0 else 0.0
-            rng = philox_stream(seed, PURPOSE_INNER, o, s_idx + 1)
-            for lo in range(0, n_inner, rows):
-                m = min(rows, n_inner - lo)
-                b = left_points(rng.standard_normal((m, n_fine)) * math.sqrt(h), x0)
-                d[:, lo : lo + m] = np.abs(_quadrature_sums(f, left_times, b, ratios, h))
-            means[:, s_idx * n_outer + o] = d.mean(axis=1)
-            sds[:, s_idx * n_outer + o] = d.std(axis=1, ddof=1) / math.sqrt(n_inner)
+        states = [philox_stream(seed, PURPOSE_OUTER, o, s_idx).standard_normal() * math.sqrt(s)
+                  if s > 0.0 else 0.0 for o in range(n_outer)]
+        per_anchor.append(inner_means(lambda b: _quadrature_sums(f, left_times, b, ratios, h),
+                                      states, seed, s_idx + 1, n_inner, n_fine, h))
+    means, sds = (np.concatenate(arrs, axis=1) for arrs in zip(*per_anchor))
     pick = (np.arange(len(ns)), means.argmax(axis=1))  # the first pair attaining the max
     vals = means[pick].tolist()
     fit = rate_fit(ns, vals) if len(ns) >= 3 and all(v > 0.0 for v in vals) else None
-    return QuadratureModulusResult(ns=ns, values=vals, stderrs=sds[pick].tolist(),
-                                   anchor_times=anchor_times, fit=fit)
+    return QuadratureModulusResult(ns=ns, values=vals, stderrs=sds[pick].tolist(), fit=fit)

@@ -283,7 +283,7 @@ def test_criterion_8_tamed_scheme_convergence():
     ns = [8, 16, 32, 64, 128, 256]
     ensemble = PathEnsemble(n_paths=2000, n_steps=64 * 256, seed=seed)
     sign_model = SdeModel(drift=lambda t, x: np.sign(x), sigma=1.0, x0=0.0)
-    res = strong_error(sign_model, TamingPolicy(), ns, 64, ensemble)
+    res = strong_error(sign_model, TamingPolicy(), ns, ensemble)
     slope_ok = res.fit.slope >= 0.4
     monotone = all(
         res.mean_sup_error[k + 1]
@@ -291,7 +291,7 @@ def test_criterion_8_tamed_scheme_convergence():
         for k in range(len(ns) - 1)
     )
     zero_model = SdeModel(drift=lambda t, x: np.zeros_like(x), sigma=1.0, x0=0.0)
-    res0 = strong_error(zero_model, TamingPolicy(), ns, 64, ensemble)
+    res0 = strong_error(zero_model, TamingPolicy(), ns, ensemble)
     control_exact = max(res0.mean_sup_error) == 0.0
     elapsed = time.monotonic() - start
     ok = slope_ok and monotone and control_exact and elapsed < 600.0

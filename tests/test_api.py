@@ -8,10 +8,13 @@ module lists in its ``__all__`` must exist in that module.
 
 A parameter with a default is an option; some call in the package or in the
 acceptance suite must set it to a value other than a literal equal to the
-default, or it is one value and belongs in the code.
+default, or it is one value and belongs in the code. Likewise a dataclass
+field is an output; the package or the acceptance suite must read it, or it
+only echoes what the caller already has.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
@@ -144,3 +147,25 @@ def test_every_defaulted_parameter_has_a_caller():
             unset.add(qual)
     assert sorted(unset - UNSET_ALLOWED) == []
     assert UNSET_ALLOWED <= unset  # no stale entry
+
+
+# Dataclass fields that no scanned file reads, kept on purpose.
+UNREAD_ALLOWED = {
+    "estimators.RateFit.intercept",  # a fit's documented output
+}
+
+
+def test_every_dataclass_field_has_a_reader():
+    loaded = {node.attr for path in CALLERS
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for info in pkgutil.iter_modules(bmoforge.__path__):
+        module = importlib.import_module(f"bmoforge.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                unread.update(f"{info.name}.{name}.{f.name}" for f in dataclasses.fields(obj)
+                              if f.name not in loaded)
+    assert sorted(unread - UNREAD_ALLOWED) == []
+    assert UNREAD_ALLOWED <= unread  # no stale entry

@@ -284,3 +284,44 @@ def test_bad_override_exits_two(tmp_path, capsys, monkeypatch, flags, env, probl
     problems = [line for line in err.splitlines() if line.startswith("  - ")]
     assert problems == [f"  - {problem}"]
     assert not (tmp_path / "run").exists()
+
+
+NAN_CASES = [
+    ("davie", "shifts = 0.1, nan, 0.2\n", "shifts"),
+    ("verify-finite", "lambda_list = nan\nn_processes = 3\n", "lambda_list"),
+    ("tamed-em", "sigma = nan\n", "sigma"),
+    ("tamed-em", "x0 = nan\n", "x0"),
+    ("rho-grid", "grid_times = 0.5, nan\n", "grid_times"),
+    ("quadrature", "anchor_times = 0.0, nan\n", "anchor_times"),
+]
+
+
+@pytest.mark.parametrize("kind,section,key", NAN_CASES,
+                         ids=[f"{kind}-{key}" for kind, _, key in NAN_CASES])
+def test_nan_float_exits_two(tmp_path, capsys, kind, section, key):
+    # NaN fails no range comparison, so each of these used to run: with nan
+    # rows or false bound violations, or a traceback.
+    cfg = write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[{kind}]\n{section}")
+    code = main([kind, "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert one_problem(capsys).startswith(f"  - {key}: expected a ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_json_nan_float_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, '{"kind": "tamed-em", "seed": 1, "params": {"x0": NaN}}', "exp.json")
+    code = main(["tamed-em", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert one_problem(capsys) == "  - x0: expected a finite float (got nan)"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", [["davie"], {"a": 1}], ids=["list", "object"])
+def test_unhashable_json_kind_exits_two(tmp_path, capsys, kind):
+    cfg = write(tmp_path, json.dumps({"kind": kind, "seed": 1}), "exp.json")
+    code = main(["davie", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    problem = one_problem(capsys)
+    assert problem.startswith("  - kind: must be one of [")
+    assert problem.endswith(f"(got {kind!r})")
+    assert not (tmp_path / "run").exists()

@@ -210,8 +210,7 @@ def test_davie_moments_frozen():
     out = davie_moments(np.array([1.0, -1.0, 2.0]))
     assert out[2].value == pytest.approx(2.0)
     assert out[4].value == pytest.approx(6.0)
-    assert out[2].stderr > 0.0
-    assert out[2].n_outer == 3
+    assert out[2].stderr == pytest.approx(1.0)  # sqrt(3) / sqrt(3 samples)
     with pytest.raises(ValueError, match="two samples"):
         davie_moments(np.array([1.0]))
     with pytest.raises(ValueError, match="even"):
@@ -222,12 +221,10 @@ def test_davie_moments_frozen():
 
 def test_strong_error_zero_drift_is_exactly_zero(unit_ensemble):
     model = SdeModel(drift=zero_drift, sigma=1.0, x0=0.0)
-    res = strong_error(model, TamingPolicy(), [4, 8, 16], fine_factor=4,
-                       ensemble=unit_ensemble)
+    res = strong_error(model, TamingPolicy(), [4, 8, 16], unit_ensemble)
     assert res.mean_sup_error == [0.0, 0.0, 0.0]
     assert res.l2 == [0.0, 0.0, 0.0]
     assert res.fit is None
-    assert res.reference_n == 64
 
 
 def full_buffer_strong_error(model, taming, ns, fine_factor, ensemble):
@@ -282,7 +279,7 @@ def test_strong_error_matches_full_buffer_reference(monkeypatch):
         ens = PathEnsemble(n_paths=13, n_steps=fine_factor * max(ns), seed=8)
         model = SdeModel(drift=scalar_field_registry[drift] if isinstance(drift, str) else drift,
                          sigma=sigma, x0=x0)
-        res = strong_error(model, taming, ns, fine_factor=fine_factor, ensemble=ens)
+        res = strong_error(model, taming, ns, ens)
         sup = full_buffer_strong_error(model, taming, ns, fine_factor, ens)
         assert res.mean_sup_error == [float(e.mean()) for e in sup]
         assert res.stderr == [float(e.std(ddof=1) / math.sqrt(13)) for e in sup]
@@ -293,8 +290,7 @@ def test_strong_error_matches_full_buffer_reference(monkeypatch):
 
 def test_strong_error_linear_ode_rate(unit_ensemble):
     model = SdeModel(drift=lambda t, x: -x, sigma=0.0, x0=1.0)
-    res = strong_error(model, TamingPolicy(scale=1e6), [4, 8, 16], fine_factor=4,
-                       ensemble=unit_ensemble)
+    res = strong_error(model, TamingPolicy(scale=1e6), [4, 8, 16], unit_ensemble)
     # Deterministic problem: every path shows the same error.
     assert res.stderr == [0.0, 0.0, 0.0]
     assert res.mean_sup_error[0] == pytest.approx(0.04858027424390737, rel=1e-9)
@@ -308,13 +304,15 @@ def test_strong_error_validation(unit_ensemble):
     model = SdeModel(drift=zero_drift, sigma=1.0)
     taming = TamingPolicy(scale=1e6)
     with pytest.raises(ValueError, match="positive"):
-        strong_error(model, taming, [], fine_factor=4, ensemble=unit_ensemble)
+        strong_error(model, taming, [], unit_ensemble)
     with pytest.raises(ValueError, match="positive"):
-        strong_error(model, taming, [0, 4], fine_factor=4, ensemble=unit_ensemble)
-    with pytest.raises(ValueError, match="fine_factor"):
-        strong_error(model, taming, [4], fine_factor=1, ensemble=unit_ensemble)
+        strong_error(model, taming, [0, 4], unit_ensemble)
+    # The reference mesh is the ensemble's 64 steps: max(ns) may be 32, not 64.
+    assert strong_error(model, taming, [4, 32], unit_ensemble).mean_sup_error == [0.0, 0.0]
+    with pytest.raises(ValueError, match="at least 2 \\* max\\(ns\\) = 128"):
+        strong_error(model, taming, [4, 64], unit_ensemble)
     with pytest.raises(ValueError, match="mesh mismatch"):
-        strong_error(model, taming, [4, 8], fine_factor=4, ensemble=unit_ensemble)
+        strong_error(model, taming, [3, 8], unit_ensemble)
     with pytest.raises(ValueError, match="mesh mismatch"):
         solve(model, math.inf, 5, unit_ensemble)
 
@@ -434,7 +432,7 @@ def test_strong_error_opens_each_stream_once(monkeypatch):
     monkeypatch.setattr(PathEnsemble, "increments", refused)
     ens = PathEnsemble(n_paths=11, n_steps=4 * 16, seed=2)
     model = SdeModel(drift=lambda t, x: np.sign(x), sigma=1.0)
-    strong_error(model, TamingPolicy(), [4, 8, 16], fine_factor=4, ensemble=ens)
+    strong_error(model, TamingPolicy(), [4, 8, 16], ens)
     assert opened == [(PURPOSE_OUTER, i, 0) for i in range(11)]
 
 
