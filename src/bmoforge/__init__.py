@@ -1,8 +1,8 @@
 """bmoforge: exact and Monte Carlo verification lab for bounded mean
 oscillation bounds on stochastic processes.
 
-Exact side: finite filtered spaces, exhaustive stopping-time enumeration, the
-two-convention oscillation modulus, variation controls, and inequality
+Exact side: finite filtered spaces, the two-convention oscillation modulus
+computed by Snell sweeps over stop atoms, variation controls, and inequality
 checkers that report machine-verifiable witnesses. Monte Carlo side:
 counter-based Brownian ensembles, nested conditional-moment estimators, the
 tamed explicit Euler scheme, quadrature-error and shift-averaging

@@ -6,11 +6,12 @@ uniform tolerance :func:`check_tolerance`; exponential-moment checks compare
 in log space, against the log-scale bounds of :mod:`bmoforge.bounds`, so that
 large rates saturate instead of overflowing.
 
-The domination hypothesis of the good-lambda lemma is verified exhaustively
-over all stopping pairs before the conclusion is tested, and a violating
-stopping pair is reported when verification fails. The energy lemma takes
-the smallest uniform conditional-increment bound, computed over all stopping
-times, so its hypothesis holds by construction.
+The domination hypothesis of the good-lambda lemma is verified before the
+conclusion is tested, by one backward Snell sweep over stop atoms that takes
+the supremum over every stopping pair, and a violating stopping pair is
+reported when verification fails. The energy lemma takes the smallest
+uniform conditional-increment bound, the maximum over stop atoms of one
+backward sweep, so its hypothesis holds by construction.
 """
 
 from __future__ import annotations
@@ -238,6 +239,8 @@ def garsia_check(process: AdaptedProcess, u_leaf, y, s: int,
     """
     space = process.space
     tau = space.depth
+    if not 0 <= s <= tau:
+        raise ValueError(f"s = {s} outside [0, {tau}]")
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("alpha and beta must be > 0")
     u_leaf = np.asarray(u_leaf, dtype=float)
@@ -313,6 +316,8 @@ def energy_check(process: AdaptedProcess, s: int, p: int = 2) -> CheckReport:
     :func:`energy_constant`.
     """
     space = process.space
+    if not 0 <= s <= space.depth:
+        raise ValueError(f"s = {s} outside [0, {space.depth}]")
     if p < 1 or int(p) != p:
         raise ValueError("p must be a positive integer")
     if not process.is_nondecreasing():

@@ -15,9 +15,8 @@ The supremum over pairs factors through stop atoms: every node u at a level
 j in [s, t] is a stop atom of some S, and conditionally on stopping at u the
 supremum over continuations T is a finite optimal-stopping problem solved
 exactly by backward induction. The result therefore equals the brute-force
-supremum over the full enumeration, at polynomial cost, on a tree of any
-size. The enumeration cap guards only the literal enumeration in
-:mod:`bmoforge.stopping`, the oracle this engine is tested against.
+supremum over every stopping pair, at polynomial cost and with no
+enumeration, on a tree of any size.
 """
 
 from __future__ import annotations
@@ -27,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processes import AdaptedProcess
-from .stopping import StoppingTime
 
 __all__ = [
     "oscillation_modulus",
     "oscillation_grid",
-    "pair_oscillation",
     "OscillationData",
 ]
 
@@ -84,44 +81,6 @@ def oscillation_modulus(process: AdaptedProcess, s: int, t: int) -> float:
         raise ValueError(f"window [{s}, {t}] outside [0, {process.space.depth}]")
     anchors = {j: _anchors(process, j) for j in range(s, t + 1)}
     return max(0.0, *(float(np.max(g)) for g in _stop_level_values(process, anchors, s, t)))
-
-
-def pair_oscillation(
-    process: AdaptedProcess,
-    stop_s: StoppingTime,
-    stop_t: StoppingTime,
-    convention: str = "grid",
-) -> float:
-    """ess-sup over atoms of F_S of E_S |V_T - anchor| for one stopping pair.
-
-    ``convention`` is ``"grid"`` (anchor V_{S-}) or ``"intra"`` (anchor V_S).
-    Used as the literal-enumeration oracle for :func:`oscillation_modulus`.
-    """
-    if not stop_t.dominates(stop_s):
-        raise ValueError("requires T >= S pathwise")
-    space = process.space
-    _, t = stop_s.window
-    b = space.branching
-    n_atoms = space.level_size(t)
-    # Value of V at T's stop node, per level-t atom.
-    v_stop = np.empty(n_atoms)
-    for m in range(n_atoms):
-        lev = int(stop_t.atom_levels[m])
-        v_stop[m] = process.values[lev][m // b ** (t - lev)]
-    probs_t = space.atom_probs[t]
-    best = 0.0
-    for lev, idx in stop_s.stop_nodes():
-        if convention == "grid":
-            anchor = process.left_limit(lev)[idx]
-        elif convention == "intra":
-            anchor = process.values[lev][idx]
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
-        block = b ** (t - lev)
-        sel = slice(idx * block, (idx + 1) * block)
-        w = probs_t[sel]
-        best = max(best, float(np.sum(w * np.abs(v_stop[sel] - anchor)) / np.sum(w)))
-    return best
 
 
 @dataclass

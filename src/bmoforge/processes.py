@@ -18,7 +18,6 @@ from .space import FiniteFilteredSpace, build_tree
 __all__ = [
     "AdaptedProcess",
     "maximal_process",
-    "deterministic_process",
     "random_space",
     "random_process",
     "random_nondecreasing_process",
@@ -81,16 +80,6 @@ def maximal_process(space: FiniteFilteredSpace, process: AdaptedProcess) -> Adap
     # Leaf i lies in level-k atom i // b**(d-k): take every b**(d-k)-th leaf.
     d, b = space.depth, space.branching
     return AdaptedProcess(space=space, values=[run[::b ** (d - k), k] for k in range(d + 1)])
-
-
-def deterministic_process(space: FiniteFilteredSpace, level_values) -> AdaptedProcess:
-    """Process equal to ``level_values[k]`` on every level-k atom."""
-    if len(level_values) != space.depth + 1:
-        raise ValueError("need one value per level")
-    return AdaptedProcess(
-        space=space,
-        values=[np.full(space.level_size(k), float(level_values[k])) for k in range(space.depth + 1)],
-    )
 
 
 def random_space(rng: np.random.Generator, depth: int, branching: int = 2,

@@ -35,6 +35,11 @@ def _load_manifest(path: Path) -> dict:
                if not isinstance(manifest, dict) or k not in manifest]
     if missing:
         raise ValueError(f"{path}: manifest lacks {', '.join(missing)}")
+    not_text = [k for k in ("kind", "config_hash") if not isinstance(manifest[k], str)]
+    if not_text:
+        raise ValueError(f"{path}: {', '.join(not_text)} must be a string")
+    if not isinstance(manifest.get("extra", {}), dict):
+        raise ValueError(f"{path}: extra must be an object")
     return manifest
 
 
@@ -46,7 +51,12 @@ def _rows_for_manifest(path: Path, manifest: dict) -> list[list]:
     if kind in ("verify-finite", "jn-check"):
         summary = out_dir / "summary.csv"
         with open(summary, "r", encoding="utf-8", newline="") as fh:
-            for rec in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("check", "n_cases", "violations", "worst_ratio")
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{summary}: summary lacks column {', '.join(missing)}")
+            for rec in reader:
                 rows.append(_check_row(run, kind, rec["check"], rec["n_cases"],
                                        rec["violations"], rec["worst_ratio"]))
         return rows
@@ -62,6 +72,8 @@ def _rows_for_manifest(path: Path, manifest: dict) -> list[list]:
             rows.append(_metric_row(run, kind, "m2_slope", extra["m2_slope"],
                                     extra.get("m2_slope_stderr", "")))
         ratios = extra.get("gamma_ratios") or {}
+        if not (isinstance(ratios, dict) and all(type(x) in (int, float) for x in ratios.values())):
+            raise ValueError(f"{path}: gamma_ratios must map shifts to numbers")
         if ratios:
             vals = list(ratios.values())
             rows.append(_metric_row(run, kind, "gamma_ratio_min", min(vals)))
@@ -80,12 +92,15 @@ def _rows_for_manifest(path: Path, manifest: dict) -> list[list]:
     return rows
 
 
-def _pooled_rows(manifests) -> list[list]:
+def _pooled_rows(loaded) -> list[list]:
     fits = []
-    for manifest in manifests:
+    for path, manifest in loaded:
         extra = manifest.get("extra", {})
         if manifest["kind"] == "davie" and "m2_slope" in extra:
-            fits.append((extra["m2_slope"], extra.get("m2_slope_stderr", 0.0)))
+            fit = (extra["m2_slope"], extra.get("m2_slope_stderr", 0.0))
+            if not all(type(x) in (int, float) for x in fit):  # bool is not a number here
+                raise ValueError(f"{path}: m2_slope and m2_slope_stderr must be numbers")
+            fits.append(fit)
     if len(fits) < 2:
         return []
     slope, err = pooled_slope(fits)
@@ -107,12 +122,15 @@ def report_summary(manifest_paths, out_path=None) -> tuple[list[list], str]:
     """Build the aggregate table; optionally write it as CSV.
 
     Returns (rows, text_table). Unreadable manifests or referenced summaries
-    raise OSError; a manifest that is not JSON or lacks ``kind`` or
-    ``config_hash`` raises ValueError.
+    raise OSError; a malformed manifest or summary raises ValueError: one
+    that is not JSON, lacks a string ``kind`` or ``config_hash``, has an
+    ``extra`` that is not an object, a summary without the summary columns,
+    ``davie`` gamma ratios that are not numbers, or a pooled ``davie`` slope
+    that is not a number.
     """
     loaded = [(path, _load_manifest(path)) for path in map(Path, manifest_paths)]
     rows = [row for path, manifest in loaded for row in _rows_for_manifest(path, manifest)]
-    rows.extend(_pooled_rows([manifest for _, manifest in loaded]))
+    rows.extend(_pooled_rows(loaded))
     if out_path is not None:
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -331,12 +331,16 @@ def quadrature_modulus_proxy(
     meshes' sums as rows; results do not depend on its chunk size.
     """
     ns = sorted(set(int(n) for n in ns))
+    if not ns:
+        raise ValueError("ns must not be empty")
     if ns[0] < 1:
         raise ValueError("ns must be positive")
     n_max = ns[-1]
     for n in ns:
         _mesh_ratio(n_max, n)
     anchor_times = [float(s) for s in anchor_times]
+    if not anchor_times:
+        raise ValueError("anchor_times must not be empty")
     for s in anchor_times:
         if not 0.0 <= s < 1.0:
             raise ValueError("anchor times must lie in [0, 1)")

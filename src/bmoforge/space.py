@@ -8,7 +8,7 @@ sum, so conditional expectations are exact up to floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +22,12 @@ class FiniteFilteredSpace:
     """Rooted tree with per-edge transition probabilities.
 
     ``transitions[k]`` has shape ``(branching**k, branching)``; row ``i`` is
-    the child distribution of node ``i`` at level ``k``. ``atom_probs[k]``
-    holds absolute atom probabilities at level ``k`` (they sum to one).
+    the child distribution of node ``i`` at level ``k``.
     """
 
     depth: int
     branching: int
     transitions: list[np.ndarray]
-    atom_probs: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         if self.depth < 0:
@@ -55,7 +53,6 @@ class FiniteFilteredSpace:
                 raise ValueError(f"transition level {k} rows do not sum to 1")
             clean.append(rows)
         self.transitions = clean
-        self.atom_probs = self._compute_atom_probs()
 
     # -- structure ---------------------------------------------------------
 
@@ -65,12 +62,6 @@ class FiniteFilteredSpace:
     @property
     def n_leaves(self) -> int:
         return self.level_size(self.depth)
-
-    def _compute_atom_probs(self) -> list[np.ndarray]:
-        probs = [np.ones(1)]
-        for k in range(self.depth):
-            probs.append(np.repeat(probs[k], self.branching) * self.transitions[k].ravel())
-        return probs
 
     # -- expectations ------------------------------------------------------
 

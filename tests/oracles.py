@@ -1,11 +1,16 @@
-"""Stopping times on finite filtered spaces, with exhaustive enumeration.
+"""Literal-enumeration oracles for the exact side.
+
+The package computes every supremum over stopping times by a polynomial
+Snell sweep. The oracles here compute the same suprema from their defining
+formulas: they enumerate every stopping time (or stopping pair) of a window
+and evaluate each one on the tree's atoms.
 
 A stopping time with values in the level window [s, t] is a first-hit rule:
 each path stops at the first labelled node it meets, and every path must
 stop by level t. Enumeration is exponential in the window width, so all
 entry points take a cap and refuse infeasible windows loudly rather than
-grinding. The cap belongs to this literal enumeration only: the Snell engine
-in :mod:`bmoforge.oscillation` computes the same suprema at polynomial cost.
+grinding. The cap belongs to this literal enumeration only; the Snell
+engine in :mod:`bmoforge.oscillation` needs none.
 """
 
 from __future__ import annotations
@@ -16,22 +21,33 @@ from itertools import product
 
 import numpy as np
 
-from .space import FiniteFilteredSpace
-
-__all__ = [
-    "StoppingTime",
-    "EnumerationInfeasibleError",
-    "subtree_rule_count",
-    "enumerate_stopping_times",
-    "enumerate_stopping_pairs",
-    "DEFAULT_ENUMERATION_CAP",
-]
+from bmoforge.processes import AdaptedProcess
+from bmoforge.space import FiniteFilteredSpace
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
 class EnumerationInfeasibleError(RuntimeError):
     """Raised when a window holds more stopping times than the cap allows."""
+
+
+def atom_probs(space: FiniteFilteredSpace) -> list[np.ndarray]:
+    """Absolute atom probabilities per level: entry k holds one probability
+    per level-k atom, and they sum to one."""
+    probs = [np.ones(1)]
+    for k in range(space.depth):
+        probs.append(np.repeat(probs[k], space.branching) * space.transitions[k].ravel())
+    return probs
+
+
+def deterministic_process(space: FiniteFilteredSpace, level_values) -> AdaptedProcess:
+    """Process equal to ``level_values[k]`` on every level-k atom."""
+    if len(level_values) != space.depth + 1:
+        raise ValueError("need one value per level")
+    return AdaptedProcess(
+        space=space,
+        values=[np.full(space.level_size(k), float(level_values[k])) for k in range(space.depth + 1)],
+    )
 
 
 def subtree_rule_count(branching: int, width: int) -> int:
@@ -183,3 +199,94 @@ def enumerate_stopping_pairs(
     for S in enumerate_stopping_times(space, s, t, cap=cap):
         for T in _continuations(space, S, t):
             yield S, T
+
+
+def _node_mean(probs_t: np.ndarray, x_t: np.ndarray, block: int, idx: int) -> float:
+    """E_u x for a level-t variable ``x_t``, where node u covers the ``block``
+    level-t atoms from ``idx * block`` on and ``probs_t`` holds the level-t
+    atom probabilities."""
+    sel = slice(idx * block, (idx + 1) * block)
+    w = probs_t[sel]
+    return float(np.sum(w * x_t[sel]) / np.sum(w))
+
+
+def _stopped_values(process: AdaptedProcess, stop_t: StoppingTime) -> np.ndarray:
+    """V_T per level-t atom, t the end of T's window."""
+    _, t = stop_t.window
+    b = process.space.branching
+    lev = stop_t.atom_levels
+    return np.array([process.values[int(lev[m])][m // b ** (t - int(lev[m]))]
+                     for m in range(lev.size)])
+
+
+def pair_oscillation(
+    process: AdaptedProcess,
+    stop_s: StoppingTime,
+    stop_t: StoppingTime,
+    convention: str = "grid",
+) -> float:
+    """ess-sup over atoms of F_S of E_S |V_T - anchor| for one stopping pair.
+
+    ``convention`` is ``"grid"`` (anchor V_{S-}) or ``"intra"`` (anchor V_S).
+    """
+    if not stop_t.dominates(stop_s):
+        raise ValueError("requires T >= S pathwise")
+    space = process.space
+    _, t = stop_s.window
+    v_stop = _stopped_values(process, stop_t)
+    probs_t = atom_probs(space)[t]
+    best = 0.0
+    for lev, idx in stop_s.stop_nodes():
+        if convention == "grid":
+            anchor = process.left_limit(lev)[idx]
+        elif convention == "intra":
+            anchor = process.values[lev][idx]
+        else:
+            raise ValueError(f"unknown convention {convention!r}")
+        block = space.branching ** (t - lev)
+        best = max(best, _node_mean(probs_t, np.abs(v_stop - anchor), block, idx))
+    return best
+
+
+def brute_force_modulus(process: AdaptedProcess, s: int, t: int,
+                        conventions=("grid", "intra")) -> float:
+    """Literal supremum over every stopping pair, the defining formula."""
+    best = 0.0
+    for stop_s, stop_t in enumerate_stopping_pairs(process.space, s, t):
+        for conv in conventions:
+            best = max(best, pair_oscillation(process, stop_s, stop_t, convention=conv))
+    return best
+
+
+def brute_force_energy_constant(process: AdaptedProcess) -> float:
+    """Max over every stopping time S in [0, depth] and every stop node u of
+    S of E_u(A_tau) - A_{u-}."""
+    space = process.space
+    tau = space.depth
+    probs = atom_probs(space)[tau]
+    best = -math.inf
+    for stop in enumerate_stopping_times(space, 0, tau):
+        for lev, idx in stop.stop_nodes():
+            gain = _node_mean(probs, process.values[tau], space.branching ** (tau - lev), idx)
+            best = max(best, gain - float(process.left_limit(lev)[idx]))
+    return best
+
+
+def brute_force_garsia_gap(process: AdaptedProcess, u_leaf, s: int) -> float:
+    """Max over every stopping pair s <= S <= T <= depth and every stop node
+    u of S of E_u|V_T - V_{u-}| - E_u U, the largest gap of the Garsia
+    domination hypothesis."""
+    space = process.space
+    tau = space.depth
+    u_leaf = np.asarray(u_leaf, dtype=float)
+    probs = atom_probs(space)[tau]
+    best = -math.inf
+    for stop_s, stop_t in enumerate_stopping_pairs(space, s, tau):
+        v_stop = _stopped_values(process, stop_t)
+        for lev, idx in stop_s.stop_nodes():
+            block = space.branching ** (tau - lev)
+            anchor = process.left_limit(lev)[idx]
+            gap = (_node_mean(probs, np.abs(v_stop - anchor), block, idx)
+                   - _node_mean(probs, u_leaf, block, idx))
+            best = max(best, gap)
+    return best

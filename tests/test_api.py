@@ -10,7 +10,9 @@ A parameter with a default is an option; some call in the package or in the
 acceptance suite must set it to a value other than a literal equal to the
 default, or it is one value and belongs in the code. Likewise a dataclass
 field is an output; the package or the acceptance suite must read it, or it
-only echoes what the caller already has.
+only echoes what the caller already has. And every function, class and
+method the package defines must be used by the package or the acceptance
+suite: code that only tests call belongs with the tests.
 """
 
 import ast
@@ -63,12 +65,8 @@ def test_every_module_name_resolves():
 
 
 # Defaulted parameters no scanned call sets, kept on purpose: the CLI entry
-# point's argv, and the two knobs of the literal-enumeration oracle.
-UNSET_ALLOWED = {
-    "cli.main.argv",
-    "oscillation.pair_oscillation.convention",
-    "stopping.enumerate_stopping_pairs.cap",
-}
+# point's argv.
+UNSET_ALLOWED = {"cli.main.argv"}
 CALLERS = [*sorted((ROOT / "src" / "bmoforge").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
@@ -169,3 +167,32 @@ def test_every_dataclass_field_has_a_reader():
                               if f.name not in loaded)
     assert sorted(unread - UNREAD_ALLOWED) == []
     assert UNREAD_ALLOWED <= unread  # no stale entry
+
+
+def test_every_package_definition_has_a_caller():
+    # Every top-level function and class and every non-dunder method of a
+    # package module must be loaded by name somewhere in the package (the
+    # namespace re-exports in __init__ aside) or in the acceptance suite.
+    defined = set()
+    loaded = set()
+    for path in CALLERS:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent.name == "bmoforge":
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add((path.stem, node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined.update((f"{path.stem}.{node.name}", item.name) for item in node.body
+                                   if isinstance(item, ast.FunctionDef)
+                                   and not item.name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    uncalled = sorted(f"{owner}.{name}" for owner, name in defined if name not in loaded)
+    assert uncalled == []

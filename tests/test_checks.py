@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -33,12 +34,13 @@ from bmoforge.controls import variation_control
 from bmoforge.oscillation import _stop_level_values, oscillation_grid
 from bmoforge.processes import (
     AdaptedProcess,
-    deterministic_process,
     random_nondecreasing_process,
     random_process,
     random_space,
 )
 from bmoforge.space import build_tree
+
+from oracles import brute_force_energy_constant, brute_force_garsia_gap, deterministic_process
 
 
 def fair_walk():
@@ -170,6 +172,10 @@ def test_energy_frozen():
 def test_energy_hypothesis_rejected():
     with pytest.raises(ValueError, match="nondecreasing"):
         energy_check(fair_walk(), 0)
+    a = deterministic_process(build_tree(3, 2), [0.0, 1.0, 2.0, 3.0])
+    for s in (-1, 4):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
+            energy_check(a, s)
 
 
 def zero_one_increments(sp, rng):
@@ -193,6 +199,16 @@ def test_energy_random_corpus(seed):
                 assert energy_check(a, s, p=p).holds
                 ran += 1
     assert ran == 24
+
+
+@pytest.mark.parametrize("depth,branching,seed", [(3, 2, 31), (2, 3, 32)])
+def test_energy_constant_matches_enumeration(depth, branching, seed):
+    # The stop-atom sweep against every stopping time S in [0, depth] and
+    # every stop node u of S.
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
+    for a in (zero_one_increments(sp, rng), random_nondecreasing_process(sp, rng)):
+        assert energy_constant(a) == pytest.approx(brute_force_energy_constant(a), abs=1e-12)
 
 
 def test_garsia_frozen():
@@ -221,6 +237,10 @@ def test_garsia_validation():
         garsia_check(v, np.ones(3), 0.0, 0, alpha=1.0, beta=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         garsia_check(v, -u, 0.0, 0, alpha=1.0, beta=1.0)
+    deep = deterministic_process(build_tree(3, 2), [0.0, 1.0, 2.0, 3.0])
+    for s in (-1, 4):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
+            garsia_check(deep, np.ones(8), 0.0, s, alpha=1.0, beta=1.0)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -445,3 +465,26 @@ def test_garsia_hypothesis_gaps_stack_every_stop_level(depth, branching, s):
             gap = np.maximum(payoffs[k - j], sp.step_expectation(gap, k))
         assert stacked[j - s].shape == (1, sp.level_size(j))
         assert stacked[j - s][0].tobytes() == gap.tobytes()
+
+
+@pytest.mark.parametrize("depth,branching,seed", [(3, 2, 33), (2, 3, 34)])
+def test_garsia_hypothesis_gap_matches_enumeration(depth, branching, seed):
+    # The largest domination gap of the Snell sweep against every stopping
+    # pair s <= S <= T <= depth and every stop node u of S; garsia_check
+    # rejects its hypothesis exactly when that gap is positive.
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
+    v = random_process(sp, rng, kind="uniform")
+    rejected = []
+    for u in (rng.uniform(0.0, 2.0, sp.n_leaves), rng.uniform(2.0, 3.0, sp.n_leaves)):
+        eu = [sp.cond_expectation(u, k) for k in range(depth + 1)]
+        for s in range(depth + 1):
+            anchors = {j: v.left_limit(j)[None] for j in range(s, depth + 1)}
+            gap = max(float(np.max(g)) for g in _stop_level_values(v, anchors, s, depth, cost=eu))
+            brute = brute_force_garsia_gap(v, u, s)
+            assert gap == pytest.approx(brute, abs=1e-12)
+            rejected.append(brute > 1e-12)
+            with (pytest.raises(ValueError, match="domination hypothesis fails")
+                  if rejected[-1] else contextlib.nullcontext()):
+                garsia_check(v, u, 0.0, s, alpha=1.0, beta=1.0)
+    assert any(rejected) and not all(rejected)

@@ -229,14 +229,38 @@ def test_unreadable_config_exits_two(tmp_path, capsys, case, message):
     ("directory", "Is a directory"),
     ("not-json", "not a JSON manifest"),
     ("no-kind", "manifest lacks kind"),
+    ("extra-list", "extra must be an object"),
+    ("config-hash-int", "config_hash must be a string"),
+    ("summary-without-check", "summary lacks column check"),
+    ("non-numeric-slope", "m2_slope and m2_slope_stderr must be numbers"),
+    ("gamma-ratios-list", "gamma_ratios must map shifts to numbers"),
 ])
 def test_bad_manifest_exits_two(tmp_path, capsys, case, message):
     path = tmp_path / "manifest.json"
+    paths = [path]
+    doc = {"kind": "davie", "config_hash": "ab" * 32}
     if case == "directory":
         path.mkdir()
-    else:
+    elif case in ("not-json", "no-kind"):
         path.write_text("{" if case == "not-json" else '{"config_hash": "ab"}')
-    code = main(["report", str(path)])
+    else:
+        if case == "extra-list":
+            doc["extra"] = [1, 2]
+        elif case == "config-hash-int":
+            doc["config_hash"] = 1234
+        elif case == "gamma-ratios-list":
+            doc["extra"] = {"gamma_ratios": [0.9, 1.2]}
+        elif case == "summary-without-check":
+            doc["kind"] = "jn-check"
+            (tmp_path / "summary.csv").write_text(
+                "name,n_cases,violations,worst_ratio\njn-moment,6,0,0.5\n")
+        else:  # pooling needs two davie runs
+            doc["extra"] = {"m2_slope": "2.0"}
+            paths.append(tmp_path / "other" / "manifest.json")
+        for p in paths:
+            p.parent.mkdir(exist_ok=True)
+            p.write_text(json.dumps(doc))
+    code = main(["report", *map(str, paths)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

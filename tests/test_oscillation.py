@@ -1,29 +1,18 @@
 import numpy as np
 import pytest
 
-from bmoforge.oscillation import (
-    _stop_level_values,
-    oscillation_grid,
-    oscillation_modulus,
-    pair_oscillation,
-)
-from bmoforge.processes import AdaptedProcess, deterministic_process, random_process, random_space
+from bmoforge.oscillation import _stop_level_values, oscillation_grid, oscillation_modulus
+from bmoforge.processes import AdaptedProcess, random_process, random_space
 from bmoforge.space import FiniteFilteredSpace, build_tree
-from bmoforge.stopping import (
+
+from oracles import (
     EnumerationInfeasibleError,
     StoppingTime,
-    enumerate_stopping_pairs,
+    brute_force_modulus,
+    deterministic_process,
     enumerate_stopping_times,
+    pair_oscillation,
 )
-
-
-def brute_force_modulus(process, s, t, conventions=("grid", "intra")):
-    """Literal supremum over every stopping pair, the defining formula."""
-    best = 0.0
-    for stop_s, stop_t in enumerate_stopping_pairs(process.space, s, t):
-        for conv in conventions:
-            best = max(best, pair_oscillation(process, stop_s, stop_t, convention=conv))
-    return best
 
 
 def left_modulus(process, s, t):

@@ -3,13 +3,14 @@ import pytest
 
 from bmoforge.processes import (
     AdaptedProcess,
-    deterministic_process,
     maximal_process,
     random_nondecreasing_process,
     random_process,
     random_space,
 )
 from bmoforge.space import build_tree
+
+from oracles import deterministic_process
 
 
 def walk_example():

@@ -483,3 +483,7 @@ def test_quadrature_modulus_validation():
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
         quadrature_modulus_proxy(f, [4, 8], seed=0, n_outer=2, n_inner=4,
                                  anchor_times=(1.0,))
+    with pytest.raises(ValueError, match="ns must not be empty"):
+        quadrature_modulus_proxy(f, [], seed=0, n_outer=2, n_inner=4)
+    with pytest.raises(ValueError, match="anchor_times must not be empty"):
+        quadrature_modulus_proxy(f, [4, 8], seed=0, n_outer=2, n_inner=4, anchor_times=())

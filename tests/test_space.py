@@ -3,6 +3,8 @@ import pytest
 
 from bmoforge.space import FiniteFilteredSpace, build_tree
 
+from oracles import atom_probs
+
 
 def test_uniform_tree_shapes():
     sp = build_tree(3, 2)
@@ -18,8 +20,8 @@ def test_uniform_tree_shapes():
 def test_atom_probs_uniform():
     sp = build_tree(3, 2)
     for k in range(4):
-        np.testing.assert_allclose(sp.atom_probs[k], 2.0**-k)
-        assert abs(sp.atom_probs[k].sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(atom_probs(sp)[k], 2.0**-k)
+        assert abs(atom_probs(sp)[k].sum() - 1.0) < 1e-12
 
 
 def weighted_tree():
@@ -30,8 +32,8 @@ def weighted_tree():
 def test_atom_probs_weighted():
     # One transition row reused at every node: level probs are products.
     sp = weighted_tree()
-    np.testing.assert_allclose(sp.atom_probs[1], [0.3, 0.7])
-    np.testing.assert_allclose(sp.atom_probs[2], [0.09, 0.21, 0.21, 0.49])
+    np.testing.assert_allclose(atom_probs(sp)[1], [0.3, 0.7])
+    np.testing.assert_allclose(atom_probs(sp)[2], [0.09, 0.21, 0.21, 0.49])
 
 
 def test_expectation_exact():
@@ -67,7 +69,7 @@ def test_per_level_transition_lists():
     # Ragged per-level arrays: one (1,2) row then a (2,2) block.
     levels = [np.array([[0.5, 0.5]]), np.array([[0.2, 0.8], [0.6, 0.4]])]
     sp = build_tree(2, 2, levels)
-    np.testing.assert_allclose(sp.atom_probs[2], [0.1, 0.4, 0.3, 0.2])
+    np.testing.assert_allclose(atom_probs(sp)[2], [0.1, 0.4, 0.3, 0.2])
 
 
 def test_build_tree_validation():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bmoforge.space import build_tree
-from bmoforge.stopping import (
+
+from oracles import (
     EnumerationInfeasibleError,
     StoppingTime,
     enumerate_stopping_pairs,
