@@ -1,10 +1,11 @@
 """Command line entry point.
 
 Experiment subcommands take --config (sectioned key/value or JSON), with
---seed / --out / --jobs overriding the config fields; a bare run without
---config uses the kind's documented defaults and still needs a seed from
---seed or BMOFORGE_SEED. --jobs is accepted and ignored: case batteries run
-serially. Exit status is 0 iff every acceptance-grade check in the run holds.
+BMOFORGE_SEED and --seed / --out / --jobs overriding the config fields; a
+bare run without --config is a config with only its kind, so its seed must
+come from --seed or BMOFORGE_SEED. --jobs is validated and ignored: case
+batteries run serially. Exit status is 0 iff every acceptance-grade check in
+the run holds.
 """
 
 from __future__ import annotations
@@ -15,17 +16,15 @@ import sys
 from pathlib import Path
 
 from .config import (
-    KIND_SCHEMAS,
     KINDS,
+    SEED_ENV,
     ConfigError,
     ExperimentConfig,
-    apply_overrides,
+    parse_config,
     parse_config_file,
 )
 from .experiments import run_experiment
 from .report import report_summary
-
-SEED_ENV = "BMOFORGE_SEED"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,32 +49,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> ExperimentConfig:
     if args.config:
-        config = parse_config_file(args.config)
-        if config.kind != args.command:
-            raise ConfigError([
-                f"kind: config file says {config.kind!r} but the "
-                f"{args.command!r} subcommand was invoked"
-            ])
+        text = parse_config_file(args.config)
     else:
-        defaults = {name: spec.default for name, spec in KIND_SCHEMAS[args.command].items()}
-        config = ExperimentConfig(kind=args.command, seed=0, params=defaults)
-        if args.seed is None and SEED_ENV not in os.environ:
-            raise ConfigError(["seed: required (use --config, --seed, or "
-                               f"the {SEED_ENV} environment variable)"])
-    # Precedence: config < environment < explicit flag. Only the seed that
-    # takes effect is checked.
+        text = f"[experiment]\nkind = {args.command}\n"
+    # Precedence: default < config file < environment < flag. Only the value
+    # that takes effect is checked.
     overrides = []
-    if args.seed is not None:
-        overrides.append(("--seed", "seed", args.seed))
-    elif SEED_ENV in os.environ:
+    if SEED_ENV in os.environ:
         overrides.append((SEED_ENV, "seed", os.environ[SEED_ENV]))
-    if args.jobs is not None:
-        overrides.append(("--jobs", "jobs", args.jobs))
-    apply_overrides(config, overrides)
-    if args.out is not None:
-        if not args.out.strip():
-            raise ConfigError([f"--out: expected a nonempty path (got {args.out!r})"])
-        config.out = args.out
+    for key in ("seed", "out", "jobs"):
+        if getattr(args, key) is not None:
+            overrides.append((f"--{key}", key, getattr(args, key)))
+    config = parse_config(text, overrides)
+    if config.kind != args.command:
+        raise ConfigError([
+            f"kind: config file says {config.kind!r} but the "
+            f"{args.command!r} subcommand was invoked"
+        ])
     # The output directory, or its nearest existing ancestor, must be a directory.
     for path in (Path(config.out), *Path(config.out).parents):
         if path.exists():

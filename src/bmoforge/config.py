@@ -16,11 +16,13 @@ Example::
     n_paths = 100000
     n_steps = 1000
 
-Parameter keys live in a section named after the kind. Unknown keys and
+Parameter keys live in a section named after the kind. ``seed``, ``out`` and
+``jobs`` may also come from overrides, which take precedence over the text;
+only the value of each that takes effect is validated. Unknown keys and
 out-of-range values are rejected with one message per violation. ``out`` says
-where outputs go; ``jobs`` is validated but has no effect, since case
-batteries run serially. Neither changes what is computed, so both are
-excluded from the config hash.
+where outputs go; ``jobs`` is validated, then dropped, since case batteries
+run serially. Neither changes what is computed, so both are excluded from
+the config hash.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .ensemble import _MAX_TOTAL_DRAWS
 
@@ -37,13 +39,15 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "KINDS",
-    "apply_overrides",
     "parse_config",
     "parse_config_file",
     "config_hash",
 ]
 
 _U64_MAX = 2**64 - 1
+
+# The environment variable that overrides a config file's seed.
+SEED_ENV = "BMOFORGE_SEED"
 
 
 class ConfigError(ValueError):
@@ -63,7 +67,7 @@ class _Param:
     choices: tuple | None = None
 
 
-# Top-level keys that carry a range; command-line overrides obey the same rules.
+# Top-level keys that carry a range; an override of one obeys the same rule.
 _TOP_LEVEL = {
     "seed": _Param("int", 0, lo=0, hi=_U64_MAX),
     "jobs": _Param("int", 1, lo=1, hi=256),
@@ -131,9 +135,8 @@ KINDS = tuple(KIND_SCHEMAS)
 class ExperimentConfig:
     kind: str
     seed: int
-    out: str = "runs"
-    jobs: int = 1
-    params: dict = dc_field(default_factory=dict)
+    out: str
+    params: dict
 
 
 def _coerce(name: str, spec: _Param, raw, violations: list[str]):
@@ -242,6 +245,11 @@ def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]
         if "n_paths" not in rejected and draws > _MAX_TOTAL_DRAWS:
             out.append(f"n_paths: n_paths * fine_factor * max(ns) = {draws} normal draws "
                        f"exceeds the ensemble cap {_MAX_TOTAL_DRAWS}")
+    # The clip level M_n must grow slower than sqrt(n), as TamingPolicy requires.
+    if (kind == "tamed-em" and not rejected & {"taming_exponent", "taming_log_power"}
+            and params["taming_exponent"] == 0.5 and params["taming_log_power"] == 0.0):
+        out.append("taming_log_power: must be > 0 when taming_exponent = 0.5, so the "
+                   "normalized clip level decays")
     if kind == "quadrature" and not rejected & {"ns", "anchor_times"}:
         ns = params["ns"]
         bad = [n for n in ns if max(ns) % n]
@@ -257,23 +265,30 @@ def _cross_field_violations(kind: str, params: dict, rejected: set) -> list[str]
     return out
 
 
-def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentConfig:
+def _build(kind, top, raw_params: dict) -> ExperimentConfig:
+    """Validate one run's config. ``top`` holds ``(source, key, raw)`` triples
+    for ``seed``, ``out`` and ``jobs`` in increasing precedence; only the last
+    value of each key takes effect, so only it is checked, and its violation
+    is labelled by its source."""
     violations: list[str] = []
     if not isinstance(kind, str) or kind not in KIND_SCHEMAS:
         raise ConfigError([f"kind: must be one of {list(KINDS)} (got {kind!r})"])
     schema = KIND_SCHEMAS[kind]
-    if seed_raw is None:
-        violations.append("seed: required")
-        seed = 0
+    effective = {key: (source, raw) for source, key, raw in top}
+    if "seed" in effective:
+        source, raw = effective["seed"]
+        seed = _coerce(source, _TOP_LEVEL["seed"], raw, violations)
     else:
-        seed = _coerce("seed", _TOP_LEVEL["seed"], seed_raw, violations)
-    out = out_raw if out_raw is not None else "runs"
+        violations.append("seed: required (use --config, --seed, or "
+                          f"the {SEED_ENV} environment variable)")
+        seed = 0
+    source, out = effective.get("out", ("out", "runs"))
     if not isinstance(out, str) or not out.strip():
-        violations.append(f"out: expected a nonempty path (got {out!r})")
+        violations.append(f"{source}: expected a nonempty path (got {out!r})")
         out = "runs"
-    jobs = 1
-    if jobs_raw is not None:
-        jobs = _coerce("jobs", _TOP_LEVEL["jobs"], jobs_raw, violations)
+    if "jobs" in effective:  # checked, then dropped: case batteries run serially
+        source, raw = effective["jobs"]
+        _coerce(source, _TOP_LEVEL["jobs"], raw, violations)
     params = {}
     rejected = set()
     for name, spec in schema.items():
@@ -291,11 +306,12 @@ def _build(kind, seed_raw, out_raw, jobs_raw, raw_params: dict) -> ExperimentCon
     violations.extend(_cross_field_violations(kind, params, rejected))
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(kind=kind, seed=seed, out=out.strip(), jobs=jobs, params=params)
+    return ExperimentConfig(kind=kind, seed=seed, out=out.strip(), params=params)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse sectioned key/value text, or a JSON object if text starts with '{'."""
+def _read_document(text: str):
+    """The kind, the ``seed``/``out``/``jobs`` values the text sets, and its
+    raw parameters, from sectioned key/value text or a JSON object."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -312,7 +328,7 @@ def parse_config(text: str) -> ExperimentConfig:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(["params: must be an object"])
-        return _build(doc.get("kind"), doc.get("seed"), doc.get("out"), doc.get("jobs"), params)
+        return doc.get("kind"), doc, params
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -326,17 +342,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if "experiment" not in cp:
         raise ConfigError(["missing [experiment] section"])
     exp = dict(cp["experiment"])
-    kind = exp.pop("kind", None)
-    seed = exp.pop("seed", None)
-    out = exp.pop("out", None)
-    jobs = exp.pop("jobs", None)
     violations = [f"{k}: unknown key in [experiment] (known: kind, seed, out, jobs)"
-                  for k in sorted(exp)]
-    if kind is None:
+                  for k in sorted(set(exp) - {"kind", "seed", "out", "jobs"})]
+    if "kind" not in exp:
         violations.append("kind: required")
     if violations:
         raise ConfigError(violations)
-    kind = kind.strip()
+    kind = exp["kind"].strip()
     params = {}
     for section in cp.sections():
         if section == "experiment":
@@ -345,35 +357,28 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError([f"[{section}]: unexpected section; parameters for kind "
                                f"{kind!r} belong in [{kind}]"])
         params.update(dict(cp[section]))
-    return _build(kind, seed, out, jobs, params)
+    return kind, exp, params
 
 
-def apply_overrides(config: ExperimentConfig, overrides) -> None:
-    """Set ``seed``/``jobs`` from ``(source, key, raw)`` triples, in order.
-
-    Each value is checked by the same rule as the config key; ``source``
-    (a flag or variable name) labels the violation. Nothing is set unless
-    every value is valid.
-    """
-    violations: list[str] = []
-    values = [(key, _coerce(source, _TOP_LEVEL[key], raw, violations))
-              for source, key, raw in overrides]
-    if violations:
-        raise ConfigError(violations)
-    for key, val in values:
-        setattr(config, key, val)
+def parse_config(text: str, overrides=()) -> ExperimentConfig:
+    """Parse sectioned key/value text, or a JSON object if text starts with '{',
+    and validate it. ``overrides`` are ``(source, key, raw)`` triples for
+    ``seed``, ``out`` or ``jobs`` that take precedence over the text, later
+    ones over earlier ones."""
+    kind, doc, params = _read_document(text)
+    top = [(key, key, doc[key]) for key in ("seed", "out", "jobs") if doc.get(key) is not None]
+    return _build(kind, [*top, *overrides], params)
 
 
-def parse_config_file(path) -> ExperimentConfig:
-    """Parse a config file; an unreadable or non-UTF-8 file is a ``config:`` violation."""
+def parse_config_file(path) -> str:
+    """A config file's text; an unreadable or non-UTF-8 file is a ``config:`` violation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ConfigError([f"config: cannot read {path}: {exc.strerror or exc}"]) from exc
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config: {path} is not UTF-8 text (byte {exc.start})"]) from exc
-    return parse_config(text)
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import bmoforge.cli as cli
 from bmoforge.cli import SEED_ENV, main
+from bmoforge.config import KIND_SCHEMAS, KINDS
 
 JN_TINY = """
 [experiment]
@@ -94,6 +97,72 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert manifest_seed(tmp_path / "f") == 33
 
 
+@pytest.mark.parametrize("source", ["--seed", SEED_ENV])
+def test_seedless_config_takes_a_later_seed(tmp_path, monkeypatch, source):
+    flags = ["--seed", "3"]
+    if source == SEED_ENV:
+        monkeypatch.setenv(SEED_ENV, "3")
+        flags = []
+    cfg = write(tmp_path, JN_TINY.replace("seed = 11\n", ""))
+    code = main(["jn-check", "--config", cfg, *flags, "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert manifest_seed(tmp_path / "run") == 3
+
+
+@pytest.mark.parametrize("line,flags,problem", [
+    ("seed = -1", ["--seed", "3"], "seed: must lie in"),
+    ("seed = 11\njobs = 0", ["--jobs", "1"], "jobs: must lie in"),
+    ("seed = 11\nout =", ["--out", "run"], "out: expected a nonempty path"),
+], ids=["seed", "jobs", "out"])
+@pytest.mark.parametrize("overridden", [True, False], ids=["overridden", "alone"])
+def test_file_value_is_checked_only_when_it_takes_effect(tmp_path, capsys, monkeypatch,
+                                                          line, flags, problem, overridden):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, JN_TINY.replace("seed = 11", line))
+    code = main(["jn-check", "--config", cfg, *(flags if overridden else [])])
+    if overridden:
+        assert code == 0
+        assert len(list(tmp_path.glob("*/manifest.json"))) == 1
+    else:
+        assert code == 2
+        assert one_problem(capsys).startswith(f"  - {problem}")
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.ini"]
+
+
+def test_bare_run_params_share_no_list_with_the_schema(tmp_path, monkeypatch):
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return SimpleNamespace(ok=True, config_hash="0" * 64)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    for kind in KINDS:
+        assert main([kind, "--seed", "1", "--out", str(tmp_path / kind)]) == 0
+    shared = [f"{c.kind}.{k}" for c in seen for k, v in c.params.items()
+              if isinstance(v, list) and v is KIND_SCHEMAS[c.kind][k].default]
+    assert len(seen) == len(KINDS) and shared == []
+
+
+def test_main_parses_the_config_file_once_then_runs_it(tmp_path, monkeypatch):
+    # A timing harness replaces these two attributes to split set-up from run.
+    calls = []
+
+    def recorder(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(cli, "parse_config_file", recorder("parse", cli.parse_config_file))
+    monkeypatch.setattr(cli, "run_experiment", recorder("run", cli.run_experiment))
+    cfg = write(tmp_path, JN_TINY)
+    assert main(["jn-check", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert [name for name, _, _ in calls] == ["parse", "run"]
+    assert calls[0][1:] == ((cfg,), {})
+    assert len(calls[1][1]) == 1 and calls[1][2] == {}
+
+
 def test_jobs_flag_keeps_outputs_identical(tmp_path):
     cfg = write(tmp_path, JN_TINY.replace("n_processes = 1", "n_processes = 6"))
     main(["jn-check", "--config", cfg, "--out", str(tmp_path / "one"), "--jobs", "1"])
@@ -165,6 +234,8 @@ def test_ensemble_past_the_draw_cap_exits_two(tmp_path, capsys, kind, section):
     ("rho-grid", "grid_times = 0.25, 0.25, 1.0\n", "grid_times: must hold"),
     ("rho-grid", "grid_times = 0.5\n", "grid_times: must hold"),
     ("rho-grid", "proxy = quantile\nn_outer = 99\n", "proxy: quantile equals max"),
+    # TamingPolicy refuses this clip level, which used to be a traceback.
+    ("tamed-em", "taming_log_power = 0\n", "taming_log_power: must be > 0"),
 ])
 def test_list_rule_violation_exits_two(tmp_path, capsys, kind, section, problem):
     cfg = write(tmp_path, f"[experiment]\nkind = {kind}\nseed = 1\n\n[{kind}]\n{section}")

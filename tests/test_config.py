@@ -30,7 +30,6 @@ def test_parse_sectioned_text():
     assert cfg.kind == "davie"
     assert cfg.seed == 20240811
     assert cfg.out == "runs/davie"
-    assert cfg.jobs == 2
     assert cfg.params["shifts"] == [0.05, 0.1, 0.2, 0.4]
     assert cfg.params["n_paths"] == 100000
     assert cfg.params["moments"] == [2, 4]  # default filled in
@@ -103,7 +102,9 @@ def test_json_config():
     )
     assert cfg.params["ns"] == [8, 16]
     assert cfg.params["n_outer"] == 4  # integral float accepted
-    assert cfg.out == "runs" and cfg.jobs == 1
+    assert cfg.out == "runs"
+    with pytest.raises(ConfigError, match="jobs: must lie in"):
+        parse_config('{"kind": "quadrature", "seed": 5, "jobs": 257}')
     with pytest.raises(ConfigError, match="unknown top-level"):
         parse_config('{"kind": "davie", "seed": 1, "extra": 2}')
     with pytest.raises(ConfigError, match="params: must be an object"):
@@ -117,7 +118,7 @@ def test_json_config():
 def test_parse_config_file(tmp_path):
     p = tmp_path / "exp.ini"
     p.write_text(DAVIE_TEXT)
-    assert parse_config_file(p) == parse_config(DAVIE_TEXT)
+    assert parse_config(parse_config_file(p)) == parse_config(DAVIE_TEXT)
 
 
 def test_hash_tracks_science_only():

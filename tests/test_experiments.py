@@ -47,19 +47,6 @@ def test_jn_check_outputs_and_determinism(tmp_path):
     assert on_disk["started_at"] <= on_disk["finished_at"]
 
 
-def test_jobs_do_not_change_outputs(tmp_path):
-    cfg = parse_config(JN_SMALL)
-    cfg.out = str(tmp_path / "serial")
-    run_experiment(cfg)
-    threaded = parse_config(JN_SMALL)
-    threaded.out = str(tmp_path / "threaded")
-    threaded.jobs = 4
-    run_experiment(threaded)
-    for name in ("checks.jsonl", "summary.csv"):
-        assert (tmp_path / "serial" / name).read_bytes() == \
-            (tmp_path / "threaded" / name).read_bytes()
-
-
 def test_verify_finite_small(tmp_path):
     text = """
 [experiment]
