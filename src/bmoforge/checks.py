@@ -139,19 +139,19 @@ def _log_report(name, log_lhs, log_rhs, witness=None) -> CheckReport:
     )
 
 
-def _cond_log_mean_exp(space, leaf_exponents, level: int) -> list[np.ndarray]:
-    """log E[ exp(g_i) | F_{level + i} ] for stacked leaf rows g_0, g_1, ...,
-    computed stably level by level in one backward sweep: row i finishes at
-    level ``level + i``, and the finished rows are returned in order."""
+def _cond_log_mean_exp(space, leaf_exponents) -> list[np.ndarray]:
+    """log E[ exp(g_i) | F_i ] for stacked leaf rows g_0, g_1, ..., computed
+    stably level by level in one backward sweep: row i finishes at level i,
+    and the finished rows are returned in order."""
     g = np.asarray(leaf_exponents, dtype=float)
     done = [None] * len(g)
-    for k in range(space.depth, level - 1, -1):
+    for k in range(space.depth, -1, -1):
         if k < space.depth:
-            g2 = g[:k - level + 1].reshape(-1, space.level_size(k), space.branching)
+            g2 = g[:k + 1].reshape(-1, space.level_size(k), space.branching)
             m = g2.max(axis=-1)
             g = m + np.log((space.transitions[k] * np.exp(g2 - m[..., None])).sum(axis=-1))
-        if k - level < len(done):
-            done[k - level] = g[k - level]
+        if k < len(done):
+            done[k] = g[k]
     return done
 
 
@@ -182,36 +182,37 @@ def jn_moment_check(process: AdaptedProcess, grid: OscillationData, r: int,
     )
 
 
-def maximal_check(process: AdaptedProcess, grid: OscillationData, s: int,
-                  t: int) -> CheckReport:
-    """Window modulus of the running maximum vs 11x the modulus of V.
+def maximal_check(process: AdaptedProcess, grid: OscillationData) -> CheckReport:
+    """Modulus of the running maximum vs 11x the modulus of V, over [0, depth].
 
-    The modulus of V is read from ``grid``; the running maximum's is computed
-    on its window. Also verifies the intermediate bound: the
-    conditional expected sup of |V_r - V_{s-}| over the window is at most 4x
-    the window modulus.
+    The modulus of V is read from ``grid``, the running maximum's computed
+    by :func:`oscillation_modulus`. Also verifies the intermediate bound: the
+    expected sup of |V_r - V_0| over r in [0, depth] is at most 4x the
+    modulus of V.
     """
     space = process.space
-    rho_v = grid.window(s, t)
-    rho_star = oscillation_modulus(maximal_process(space, process), s, t)
-    # V_{s-} along each path is its level s - 1 value (V_0 at s = 0).
+    t = space.depth
+    rho_v = grid.window(0, t)
+    rho_star = oscillation_modulus(maximal_process(process), 0, t)
     paths = process.paths
-    sup_dev = np.abs(paths[:, s:t + 1] - paths[:, max(s - 1, 0), None]).max(axis=1)
-    lhs_mid = float(np.max(space.cond_expectation(sup_dev, s)))
+    sup_dev = np.abs(paths - paths[:, :1]).max(axis=1)
+    lhs_mid = float(space.cond_expectation(sup_dev, 0)[0])
     rhs_mid = maximal_sup_bound(rho_v)
     mid_holds = lhs_mid <= rhs_mid + check_tolerance(rhs_mid)
     report = _report(
         "maximal-modulus",
         rho_star,
         maximal_bound(rho_v),
-        {"s": s, "t": t, "sup_lhs": lhs_mid, "sup_rhs": rhs_mid, "sup_holds": bool(mid_holds)},
+        {"s": 0, "t": t, "sup_lhs": lhs_mid, "sup_rhs": rhs_mid, "sup_holds": bool(mid_holds)},
     )
     report.holds = bool(report.holds and mid_holds)
     return report
 
 
-def _snell_argmax_nodes(space, payoffs, j, t, root_idx) -> list[tuple[int, int]]:
-    """Stop nodes of a rule attaining the subtree optimal-stopping value."""
+def _snell_argmax_nodes(space, payoffs, j, root_idx) -> list[tuple[int, int]]:
+    """Stop nodes of a rule attaining the subtree optimal-stopping value, the
+    rule stopping at the latest at level depth."""
+    t = space.depth
     values = [payoffs[t - j]]
     for k in range(t - 1, j - 1, -1):
         values.append(np.maximum(payoffs[k - j], space.step_expectation(values[-1], k)))
@@ -228,19 +229,16 @@ def _snell_argmax_nodes(space, payoffs, j, t, root_idx) -> list[tuple[int, int]]
     return sorted(nodes)
 
 
-def garsia_check(process: AdaptedProcess, u_leaf, y, s: int,
-                 alpha: float, beta: float) -> CheckReport:
-    """Distributional bound beta P_s(X* >= alpha+beta) <= E_s(U ; X* >= alpha).
+def garsia_check(process: AdaptedProcess, u_leaf, alpha: float, beta: float) -> CheckReport:
+    """Distributional bound beta P(X* >= alpha+beta) <= E(U ; X* >= alpha).
 
-    Here X* is the pathwise sup of |V_r - Y| over levels r in [s, depth],
-    with Y fixed per level-s atom. The domination hypothesis
-    E_S|V_T - V_{S-}| <= E_S U is first verified over every stopping pair
-    s <= S <= T <= depth; a violating pair is reported if it fails.
+    Here X* is the pathwise sup of |V_r - V_0| over levels r in [0, depth].
+    The domination hypothesis E_S|V_T - V_{S-}| <= E_S U is first verified
+    over every stopping pair S <= T <= depth; a violating pair is reported if
+    it fails.
     """
     space = process.space
     tau = space.depth
-    if not 0 <= s <= tau:
-        raise ValueError(f"s = {s} outside [0, {tau}]")
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("alpha and beta must be > 0")
     u_leaf = np.asarray(u_leaf, dtype=float)
@@ -248,9 +246,8 @@ def garsia_check(process: AdaptedProcess, u_leaf, y, s: int,
         raise ValueError("U must be a leaf-indexed variable")
     if np.min(u_leaf) < 0.0:
         raise ValueError("U must be nonnegative")
-    y = np.broadcast_to(np.asarray(y, dtype=float), (space.level_size(s),))
 
-    # Levels of E[U | F_k], k = s .. tau.
+    # Levels of E[U | F_k], k = 0 .. tau.
     eu = [u_leaf]
     for k in range(tau - 1, -1, -1):
         eu.append(space.step_expectation(eu[-1], k))
@@ -260,13 +257,13 @@ def garsia_check(process: AdaptedProcess, u_leaf, y, s: int,
     # continuation rule T on its subtree, E_u|V_T - V_{u-}| - E_u U <= 0.
     # The sup over T is an exact optimal-stopping value per node, for every
     # stop level j in one backward sweep.
-    anchors = {j: process.left_limit(j)[None] for j in range(s, tau + 1)}
-    for j, (gap,) in enumerate(_stop_level_values(process, anchors, s, tau, cost=eu), start=s):
+    anchors = {j: process.left_limit(j)[None] for j in range(tau + 1)}
+    for j, (gap,) in enumerate(_stop_level_values(process, anchors, 0, tau, cost=eu)):
         worst = int(np.argmax(gap))
         if gap[worst] > 1e-12:
             payoffs = [_stacked_payoffs(process, anchors, j, k)[0, 0] - eu[k]
                        for k in range(j, tau + 1)]
-            rule = _snell_argmax_nodes(space, payoffs, j, tau, worst)
+            rule = _snell_argmax_nodes(space, payoffs, j, worst)
             raise ValueError(
                 "domination hypothesis fails: stopping pair with S at node "
                 f"(level {j}, atom {worst}) and T stopping at {rule} exceeds "
@@ -274,21 +271,15 @@ def garsia_check(process: AdaptedProcess, u_leaf, y, s: int,
             )
 
     paths = process.paths
-    y_leaf = space.broadcast_to_leaves(y, s)
-    x_star = np.abs(paths[:, s:] - y_leaf[:, None]).max(axis=1)
-    p_tail = space.cond_expectation((x_star >= alpha + beta).astype(float), s)
-    rhs_atoms = space.cond_expectation(u_leaf * (x_star >= alpha), s)
-    lhs_atoms = beta * p_tail
-    worst = int(np.argmax(lhs_atoms - rhs_atoms))
-    report = _report(
+    x_star = np.abs(paths - paths[:, :1]).max(axis=1)
+    p_tail = space.cond_expectation((x_star >= alpha + beta).astype(float), 0)[0]
+    rhs = space.cond_expectation(u_leaf * (x_star >= alpha), 0)[0]
+    return _report(
         "garsia-tail",
-        float(lhs_atoms[worst]),
-        float(rhs_atoms[worst]),
-        {"s": s, "alpha": alpha, "beta": beta, "atom": worst},
+        float(beta * p_tail),
+        float(rhs),
+        {"s": 0, "alpha": alpha, "beta": beta, "atom": 0},
     )
-    # Per-atom inequality: every atom must pass, not just the reported one.
-    report.holds = bool(np.all(lhs_atoms <= rhs_atoms + check_tolerance(rhs_atoms)))
-    return report
 
 
 def energy_constant(process: AdaptedProcess) -> float:
@@ -308,60 +299,51 @@ def energy_constant(process: AdaptedProcess) -> float:
     return best
 
 
-def energy_check(process: AdaptedProcess, s: int, p: int = 2) -> CheckReport:
-    """Energy inequality: ess-sup E_s (A_tau - A_s)^p <= p! c^p.
+def energy_check(process: AdaptedProcess, p: int) -> CheckReport:
+    """Energy inequality: E (A_tau - A_0)^p <= p! c^p.
 
     ``c`` is the smallest constant dominating E_S(A_tau - A_{S-}) for every
     stopping time S, computed exhaustively by the stop-atom sweep of
     :func:`energy_constant`.
     """
     space = process.space
-    if not 0 <= s <= space.depth:
-        raise ValueError(f"s = {s} outside [0, {space.depth}]")
     if p < 1 or int(p) != p:
         raise ValueError("p must be a positive integer")
     if not process.is_nondecreasing():
         raise ValueError("process must be nondecreasing")
     c = energy_constant(process)
     paths = process.paths
-    lhs_atoms = space.cond_expectation((paths[:, space.depth] - paths[:, s]) ** p, s)
-    worst = int(np.argmax(lhs_atoms))
+    lhs = space.cond_expectation((paths[:, space.depth] - paths[:, 0]) ** p, 0)[0]
     return _report(
         "energy-moment",
-        float(lhs_atoms[worst]),
+        float(lhs),
         energy_bound(c, p),
-        {"s": s, "p": int(p), "c": float(c), "atom": worst},
+        {"s": 0, "p": int(p), "c": float(c), "atom": 0},
     )
 
 
-def khasminskii_check(process: AdaptedProcess, r: int, lam: float, partition) -> CheckReport:
-    """Conditional exponential moment vs the per-cell product bound.
+def khasminskii_check(process: AdaptedProcess, lam: float) -> CheckReport:
+    """Exponential moment E exp(lam (A_tau - A_0)) vs the per-cell product bound.
 
-    rhs multiplies (1 - lam * rho_cell)^(-1) over the partition cells to the
-    right of r (the first such cell clipped at r). Requires a nondecreasing
-    process and lam * rho_cell < 1 on every used cell.
+    rhs multiplies (1 - lam * rho_cell)^(-1) over the unit cells [k, k+1] of
+    [0, depth]. Requires a nondecreasing process and lam * rho_cell < 1 on
+    every cell.
     """
     space = process.space
     tau = space.depth
     if lam <= 0.0:
         raise ValueError("lam must be > 0")
-    if not 0 <= r <= tau:
-        raise ValueError(f"r = {r} outside [0, {tau}]")
     if not process.is_nondecreasing():
         raise ValueError("process must be nondecreasing")
-    pts = [int(x) for x in partition]
-    if pts != sorted(set(pts)) or pts[0] != 0 or pts[-1] != tau:
-        raise ValueError("partition must be strictly increasing grid points from 0 to depth")
-    cells = [(max(a, r), b) for a, b in zip(pts[:-1], pts[1:]) if b > r]
-    moduli = [oscillation_modulus(process, a, b) for a, b in cells]
+    moduli = [oscillation_modulus(process, k, k + 1) for k in range(tau)]
     log_rhs = khasminskii_log_bound(lam, moduli)  # raises PartitionTooCoarseError
     paths = process.paths
-    log_lhs = float(np.max(_cond_log_mean_exp(space, [lam * (paths[:, tau] - paths[:, r])], r)[0]))
+    log_lhs = float(_cond_log_mean_exp(space, [lam * (paths[:, tau] - paths[:, 0])])[0][0])
     return _log_report(
         "khasminskii-exp",
         log_lhs,
         log_rhs,
-        {"r": r, "lam": lam, "cells": [list(c) for c in cells], "cell_moduli": moduli},
+        {"r": 0, "lam": lam, "cells": [[k, k + 1] for k in range(tau)], "cell_moduli": moduli},
     )
 
 
@@ -373,7 +355,7 @@ def _exp_vmo_lhs(process: AdaptedProcess, lam: float) -> tuple[float, int]:
     paths = process.paths
     sup_dev = np.stack([np.abs(paths[:, r:] - paths[:, r:r + 1]).max(axis=1)
                         for r in range(process.depth + 1)])
-    vals = [float(np.max(g)) for g in _cond_log_mean_exp(process.space, lam * sup_dev, 0)]
+    vals = [float(np.max(g)) for g in _cond_log_mean_exp(process.space, lam * sup_dev)]
     worst_r = int(np.argmax(vals))
     return vals[worst_r], worst_r
 
@@ -416,22 +398,22 @@ def pathwise_increment_check(process: AdaptedProcess, control: OscillationContro
                               np.stack([s, t], axis=1), first=[0, 0])
 
 
-def stopping_pair_bound_check(grid: OscillationData, s: int, t: int) -> CheckReport:
-    """Stopping-pair modulus vs 2B + 3C from deterministic data only.
+def stopping_pair_bound_check(grid: OscillationData) -> CheckReport:
+    """Stopping-pair modulus vs 2B + 3C from deterministic data only, over
+    [0, depth].
 
     B is the largest deterministic-pair modulus (left-limit anchors) and C
-    the largest single jump inside the window, both read from ``grid``; the
-    supremum over stopping pairs (left-limit anchors), ``grid.rho_left[s, t]``,
-    must not exceed 2B + 3C.
+    the largest single jump, both read from ``grid``; the supremum over
+    stopping pairs (left-limit anchors), ``grid.rho_left[0, depth]``, must
+    not exceed 2B + 3C.
     """
-    lhs = grid.window(s, t, left_limit=True)
-    b_det = float(np.nanmax(grid.pairs_left[s:t + 1, s:t + 1]))
-    c_jump = float(np.max(grid.jumps[max(s, 1) - 1:t], initial=0.0))
+    t = grid.depth
+    b_det = float(np.nanmax(grid.pairs_left))
     return _report(
         "stopping-pair-bound",
-        lhs,
-        stopping_pair_bound(b_det, c_jump),
-        {"s": s, "t": t, "B": b_det, "C": c_jump},
+        grid.window(0, t, left_limit=True),
+        stopping_pair_bound(b_det, grid.kappa),
+        {"s": 0, "t": t, "B": b_det, "C": grid.kappa},
     )
 
 

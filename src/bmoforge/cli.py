@@ -3,9 +3,10 @@
 Experiment subcommands take --config (sectioned key/value or JSON), with
 BMOFORGE_SEED and --seed / --out / --jobs overriding the config fields; a
 bare run without --config is a config with only its kind, so its seed must
-come from --seed or BMOFORGE_SEED. --jobs is validated and ignored: case
-batteries run serially. Exit status is 0 iff every acceptance-grade check in
-the run holds.
+come from --seed or BMOFORGE_SEED. The flags pass their raw text on, and
+config validation checks each like a file value. --jobs is validated and
+ignored: case batteries run serially. Exit status is 0 iff every
+acceptance-grade check in the run holds.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .config import (
     KINDS,
@@ -37,10 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", help="config file (sectioned text or JSON)")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
+        p.add_argument("--seed", help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--jobs", type=int,
-                       help="worker count; accepted and ignored (runs are serial)")
+        p.add_argument("--jobs", help="worker count; accepted and ignored (runs are serial)")
     rep = sub.add_parser("report", help="aggregate manifests into one table")
     rep.add_argument("manifests", nargs="*", help="manifest.json paths")
     rep.add_argument("--out", help="also write the aggregate table as CSV here")
@@ -66,13 +65,6 @@ def _resolve_config(args) -> ExperimentConfig:
             f"kind: config file says {config.kind!r} but the "
             f"{args.command!r} subcommand was invoked"
         ])
-    # The output directory, or its nearest existing ancestor, must be a directory.
-    for path in (Path(config.out), *Path(config.out).parents):
-        if path.exists():
-            if not path.is_dir():
-                source = "--out" if args.out is not None else "out"
-                raise ConfigError([f"{source}: {path} exists and is not a directory"])
-            break
     return config
 
 

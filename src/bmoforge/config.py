@@ -20,9 +20,10 @@ Parameter keys live in a section named after the kind. ``seed``, ``out`` and
 ``jobs`` may also come from overrides, which take precedence over the text;
 only the value of each that takes effect is validated. Unknown keys and
 out-of-range values are rejected with one message per violation. ``out`` says
-where outputs go; ``jobs`` is validated, then dropped, since case batteries
-run serially. Neither changes what is computed, so both are excluded from
-the config hash.
+where outputs go: a path without a NUL byte whose nearest existing ancestor,
+itself included, is a directory. ``jobs`` is validated, then dropped, since
+case batteries run serially. Neither changes what is computed, so both are
+excluded from the config hash.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 from .ensemble import _MAX_TOTAL_DRAWS
 
@@ -286,6 +288,16 @@ def _build(kind, top, raw_params: dict) -> ExperimentConfig:
     if not isinstance(out, str) or not out.strip():
         violations.append(f"{source}: expected a nonempty path (got {out!r})")
         out = "runs"
+    elif "\0" in out:
+        violations.append(f"{source}: a path cannot hold a NUL byte (got {out!r})")
+    else:
+        # The output directory, or its nearest existing ancestor, must be a directory.
+        target = Path(out.strip())
+        for path in (target, *target.parents):
+            if path.exists():
+                if not path.is_dir():
+                    violations.append(f"{source}: {path} exists and is not a directory")
+                break
     if "jobs" in effective:  # checked, then dropped: case batteries run serially
         source, raw = effective["jobs"]
         _coerce(source, _TOP_LEVEL["jobs"], raw, violations)

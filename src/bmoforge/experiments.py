@@ -122,7 +122,6 @@ def _jn_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
 def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
     rng, space, proc = _make_case(config, index)
     p = config.params
-    depth = space.depth
     grid = oscillation_grid(proc)
     controls = {pp: variation_control(grid, pp) for pp in p["p_list"]}
     # The exp-vmo left-hand side depends on the process and lam, not on p.
@@ -133,8 +132,8 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
         monotonicity_check(grid),
         triangle_check(grid),
         pathwise_increment_check(proc, unit_control),
-        stopping_pair_bound_check(grid, 0, depth),
-        maximal_check(proc, grid, 0, depth),
+        stopping_pair_bound_check(grid),
+        maximal_check(proc, grid),
     ]
     for pp in p["p_list"]:
         control = controls[pp]
@@ -146,11 +145,10 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
 
     # Appendix-style checks need a nondecreasing companion process.
     a = random_nondecreasing_process(space, rng)
-    reports.append(energy_check(a, 0, p=min(p["p_list"])))
-    partition = list(range(depth + 1))
+    reports.append(energy_check(a, min(p["p_list"])))
     for lam in p["lambda_list"]:
         try:
-            reports.append(khasminskii_check(a, 0, lam, partition))
+            reports.append(khasminskii_check(a, lam))
         except PartitionTooCoarseError:
             pass  # inequality not applicable at this lam; not a violation
 
@@ -160,7 +158,7 @@ def _verify_battery(config: ExperimentConfig, index: int) -> list[CheckReport]:
     if spread > 0.0:
         alpha = 0.25 * spread * (1.0 + float(rng.uniform(0.0, 1.0)))
         beta = 0.25 * spread * (1.0 + float(rng.uniform(0.0, 1.0)))
-        reports.append(garsia_check(proc, u_leaf, proc.values[0], 0, alpha, beta))
+        reports.append(garsia_check(proc, u_leaf, alpha, beta))
     return reports
 
 

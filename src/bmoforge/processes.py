@@ -73,8 +73,9 @@ class AdaptedProcess:
         return bool(np.all(np.diff(self.paths, axis=1) >= -1e-12))
 
 
-def maximal_process(space: FiniteFilteredSpace, process: AdaptedProcess) -> AdaptedProcess:
+def maximal_process(process: AdaptedProcess) -> AdaptedProcess:
     """Running maximum of ``|V_k - V_0|`` along each path, as a process."""
+    space = process.space
     paths = process.paths
     run = np.maximum.accumulate(np.abs(paths - paths[:, :1]), axis=1)
     # Leaf i lies in level-k atom i // b**(d-k): take every b**(d-k)-th leaf.

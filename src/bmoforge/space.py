@@ -103,8 +103,7 @@ def build_tree(
     ``transition_probs`` is None (every child equally likely) or a list of
     ``depth`` per-level arrays, level k of shape ``(branching**k, branching)``.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    # FiniteFilteredSpace checks the rest; this guards the default rows' division.
     if branching < 2:
         raise ValueError("branching must be >= 2")
     levels: list[np.ndarray] = []
@@ -114,6 +113,4 @@ def build_tree(
             levels.append(np.tile(row, (branching**k, 1)))
     else:
         levels = [np.asarray(t, dtype=float) for t in transition_probs]
-        if len(levels) != depth:
-            raise ValueError(f"expected {depth} per-level transition arrays")
     return FiniteFilteredSpace(depth=depth, branching=branching, transitions=levels)

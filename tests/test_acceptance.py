@@ -101,14 +101,12 @@ def test_criterion_2_exact_appendix_suite(corpus):
     for space, proc, companion, alpha, beta in corpus:
         for p in (1, 2, 3):
             n_checks += 1
-            violations += not energy_check(companion, 0, p=p).holds
+            violations += not energy_check(companion, p).holds
         u_leaf = 2.0 * np.abs(proc.paths).max(axis=1)
         spread = float(u_leaf.max())
         if spread > 0.0:
             n_checks += 1
-            violations += not garsia_check(
-                proc, u_leaf, proc.values[0], 0, alpha * spread, beta * spread
-            ).holds
+            violations += not garsia_check(proc, u_leaf, alpha * spread, beta * spread).holds
     ok = violations == 0
     announce(2, ok, f"{n_checks} appendix checks, {violations} violations")
     assert n_checks == 800
@@ -118,7 +116,6 @@ def test_criterion_2_exact_appendix_suite(corpus):
 def test_criterion_3_exact_structural_suite(corpus):
     n_checks = violations = 0
     for space, proc, _, _, _ in corpus:
-        d = space.depth
         grid = oscillation_grid(proc)
         controls = {p: variation_control(grid, p) for p in (1, 2, 3)}
         reports = [
@@ -126,8 +123,8 @@ def test_criterion_3_exact_structural_suite(corpus):
             monotonicity_check(grid),
             triangle_check(grid),
             pathwise_increment_check(proc, controls[1]),
-            stopping_pair_bound_check(grid, 0, d),
-            maximal_check(proc, grid, 0, d),
+            stopping_pair_bound_check(grid),
+            maximal_check(proc, grid),
         ]
         for control in controls.values():
             reports.append(superadditivity_check(control))
@@ -144,7 +141,6 @@ def test_criterion_4_exponential_bounds(corpus):
     n_checks = violations = skipped = 0
     for space, proc, companion, _, _ in corpus:
         d = space.depth
-        partition = list(range(d + 1))
         cells_a = max(float(oscillation_grid(companion).rho[k, k + 1]) for k in range(d))
         grid_v = oscillation_grid(proc)
         cells_v = max(float(grid_v.rho[k, k + 1]) for k in range(d))
@@ -155,7 +151,7 @@ def test_criterion_4_exponential_bounds(corpus):
         for lam in lams:
             if 11.0 * lam * cells_a < 1.0:
                 n_checks += 1
-                violations += not khasminskii_check(companion, 0, lam, partition).holds
+                violations += not khasminskii_check(companion, lam).holds
             else:
                 skipped += 1
             if 11.0 * lam * cells_v < 1.0:

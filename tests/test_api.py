@@ -8,7 +8,9 @@ module lists in its ``__all__`` must exist in that module.
 
 A parameter with a default is an option; some call in the package or in the
 acceptance suite must set it to a value other than a literal equal to the
-default, or it is one value and belongs in the code. Likewise a dataclass
+default, or it is one value and belongs in the code. So is any parameter,
+with a default or without, that every such call sets to one equal literal
+(a ``*`` or ``**`` argument may set anything). Likewise a dataclass
 field is an output; the package or the acceptance suite must read it, or it
 only echoes what the caller already has. And every function, class and
 method the package defines must be used by the package or the acceptance
@@ -70,10 +72,10 @@ UNSET_ALLOWED = {"cli.main.argv"}
 CALLERS = [*sorted((ROOT / "src" / "bmoforge").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
-def defaulted_parameters():
+def parameters():
     """(qualified name, call name, position, parameter, default) for every
-    parameter with a default of a function, class or method defined in
-    ``bmoforge``.
+    named parameter of a function, class or method defined in ``bmoforge``,
+    ``inspect.Parameter.empty`` standing for no default.
 
     A method's position excludes ``self``, a keyword-only parameter has
     none, and a class's parameters are its constructor's.
@@ -97,16 +99,20 @@ def defaulted_parameters():
                 params = list(inspect.signature(fn).parameters.values())[int(bound):]
                 out += [(f"{info.name}.{qual}.{p.name}", call_name,
                          math.inf if p.kind is p.KEYWORD_ONLY else i, p.name, p.default)
-                        for i, p in enumerate(params) if p.default is not p.empty]
+                        for i, p in enumerate(params)
+                        if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
     return out
 
 
-def is_default(node: ast.expr, default) -> bool:
-    """Whether an argument is a literal equal to the parameter's default."""
+NOT_LITERAL = object()
+
+
+def literal(node: ast.expr):
+    """An argument's value if it is a literal, else ``NOT_LITERAL``."""
     try:
-        return ast.literal_eval(node) == default
+        return ast.literal_eval(node)
     except ValueError:
-        return False
+        return NOT_LITERAL
 
 
 def set_arguments():
@@ -126,25 +132,46 @@ def set_arguments():
     return calls
 
 
+def argument(args, keywords, position, param):
+    """The argument node one call passes for a parameter, None when it passes
+    none, or ``NOT_LITERAL`` when a ``*`` or ``**`` argument may set it."""
+    if None in keywords or any(isinstance(a, ast.Starred) for a in args):
+        return NOT_LITERAL
+    return args[position] if position < len(args) else keywords.get(param)
+
+
 def sets(args, keywords, position, param, default) -> bool:
     """Whether one call may set the parameter to another value than its
     default: a ``*`` or ``**`` argument may set anything, and a literal equal
     to the default sets nothing."""
-    if None in keywords or any(isinstance(a, ast.Starred) for a in args):
-        return True
-    value = args[position] if position < len(args) else keywords.get(param)
-    return value is not None and not is_default(value, default)
+    node = argument(args, keywords, position, param)
+    return node is NOT_LITERAL or node is not None and literal(node) != default
 
 
 def test_every_defaulted_parameter_has_a_caller():
     calls = set_arguments()
     unset = set()
-    for qual, call_name, position, param, default in defaulted_parameters():
+    for qual, call_name, position, param, default in parameters():
+        if default is inspect.Parameter.empty:
+            continue
         if not any(sets(args, keywords, position, param, default)
                    for args, keywords in calls.get(call_name, [])):
             unset.add(qual)
     assert sorted(unset - UNSET_ALLOWED) == []
     assert UNSET_ALLOWED <= unset  # no stale entry
+
+
+def test_no_parameter_takes_one_literal_at_every_call():
+    calls = set_arguments()
+    one_valued = set()
+    for qual, call_name, position, param, _ in parameters():
+        values = []
+        for args, keywords in calls.get(call_name, []):
+            node = argument(args, keywords, position, param)
+            values.append(literal(node) if isinstance(node, ast.expr) else NOT_LITERAL)
+        if values and NOT_LITERAL not in values and all(v == values[0] for v in values):
+            one_valued.add(qual)
+    assert sorted(one_valued) == []
 
 
 # Dataclass fields that no scanned file reads, kept on purpose.

@@ -107,37 +107,31 @@ def test_jn_moment_random_corpus(seed, kind):
 
 def test_khasminskii_frozen():
     # A_k = 0.1 k on a depth-2 tree. The left-limit anchor reaches back one
-    # level, so the cell moduli of [0,1,2] are 0.1 and 0.2:
+    # level, so the moduli of the unit cells [0,1] and [1,2] are 0.1 and 0.2:
     # rhs = 1 / (0.9 * 0.8), lhs = e^0.2.
     sp = build_tree(2, 2)
     a = deterministic_process(sp, [0.0, 0.1, 0.2])
-    rep = khasminskii_check(a, 0, 1.0, [0, 1, 2])
+    rep = khasminskii_check(a, 1.0)
     assert rep.holds
     assert rep.lhs == pytest.approx(math.exp(0.2))
     assert rep.rhs == pytest.approx(1.0 / 0.72)
     assert rep.witness["cell_moduli"] == pytest.approx([0.1, 0.2])
-    # The single-cell partition also holds: e^0.2 <= (1 - 0.2)^-1.
-    coarse = khasminskii_check(a, 0, 1.0, [0, 2])
-    assert coarse.holds
-    assert coarse.rhs == pytest.approx(1.25)
 
 
 def test_khasminskii_partition_too_coarse():
     sp = build_tree(2, 2)
     a = deterministic_process(sp, [0.0, 0.1, 0.2])
     with pytest.raises(PartitionTooCoarseError, match="too coarse"):
-        khasminskii_check(a, 0, 6.0, [0, 2])
+        khasminskii_check(a, 6.0)
 
 
 def test_khasminskii_validation():
     sp = build_tree(2, 2)
     a = deterministic_process(sp, [0.0, 0.1, 0.2])
-    with pytest.raises(ValueError, match="partition"):
-        khasminskii_check(a, 0, 1.0, [0, 1])
     with pytest.raises(ValueError, match="lam"):
-        khasminskii_check(a, 0, 0.0, [0, 1, 2])
+        khasminskii_check(a, 0.0)
     with pytest.raises(ValueError, match="nondecreasing"):
-        khasminskii_check(fair_walk(), 0, 1.0, [0, 1, 2])
+        khasminskii_check(fair_walk(), 1.0)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -146,11 +140,10 @@ def test_khasminskii_random_corpus(seed):
     rng = np.random.default_rng(seed)
     sp = random_space(rng, depth=3, branching=2, random_transitions=True)
     a = random_nondecreasing_process(sp, rng)
-    partition = list(range(4))
     ran = 0
     for lam in (0.1, 0.2):
         try:
-            report = khasminskii_check(a, 0, lam, partition)
+            report = khasminskii_check(a, lam)
         except PartitionTooCoarseError:
             continue  # unit cells can still be too coarse for this draw
         assert report.holds
@@ -163,7 +156,7 @@ def test_energy_frozen():
     sp = build_tree(2, 2)
     a = deterministic_process(sp, [0.0, 1.0, 2.0])
     assert energy_constant(a) == pytest.approx(2.0)
-    rep = energy_check(a, 0, p=2)
+    rep = energy_check(a, 2)
     assert rep.holds
     assert rep.lhs == pytest.approx(4.0)
     assert rep.rhs == pytest.approx(8.0)
@@ -171,11 +164,7 @@ def test_energy_frozen():
 
 def test_energy_hypothesis_rejected():
     with pytest.raises(ValueError, match="nondecreasing"):
-        energy_check(fair_walk(), 0)
-    a = deterministic_process(build_tree(3, 2), [0.0, 1.0, 2.0, 3.0])
-    for s in (-1, 4):
-        with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
-            energy_check(a, s)
+        energy_check(fair_walk(), 2)
 
 
 def zero_one_increments(sp, rng):
@@ -194,11 +183,10 @@ def test_energy_random_corpus(seed):
     sp = random_space(rng, depth=3, branching=2, random_transitions=True)
     ran = 0
     for a in (zero_one_increments(sp, rng), random_nondecreasing_process(sp, rng)):
-        for s in range(4):
-            for p in (1, 2, 3):
-                assert energy_check(a, s, p=p).holds
-                ran += 1
-    assert ran == 24
+        for p in (1, 2, 3):
+            assert energy_check(a, p).holds
+            ran += 1
+    assert ran == 6
 
 
 @pytest.mark.parametrize("depth,branching,seed", [(3, 2, 31), (2, 3, 32)])
@@ -216,7 +204,7 @@ def test_garsia_frozen():
     # walk; alpha = beta = 1 gives lhs = P(X* >= 2) = 0.5, rhs = E(U; X* >= 1) = 3.
     v = fair_walk()
     u = 2.0 * np.abs(v.paths).max(axis=1)
-    rep = garsia_check(v, u, 0.0, 0, alpha=1.0, beta=1.0)
+    rep = garsia_check(v, u, alpha=1.0, beta=1.0)
     assert rep.holds
     assert rep.lhs == pytest.approx(0.5)
     assert rep.rhs == pytest.approx(3.0)
@@ -225,22 +213,18 @@ def test_garsia_frozen():
 def test_garsia_hypothesis_failure_names_a_pair():
     v = fair_walk()
     with pytest.raises(ValueError, match="domination hypothesis fails.*level 0"):
-        garsia_check(v, 0.1 * np.ones(4), 0.0, 0, alpha=0.5, beta=0.5)
+        garsia_check(v, 0.1 * np.ones(4), alpha=0.5, beta=0.5)
 
 
 def test_garsia_validation():
     v = fair_walk()
     u = np.ones(4)
     with pytest.raises(ValueError, match="alpha and beta"):
-        garsia_check(v, u, 0.0, 0, alpha=0.0, beta=1.0)
+        garsia_check(v, u, alpha=0.0, beta=1.0)
     with pytest.raises(ValueError, match="leaf-indexed"):
-        garsia_check(v, np.ones(3), 0.0, 0, alpha=1.0, beta=1.0)
+        garsia_check(v, np.ones(3), alpha=1.0, beta=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        garsia_check(v, -u, 0.0, 0, alpha=1.0, beta=1.0)
-    deep = deterministic_process(build_tree(3, 2), [0.0, 1.0, 2.0, 3.0])
-    for s in (-1, 4):
-        with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
-            garsia_check(deep, np.ones(8), 0.0, s, alpha=1.0, beta=1.0)
+        garsia_check(v, -u, alpha=1.0, beta=1.0)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -249,14 +233,14 @@ def test_garsia_random_corpus(seed):
     paths = v.paths
     u = 2.0 * np.abs(paths - paths[:, :1]).max(axis=1)
     spread = float(u.max()) + 0.1
-    rep = garsia_check(v, u, v.values[0][0], 0, alpha=0.3 * spread, beta=0.2 * spread)
+    rep = garsia_check(v, u, alpha=0.3 * spread, beta=0.2 * spread)
     assert rep.holds
 
 
 def test_maximal_check_holds_on_corpus():
     for seed in (9, 10):
         v = random_case(seed, "walk")
-        rep = maximal_check(v, oscillation_grid(v), 0, v.depth)
+        rep = maximal_check(v, oscillation_grid(v))
         assert rep.holds
         assert rep.witness["sup_holds"]
 
@@ -269,7 +253,7 @@ def test_structural_checks_on_corpus():
         assert monotonicity_check(grid).holds
         assert triangle_check(grid).holds
         assert pathwise_increment_check(v, variation_control(grid, 1.0)).holds
-        assert stopping_pair_bound_check(grid, 0, v.depth).holds
+        assert stopping_pair_bound_check(grid).holds
         for p in (1.0, 2.0):
             control = variation_control(grid, p)
             assert control_domination_check(grid, control).holds
@@ -442,10 +426,8 @@ def test_exp_vmo_lhs_stacks_every_r(depth, branching, kind):
                 log_lhs, worst_r = val, r
         stacked_lhs, stacked_r = _exp_vmo_lhs(v, lam)
         assert (stacked_lhs.hex(), stacked_r) == (log_lhs.hex(), worst_r)
-        for level in range(depth + 1):
-            stacked = _cond_log_mean_exp(sp, rows[level:], level)
-            for r, g in enumerate(stacked, start=level):
-                assert g.tobytes() == loop_cond_log_mean_exp(sp, rows[r], r).tobytes()
+        for r, g in enumerate(_cond_log_mean_exp(sp, rows)):
+            assert g.tobytes() == loop_cond_log_mean_exp(sp, rows[r], r).tobytes()
 
 
 @pytest.mark.parametrize("depth,branching,s", [(5, 2, 0), (5, 2, 2), (4, 3, 1)])
@@ -471,20 +453,20 @@ def test_garsia_hypothesis_gaps_stack_every_stop_level(depth, branching, s):
 def test_garsia_hypothesis_gap_matches_enumeration(depth, branching, seed):
     # The largest domination gap of the Snell sweep against every stopping
     # pair s <= S <= T <= depth and every stop node u of S; garsia_check
-    # rejects its hypothesis exactly when that gap is positive.
+    # rejects its hypothesis exactly when that gap is positive at s = 0.
     rng = np.random.default_rng(seed)
     sp = random_space(rng, depth=depth, branching=branching, random_transitions=True)
     v = random_process(sp, rng, kind="uniform")
     rejected = []
     for u in (rng.uniform(0.0, 2.0, sp.n_leaves), rng.uniform(2.0, 3.0, sp.n_leaves)):
         eu = [sp.cond_expectation(u, k) for k in range(depth + 1)]
+        brute = [brute_force_garsia_gap(v, u, s) for s in range(depth + 1)]
         for s in range(depth + 1):
             anchors = {j: v.left_limit(j)[None] for j in range(s, depth + 1)}
             gap = max(float(np.max(g)) for g in _stop_level_values(v, anchors, s, depth, cost=eu))
-            brute = brute_force_garsia_gap(v, u, s)
-            assert gap == pytest.approx(brute, abs=1e-12)
-            rejected.append(brute > 1e-12)
-            with (pytest.raises(ValueError, match="domination hypothesis fails")
-                  if rejected[-1] else contextlib.nullcontext()):
-                garsia_check(v, u, 0.0, s, alpha=1.0, beta=1.0)
-    assert any(rejected) and not all(rejected)
+            assert gap == pytest.approx(brute[s], abs=1e-12)
+        rejected.append(brute[0] > 1e-12)
+        with (pytest.raises(ValueError, match="domination hypothesis fails")
+              if rejected[-1] else contextlib.nullcontext()):
+            garsia_check(v, u, alpha=1.0, beta=1.0)
+    assert rejected == [True, False]

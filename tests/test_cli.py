@@ -353,6 +353,16 @@ def test_out_naming_a_file_exits_two(tmp_path, capsys, source):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
 
 
+def test_out_with_a_nul_byte_exits_two(tmp_path, capsys, monkeypatch):
+    # mkdir raises on a NUL byte, so validation rejects it first.
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, '{"kind": "jn-check", "seed": 1, "out": "a\\u0000b"}', "exp.json")
+    code = main(["jn-check", "--config", cfg])
+    assert code == 2
+    assert one_problem(capsys) == "  - out: a path cannot hold a NUL byte (got 'a\\x00b')"
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+
 @pytest.mark.parametrize("out", ["", "   "], ids=["empty", "spaces"])
 def test_blank_out_flag_exits_two(tmp_path, capsys, monkeypatch, out):
     monkeypatch.chdir(tmp_path)
@@ -363,11 +373,13 @@ def test_blank_out_flag_exits_two(tmp_path, capsys, monkeypatch, out):
 
 
 @pytest.mark.parametrize("flags,env,problem", [
-    (["--jobs", "0"], None, "--jobs: must lie in [1, 256] (got 0)"),
-    (["--jobs", "100000"], None, "--jobs: must lie in [1, 256] (got 100000)"),
-    (["--seed", "-1"], None, "--seed: must lie in [0, 18446744073709551615] (got -1)"),
+    (["--jobs", "0"], None, "--jobs: must lie in [1, 256] (got '0')"),
+    (["--jobs", "100000"], None, "--jobs: must lie in [1, 256] (got '100000')"),
+    (["--jobs", "two"], None, "--jobs: expected int (got 'two')"),
+    (["--seed", "-1"], None, "--seed: must lie in [0, 18446744073709551615] (got '-1')"),
+    (["--seed", "abc"], None, "--seed: expected int (got 'abc')"),
     ([], "abc", f"{SEED_ENV}: expected int (got 'abc')"),
-], ids=["jobs-zero", "jobs-huge", "seed-negative", "env-seed-text"])
+], ids=["jobs-zero", "jobs-huge", "jobs-text", "seed-negative", "seed-text", "env-seed-text"])
 def test_bad_override_exits_two(tmp_path, capsys, monkeypatch, flags, env, problem):
     if env is not None:
         monkeypatch.setenv(SEED_ENV, env)

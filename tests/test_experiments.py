@@ -122,9 +122,9 @@ n_processes = 1
 
 
 def test_verify_battery_builds_each_trajectory_matrix_once(monkeypatch):
-    # 13 lifts to leaf granularity at depth 5: the 6 levels of the process's
-    # trajectory matrix, the 6 of the nondecreasing companion's, and garsia's
-    # level-0 Y. Every check reads the two cached matrices.
+    # 12 lifts to leaf granularity at depth 5: the 6 levels of the process's
+    # trajectory matrix and the 6 of the nondecreasing companion's. Every
+    # check reads the two cached matrices.
     cfg = parse_config("""
 [experiment]
 kind = verify-finite
@@ -144,7 +144,7 @@ n_processes = 1
 
     monkeypatch.setattr(FiniteFilteredSpace, "broadcast_to_leaves", counted)
     experiments._verify_battery(cfg, 0)
-    assert len(calls) == 13
+    assert len(calls) == 12
 
 
 def test_verify_battery_computes_exp_vmo_lhs_once_per_lambda(monkeypatch):

@@ -56,7 +56,7 @@ def test_path_matrix_and_increments():
 
 def test_maximal_process_exact():
     sp, v = walk_example()
-    m = maximal_process(sp, v)
+    m = maximal_process(v)
     np.testing.assert_array_equal(m.values[0], [0.0])
     np.testing.assert_array_equal(m.values[1], [1.0, 2.0])
     np.testing.assert_array_equal(m.values[2], [1.0, 3.0, 2.0, 4.0])
@@ -92,7 +92,7 @@ def _running_max_by_level(space, process):
 def test_maximal_process_matches_the_level_recursion(branching, depth, kind):
     sp = random_space(np.random.default_rng(7), depth, branching, random_transitions=True)
     v = random_process(sp, np.random.default_rng(11), kind=kind)
-    m = maximal_process(sp, v)
+    m = maximal_process(v)
     oracle = _running_max_by_level(sp, v)
     assert [a.tobytes() for a in m.values] == [a.tobytes() for a in oracle]
 

@@ -77,7 +77,7 @@ def test_build_tree_validation():
         build_tree(-1, 2)
     with pytest.raises(ValueError, match="branching"):
         build_tree(2, 1)
-    with pytest.raises(ValueError, match="per-level"):
+    with pytest.raises(ValueError, match="transition levels"):
         build_tree(3, 2, [np.full((1, 2), 0.5)])
 
 
