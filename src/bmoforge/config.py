@@ -20,8 +20,9 @@ Parameter keys live in a section named after the kind. ``seed``, ``out`` and
 ``jobs`` may also come from overrides, which take precedence over the text;
 only the value of each that takes effect is validated. Unknown keys and
 out-of-range values are rejected with one message per violation. ``out`` says
-where outputs go: a path without a NUL byte whose nearest existing ancestor,
-itself included, is a directory. ``jobs`` is validated, then dropped, since
+where outputs go: a path without a NUL byte that the file system can look
+up, whose nearest ancestor on disk, itself included, is a directory or a
+symbolic link to one. ``jobs`` is validated, then dropped, since
 case batteries run serially. Neither changes what is computed, so both are
 excluded from the config hash.
 """
@@ -291,13 +292,22 @@ def _build(kind, top, raw_params: dict) -> ExperimentConfig:
     elif "\0" in out:
         violations.append(f"{source}: a path cannot hold a NUL byte (got {out!r})")
     else:
-        # The output directory, or its nearest existing ancestor, must be a directory.
+        # The output directory, or its nearest ancestor on disk (symbolic
+        # links not followed), must be a directory or a link to one.
         target = Path(out.strip())
         for path in (target, *target.parents):
-            if path.exists():
-                if not path.is_dir():
-                    violations.append(f"{source}: {path} exists and is not a directory")
+            try:
+                path.lstat()
+            except (FileNotFoundError, NotADirectoryError):
+                continue
+            except OSError as exc:  # a name too long, a symbolic-link loop
+                violations.append(f"{source}: {path}: {exc.strerror}")
                 break
+            if path.is_symlink() and not path.exists():
+                violations.append(f"{source}: {path} is a dangling symbolic link")
+            elif not path.is_dir():
+                violations.append(f"{source}: {path} exists and is not a directory")
+            break
     if "jobs" in effective:  # checked, then dropped: case batteries run serially
         source, raw = effective["jobs"]
         _coerce(source, _TOP_LEVEL["jobs"], raw, violations)

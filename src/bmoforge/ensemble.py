@@ -68,10 +68,6 @@ class PathEnsemble:
     def dt(self) -> float:
         return 1.0 / self.n_steps
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_steps + 1)
-
     def increments(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Increments of paths [start, stop), shape (paths, n_steps)."""
         stop = self.n_paths if stop is None else stop

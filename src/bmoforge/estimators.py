@@ -1,10 +1,10 @@
 """Monte Carlo estimators: nested conditional moments, empirical modulus
 grids, and log-log rate fits.
 
-A field is a vectorized callable ``f(times, values)`` applied elementwise to
-scalar Brownian values of shape (..., m) at ``times`` of shape (m,).
-``scalar_field_registry`` provides the named fields that every Monte Carlo
-kind looks up, and the tamed scheme uses them as drifts.
+A field is a vectorized callable ``f(values)`` applied elementwise to scalar
+Brownian values of any shape; no field reads time. ``scalar_field_registry``
+provides the named fields that every Monte Carlo kind looks up, and the
+tamed scheme uses them as drifts.
 """
 
 from __future__ import annotations
@@ -50,24 +50,20 @@ class RateFit:
 
 # -- integrand fields -------------------------------------------------------
 
-def _inv_abs_clip(t, x):
+def _inv_abs_clip(x):
     with np.errstate(divide="ignore"):
         return np.minimum(1.0 / np.abs(x), 100.0)
-
-
-def _one(t, x):
-    return np.ones_like(x)
 
 
 # ``one`` (a ``field`` choice) and ``const`` (a ``drift`` choice) name the same
 # field; both spellings stay because config files and hashes carry them.
 scalar_field_registry = {
-    "zero": lambda t, x: np.zeros_like(x),
-    "one": _one,
-    "const": _one,
-    "coordinate": lambda t, x: np.asarray(x, dtype=float),
-    "neg-linear": lambda t, x: -x,
-    "sign": lambda t, x: np.sign(x),
+    "zero": np.zeros_like,
+    "one": np.ones_like,
+    "const": np.ones_like,
+    "coordinate": lambda x: np.asarray(x, dtype=float),
+    "neg-linear": np.negative,
+    "sign": np.sign,
     "inv-abs-clip": _inv_abs_clip,
 }
 
@@ -109,8 +105,7 @@ def inner_means(fun, states, seed: int, sub: int, n_inner: int, n_steps: int, h:
 
 def markov_conditional_moment(
     f,
-    s: float,
-    t: float,
+    span: float,
     x_law,
     n_inner: int,
     n_steps: int,
@@ -118,7 +113,9 @@ def markov_conditional_moment(
     proxy: str = "max",
     stream_index: int = 0,
 ) -> MomentEstimate:
-    """Worst-case conditional first moment of | integral_s^t f(r, X_r) dr |.
+    """Worst-case conditional first moment of | integral_s^t f(X_r) dr | for
+    a window of length ``span`` = t - s: the field does not read time, so the
+    moment depends on the window through its length alone.
 
     For each outer state x the inner mean over Brownian continuations from x
     is estimated by :func:`inner_means` with a left-point Riemann sum on
@@ -128,17 +125,16 @@ def markov_conditional_moment(
     the selected outer sample. Outer states are scalars (one-dimensional
     Brownian motion).
     """
-    if t <= s:
-        raise ValueError("need t > s")
+    if span <= 0.0:
+        raise ValueError("need span > 0")
     if n_inner < 2 or n_steps < 1:
         raise ValueError("n_inner must be >= 2 and n_steps >= 1")
     x_arr = np.atleast_1d(np.asarray(x_law, dtype=float))
     if x_arr.ndim != 1:
         raise ValueError(f"outer states have shape {x_arr.shape}; each must be a scalar (dim 1)")
     n_outer = x_arr.shape[0]
-    h = (t - s) / n_steps
-    times = s + h * np.arange(n_steps)
-    means, errs = inner_means(lambda b: f(times, b).sum(axis=1) * h, x_arr, seed,
+    h = span / n_steps
+    means, errs = inner_means(lambda b: f(b).sum(axis=1) * h, x_arr, seed,
                               stream_index, n_inner, n_steps, h)
     if proxy == "max":
         pick = int(np.argmax(means))
@@ -195,8 +191,7 @@ def empirical_rho_grid(
             span = times[j] - times[i]
             est = markov_conditional_moment(
                 f,
-                float(times[i]),
-                float(times[j]),
+                float(span),
                 states[:, i],
                 n_inner=n_inner,
                 n_steps=max(1, int(round(steps_per_unit * span))),

@@ -46,14 +46,14 @@ def _mesh_ratio(n_fine: int, n_coarse: int) -> int:
     return n_fine // n_coarse
 
 
-def _quadrature_sums(f, left_times: np.ndarray, b: np.ndarray, ratios, h: float) -> np.ndarray:
-    """Left-point sums of f(t, B_t) - f(t, B at the last mesh point) per mesh
-    ratio, shape (len(ratios), paths), with f(t, B_t) evaluated once."""
-    plain = np.asarray(f(left_times, b), dtype=float)
+def _quadrature_sums(f, b: np.ndarray, ratios, h: float) -> np.ndarray:
+    """Left-point sums of f(B_t) - f(B at the last mesh point) per mesh
+    ratio, shape (len(ratios), paths), with f(B_t) evaluated once."""
+    plain = np.asarray(f(b), dtype=float)
     out = np.empty((len(ratios), b.shape[0]))
     for row, r in zip(out, ratios):
         anchored = np.repeat(b[:, ::r], r, axis=1)
-        row[:] = (plain - np.asarray(f(left_times, anchored), dtype=float)).sum(axis=1) * h
+        row[:] = (plain - np.asarray(f(anchored), dtype=float)).sum(axis=1) * h
     return out
 
 
@@ -82,8 +82,8 @@ def _brownian_blocks(ensemble: PathEnsemble, start: int, stop: int):
         t0 += m
 
 
-def _clipped_drift(model: SdeModel, level: float, t: float, x: np.ndarray):
-    b = np.asarray(model.drift(t, x), dtype=float)
+def _clipped_drift(model: SdeModel, level: float, x: np.ndarray):
+    b = np.asarray(model.drift(x), dtype=float)
     # np.clip's values without its Python-level wrapper.
     b = np.maximum(b, -level)
     return np.minimum(b, level, out=b)
@@ -95,15 +95,15 @@ class _EulerMesh:
 
     The noise is additive: with u = sigma * w the shared noise values, the
     solution at fine point a + k of a coarse step opened at a is
-    (b * t_k + c) + u_{a+k}, where b is the drift at the step's opening time
-    and state x_a, c = x_a - u_a and t_k = k * h. The noise term is a pure
+    (b * t_k + c) + u_{a+k}, where b is the drift at the step's opening state
+    x_a, c = x_a - u_a and t_k = k * h. The noise term is a pure
     read of u, so solutions on nested meshes couple bitwise when the drift
     contribution vanishes. A coarse step may straddle time blocks: (c, b)
     and the anchor carry over.
     """
 
     def __init__(self, model: SdeModel, level: float, n: int, n_fine: int, n_paths: int):
-        self.model, self.level, self.n = model, level, n
+        self.model, self.level = model, level
         self.ratio = _mesh_ratio(n_fine, n)
         self.drift_times = (1.0 / n_fine) * np.arange(1, self.ratio + 1)
         self.state = np.full(n_paths, model.x0)
@@ -117,15 +117,14 @@ class _EulerMesh:
         (m + 1, paths); ``out`` has shape (m, paths).
         """
         if self.ratio == 1:
-            return self._advance_steps(u, t0, out)
+            return self._advance_steps(u, out)
         ratio, m = self.ratio, out.shape[0]
         pos = 0
         while pos < m:
             done = t0 + pos - self.anchor  # fine steps of this coarse step written
             if done == ratio:
                 self.anchor, done = t0 + pos, 0
-                t_j = (self.anchor // ratio) / self.n
-                self.b = _clipped_drift(self.model, self.level, t_j, self.state)
+                self.b = _clipped_drift(self.model, self.level, self.state)
                 self.c = self.state - u[pos]
             k = min(ratio - done, m - pos)
             seg = out[pos : pos + k]
@@ -137,13 +136,13 @@ class _EulerMesh:
             if done + k == ratio:
                 self.state = seg[-1].copy()
 
-    def _advance_steps(self, u: np.ndarray, t0: int, out: np.ndarray) -> None:
+    def _advance_steps(self, u: np.ndarray, out: np.ndarray) -> None:
         """:meth:`advance` for ratio 1, one fine step at a time with the same
         sums: row k of ``out`` is h * b + (x - u_k) + u_{k+1}, with b the
         drift at the previous row x."""
         h, x, c = self.drift_times[0], self.state, np.empty_like(self.state)
         for k in range(out.shape[0]):
-            b = _clipped_drift(self.model, self.level, (t0 + k) / self.n, x)
+            b = _clipped_drift(self.model, self.level, x)
             np.subtract(x, u[k], out=c)
             x = np.multiply(h, b, out=out[k])
             x += c
@@ -156,28 +155,28 @@ class _EulerMesh:
 def quadrature_error(f, ensemble: PathEnsemble, ns) -> np.ndarray:
     """Per-path terminal value of the mesh-point quadrature error, per mesh.
 
-    V_1 = integral_0^1 [f(r, B_r) - f(r, B at the last mesh-n point)] dr
+    V_1 = integral_0^1 [f(B_r) - f(B at the last mesh-n point)] dr
     computed as a left-point Riemann sum on the fine grid, for every mesh n
-    in ``ns``. Each path chunk is drawn once and f(t, B_t) evaluated once for
+    in ``ns``. Each path chunk is drawn once and f(B_t) evaluated once for
     all meshes. Returns an array of shape (len(ns), n_paths).
     """
     ratios = [_mesh_ratio(ensemble.n_steps, n) for n in ns]
     if not ratios:
         raise ValueError("ns must be nonempty")
-    left_times, h = ensemble.times[:-1], ensemble.dt
+    h = ensemble.dt
     out = np.empty((len(ratios), ensemble.n_paths))
     for start, b in ensemble.left_point_chunks():
-        out[:, start : start + b.shape[0]] = _quadrature_sums(f, left_times, b, ratios, h)
+        out[:, start : start + b.shape[0]] = _quadrature_sums(f, b, ratios, h)
     return out
 
 
 # -- shift averaging ---------------------------------------------------------
 
 def davie_functional(g, shifts, ensemble: PathEnsemble) -> np.ndarray:
-    """Per-path samples of integral_0^1 [g(t, B_t + x) - g(t, B_t)] dt for
-    every shift x in ``shifts``, shape (len(shifts), n_paths).
+    """Per-path samples of integral_0^1 [g(B_t + x) - g(B_t)] dt for every
+    shift x in ``shifts``, shape (len(shifts), n_paths).
 
-    Each path chunk is drawn once and g(t, B_t) evaluated once for all shifts.
+    Each path chunk is drawn once and g(B_t) evaluated once for all shifts.
     The averaging bound needs |g| <= 1; out-of-range values are clipped, with
     one warning per call.
     """
@@ -185,17 +184,16 @@ def davie_functional(g, shifts, ensemble: PathEnsemble) -> np.ndarray:
     if not shifts:
         raise ValueError("shifts must be nonempty")
     h = ensemble.dt
-    left_times = ensemble.times[:-1]
     samples = np.empty((len(shifts), ensemble.n_paths))
     warned = False
     for start, b in ensemble.left_point_chunks():
         m = b.shape[0]
-        plain = np.asarray(g(left_times, b), dtype=float)
+        plain = np.asarray(g(b), dtype=float)
         if np.may_share_memory(plain, b):
             plain = plain.copy()  # the clip below must not reach b
         plain_peak = np.abs(plain).max(initial=0.0)
         for k, shift in enumerate(shifts):
-            shifted = np.asarray(g(left_times, b + shift), dtype=float)
+            shifted = np.asarray(g(b + shift), dtype=float)
             peak = max(np.abs(shifted).max(initial=0.0), plain_peak)
             if peak > 1.0 + 1e-12:
                 if not warned:
@@ -354,10 +352,9 @@ def quadrature_modulus_proxy(
     per_anchor = []
     for s_idx, s in enumerate(anchor_times):
         n_fine = round((1.0 - s) * f_unit)
-        left_times = s + h * np.arange(n_fine)
         states = [philox_stream(seed, PURPOSE_OUTER, o, s_idx).standard_normal() * math.sqrt(s)
                   if s > 0.0 else 0.0 for o in range(n_outer)]
-        per_anchor.append(inner_means(lambda b: _quadrature_sums(f, left_times, b, ratios, h),
+        per_anchor.append(inner_means(lambda b: _quadrature_sums(f, b, ratios, h),
                                       states, seed, s_idx + 1, n_inner, n_fine, h))
     means, sds = (np.concatenate(arrs, axis=1) for arrs in zip(*per_anchor))
     pick = (np.arange(len(ns)), means.argmax(axis=1))  # the first pair attaining the max

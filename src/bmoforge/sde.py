@@ -1,10 +1,10 @@
 """The scalar SDE model with constant noise, and the drift taming policy.
 
-``SdeModel(drift, sigma, x0)`` is dX = drift(t, X) dt + sigma dW on [0, 1],
+``SdeModel(drift, sigma, x0)`` is dX = drift(X) dt + sigma dW on [0, 1],
 driven by a one-dimensional Brownian motion W, with a vectorized
-``drift(t, x)`` mapping a scalar time and states of shape (n,) to (n,), and
-a constant noise scale sigma. Noise that depends on time or state is out of
-scope, so ellipticity is the closed form 1/B <= sigma^2 <= B.
+``drift(x)`` mapping states of shape (n,) to (n,), and a constant noise
+scale sigma. Drifts that read time, and noise that depends on time or state,
+are out of scope, so ellipticity is the closed form 1/B <= sigma^2 <= B.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = [
 class SdeModel:
     """dX = drift dt + sigma dW, X_0 = x0."""
 
-    drift: Callable[[float, np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray]
     sigma: float
     x0: float = 0.0
 

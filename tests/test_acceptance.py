@@ -172,7 +172,7 @@ def test_criterion_5_gaussian_oracles():
     start = time.monotonic()
     exact = math.sqrt(2.0 / (3.0 * math.pi))
     est = markov_conditional_moment(
-        scalar_field_registry["coordinate"], 0.0, 1.0, [0.0],
+        scalar_field_registry["coordinate"], 1.0, [0.0],
         n_inner=10**4, n_steps=2**12, seed=seed,
     )
     markov_ok = abs(est.value - exact) <= 3.0 * est.stderr
@@ -278,7 +278,7 @@ def test_criterion_8_tamed_scheme_convergence():
     start = time.monotonic()
     ns = [8, 16, 32, 64, 128, 256]
     ensemble = PathEnsemble(n_paths=2000, n_steps=64 * 256, seed=seed)
-    sign_model = SdeModel(drift=lambda t, x: np.sign(x), sigma=1.0, x0=0.0)
+    sign_model = SdeModel(drift=np.sign, sigma=1.0, x0=0.0)
     res = strong_error(sign_model, TamingPolicy(), ns, ensemble)
     slope_ok = res.fit.slope >= 0.4
     monotone = all(
@@ -286,7 +286,7 @@ def test_criterion_8_tamed_scheme_convergence():
         <= res.mean_sup_error[k] + res.stderr[k] + res.stderr[k + 1]
         for k in range(len(ns) - 1)
     )
-    zero_model = SdeModel(drift=lambda t, x: np.zeros_like(x), sigma=1.0, x0=0.0)
+    zero_model = SdeModel(drift=np.zeros_like, sigma=1.0, x0=0.0)
     res0 = strong_error(zero_model, TamingPolicy(), ns, ensemble)
     control_exact = max(res0.mean_sup_error) == 0.0
     elapsed = time.monotonic() - start

@@ -353,6 +353,27 @@ def test_out_naming_a_file_exits_two(tmp_path, capsys, source):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["link", "below-link"])
+def test_out_at_a_dangling_symlink_exits_two(tmp_path, capsys, monkeypatch, below):
+    # mkdir raises FileExistsError on a dangling link, so validation rejects it first.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dangle").symlink_to("nowhere")
+    code = main(["jn-check", "--seed", "1", "--out", "dangle/sub" if below else "dangle"])
+    assert code == 2
+    assert one_problem(capsys) == "  - --out: dangle is a dangling symbolic link"
+    assert [p.name for p in tmp_path.iterdir()] == ["dangle"]
+
+
+def test_out_with_a_too_long_name_exits_two(tmp_path, capsys, monkeypatch):
+    # Looking the path up raises ENAMETOOLONG, where os.path.lexists says False.
+    monkeypatch.chdir(tmp_path)
+    out = "a" * 300 + "/runs"
+    code = main(["jn-check", "--seed", "1", "--out", out])
+    assert code == 2
+    assert one_problem(capsys) == f"  - --out: {out}: File name too long"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_with_a_nul_byte_exits_two(tmp_path, capsys, monkeypatch):
     # mkdir raises on a NUL byte, so validation rejects it first.
     monkeypatch.chdir(tmp_path)

@@ -95,7 +95,6 @@ def test_time_blocks_join_to_increments(block):
 def test_grid_properties():
     ens = PathEnsemble(n_paths=1, n_steps=4, seed=0)
     assert ens.dt == 0.25
-    np.testing.assert_array_equal(ens.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_terminal_variance_and_independence():

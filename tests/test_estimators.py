@@ -18,25 +18,27 @@ from bmoforge.estimators import (
 
 
 def test_registry_fields():
-    t = np.zeros(3)
+    # Fields are autonomous: every entry takes the state alone.
     x = np.array([-2.0, 0.0, 0.5])
-    np.testing.assert_array_equal(scalar_field_registry["one"](t, x), [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(scalar_field_registry["sign"](t, x), [-1.0, 0.0, 1.0])
-    np.testing.assert_array_equal(scalar_field_registry["coordinate"](t, x), x)
-    # Reciprocal magnitude clips at 100.
-    np.testing.assert_allclose(
-        scalar_field_registry["inv-abs-clip"](t, x), [0.5, 100.0, 2.0]
-    )
+    expect = {
+        "zero": [0.0, 0.0, 0.0],
+        "one": [1.0, 1.0, 1.0],
+        "const": [1.0, 1.0, 1.0],
+        "coordinate": x,
+        "neg-linear": -x,
+        "sign": [-1.0, 0.0, 1.0],
+        "inv-abs-clip": [0.5, 100.0, 2.0],  # reciprocal magnitude clips at 100
+    }
+    assert set(scalar_field_registry) == set(expect)
+    for name, values in expect.items():
+        np.testing.assert_array_equal(scalar_field_registry[name](x), values)
+    assert scalar_field_registry["const"] is scalar_field_registry["one"]
     # Every field and drift a config can name resolves here.
     named = {choice for schema in KIND_SCHEMAS.values()
              for key, spec in schema.items() if key in ("field", "drift")
              for choice in spec.choices}
     assert {"zero", "neg-linear", "const", "inv-abs-clip"} <= named
     assert named <= set(scalar_field_registry)
-    np.testing.assert_array_equal(scalar_field_registry["zero"](t, x), [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(scalar_field_registry["const"](t, x), [1.0, 1.0, 1.0])
-    assert scalar_field_registry["const"] is scalar_field_registry["one"]
-    np.testing.assert_array_equal(scalar_field_registry["neg-linear"](t, x), -x)
 
 
 def test_inner_means_keeps_leading_axes():
@@ -57,18 +59,18 @@ def test_inner_means_keeps_leading_axes():
     other, _ = inner_means(tail, states, seed=3, sub=2, n_inner=40, n_steps=8, h=1 / 8)
     assert other.tolist() != means.tolist()
     # The Markov moment is the max of these means over the outer states.
-    est = markov_conditional_moment(scalar_field_registry["sign"], 0.0, 1.0, states,
+    est = markov_conditional_moment(scalar_field_registry["sign"], 1.0, states,
                                     n_inner=40, n_steps=8, seed=3, stream_index=1)
     assert est.value == means.max()
 
 
 def test_markov_moment_exact_for_flat_fields():
     zero = scalar_field_registry["zero"]
-    est = markov_conditional_moment(zero, 0.0, 1.0, [0.0, 3.0], n_inner=16, n_steps=8, seed=0)
+    est = markov_conditional_moment(zero, 1.0, [0.0, 3.0], n_inner=16, n_steps=8, seed=0)
     assert est.value == 0.0
     assert est.stderr == 0.0
     one = scalar_field_registry["one"]
-    est = markov_conditional_moment(one, 0.5, 2.0, [1.0], n_inner=16, n_steps=8, seed=0)
+    est = markov_conditional_moment(one, 1.5, [1.0], n_inner=16, n_steps=8, seed=0)
     assert est.value == pytest.approx(1.5)
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -76,7 +78,7 @@ def test_markov_moment_exact_for_flat_fields():
 def test_markov_moment_gaussian_oracle():
     # E | integral_0^1 B dr | = sqrt(2/(3 pi)) for the coordinate field.
     f = scalar_field_registry["coordinate"]
-    est = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=4000, n_steps=512, seed=7)
+    est = markov_conditional_moment(f, 1.0, [0.0], n_inner=4000, n_steps=512, seed=7)
     exact = math.sqrt(2.0 / (3.0 * math.pi))
     assert abs(est.value - exact) <= 3.0 * est.stderr
 
@@ -84,9 +86,9 @@ def test_markov_moment_gaussian_oracle():
 def test_markov_moment_chunk_invariance(monkeypatch):
     f = scalar_field_registry["sign"]
     monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 1024 * 32)
-    a = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=500, n_steps=32, seed=5)
+    a = markov_conditional_moment(f, 1.0, [0.0], n_inner=500, n_steps=32, seed=5)
     monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 17 * 32)
-    b = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=500, n_steps=32, seed=5)
+    b = markov_conditional_moment(f, 1.0, [0.0], n_inner=500, n_steps=32, seed=5)
     assert a.value == b.value
     assert a.stderr == b.stderr
 
@@ -94,16 +96,16 @@ def test_markov_moment_chunk_invariance(monkeypatch):
 def test_markov_moment_grows_with_horizon():
     f = scalar_field_registry["coordinate"]
     vals = [
-        markov_conditional_moment(f, 0.0, t, [0.0], n_inner=2000, n_steps=128, seed=3).value
-        for t in (0.5, 1.0, 2.0)
+        markov_conditional_moment(f, span, [0.0], n_inner=2000, n_steps=128, seed=3).value
+        for span in (0.5, 1.0, 2.0)
     ]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_markov_moment_stderr_shrinks():
     f = scalar_field_registry["coordinate"]
-    small = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=800, n_steps=64, seed=9)
-    large = markov_conditional_moment(f, 0.0, 1.0, [0.0], n_inner=3200, n_steps=64, seed=9)
+    small = markov_conditional_moment(f, 1.0, [0.0], n_inner=800, n_steps=64, seed=9)
+    large = markov_conditional_moment(f, 1.0, [0.0], n_inner=3200, n_steps=64, seed=9)
     ratio = large.stderr / small.stderr
     assert 0.3 <= ratio <= 0.7  # 4x samples halve the stderr, up to noise
 
@@ -111,25 +113,25 @@ def test_markov_moment_stderr_shrinks():
 def test_markov_moment_proxy_and_validation():
     f = scalar_field_registry["coordinate"]
     xs = [0.0, 1.0, -2.0]
-    hi = markov_conditional_moment(f, 0.0, 1.0, xs, n_inner=64, n_steps=16, seed=1, proxy="max")
-    q = markov_conditional_moment(f, 0.0, 1.0, xs, n_inner=64, n_steps=16, seed=1,
+    hi = markov_conditional_moment(f, 1.0, xs, n_inner=64, n_steps=16, seed=1, proxy="max")
+    q = markov_conditional_moment(f, 1.0, xs, n_inner=64, n_steps=16, seed=1,
                                   proxy="quantile")
     assert q.value <= hi.value
     # Past 100 outer states the 0.99 quantile falls below the max.
     many = np.linspace(-3.0, 3.0, 200)
-    hi = markov_conditional_moment(f, 0.0, 1.0, many, n_inner=16, n_steps=4, seed=1)
-    q = markov_conditional_moment(f, 0.0, 1.0, many, n_inner=16, n_steps=4, seed=1,
+    hi = markov_conditional_moment(f, 1.0, many, n_inner=16, n_steps=4, seed=1)
+    q = markov_conditional_moment(f, 1.0, many, n_inner=16, n_steps=4, seed=1,
                                   proxy="quantile")
     assert q.value < hi.value
     with pytest.raises(ValueError, match="proxy"):
-        markov_conditional_moment(f, 0.0, 1.0, xs, n_inner=64, n_steps=16, seed=1, proxy="mean")
-    with pytest.raises(ValueError, match="t > s"):
-        markov_conditional_moment(f, 1.0, 1.0, xs, n_inner=64, n_steps=16, seed=1)
+        markov_conditional_moment(f, 1.0, xs, n_inner=64, n_steps=16, seed=1, proxy="mean")
+    with pytest.raises(ValueError, match="span > 0"):
+        markov_conditional_moment(f, 0.0, xs, n_inner=64, n_steps=16, seed=1)
     with pytest.raises(ValueError, match="dim"):
-        markov_conditional_moment(f, 0.0, 1.0, np.zeros((2, 2)), n_inner=64, n_steps=16,
+        markov_conditional_moment(f, 1.0, np.zeros((2, 2)), n_inner=64, n_steps=16,
                                   seed=1)
     with pytest.raises(ValueError, match="outer state"):
-        markov_conditional_moment(f, 0.0, 1.0, [], n_inner=64, n_steps=16, seed=1)
+        markov_conditional_moment(f, 1.0, [], n_inner=64, n_steps=16, seed=1)
 
 
 def test_rho_grid_exact_fields():

@@ -1,9 +1,13 @@
+import csv
 import json
 
 import pytest
 
 from bmoforge import report
+from bmoforge.cli import main as cli_main
 from bmoforge.report import REPORT_HEADER, report_summary
+
+from test_acceptance import CLI_CONFIGS
 
 
 def make_manifest(dir_path, kind, extra, ok=True, tag="00"):
@@ -104,3 +108,68 @@ def test_each_manifest_is_loaded_once(tmp_path, monkeypatch):
 def test_missing_manifest_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         report_summary([str(tmp_path / "absent.json")])
+
+
+# Per Monte Carlo kind: report metric -> the manifest ``extra`` key it shows.
+HEADLINE_KEYS = {
+    "rho-grid": {"monotone_violations": "monotone_violations",
+                 "holder_slope": "holder_slope"},
+    "davie": {"m2_slope": "m2_slope", "gamma_ratio_min": "gamma_ratios",
+              "gamma_ratio_max": "gamma_ratios"},
+    "quadrature": {"exponent": "exponent"},
+    "tamed-em": {"slope": "slope", "monotone_within_stderr": "monotone_within_stderr"},
+}
+# ``extra`` keys that record a run's context rather than a headline metric.
+CONTEXT_KEYS = {
+    "rho-grid": {"proxy"},
+    "davie": {"shifts"},
+    "quadrature": {"anchor_times"},
+    "tamed-em": {"ellipticity", "reference_n", "taming_diagnostic"},
+}
+
+
+def test_report_over_every_kind_end_to_end(tmp_path):
+    manifests = {}
+    for kind, text in CLI_CONFIGS.items():
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(text)
+        out = tmp_path / kind
+        assert cli_main([kind, "--config", str(cfg), "--out", str(out)]) in (0, 1), kind
+        manifests[kind] = out / "manifest.json"
+    agg = tmp_path / "report.csv"
+    assert cli_main(["report", *map(str, manifests.values()), "--out", str(agg)]) == 0
+    with open(agg, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert set(HEADLINE_KEYS) | {"verify-finite", "jn-check"} == set(CLI_CONFIGS)
+    for kind, path in manifests.items():
+        manifest = json.loads(path.read_text())
+        mine = [row for row in rows if row["kind"] == kind]
+        assert {row["run"] for row in mine} == {manifest["config_hash"][:12]}
+        if kind not in HEADLINE_KEYS:
+            with open(path.parent / "summary.csv", newline="", encoding="utf-8") as fh:
+                summary = [[rec[c] for c in ("check", "n_cases", "violations", "worst_ratio")]
+                           for rec in csv.DictReader(fh)]
+            assert summary, kind
+            assert [[row[c] for c in ("check", "n_cases", "violations", "worst_ratio")]
+                    for row in mine] == summary
+            continue
+        extra = manifest["extra"]
+        headline = HEADLINE_KEYS[kind]
+        stderrs = {f"{key}_stderr" for key in headline.values()}
+        # A renamed runner key shows up here, a renamed report metric below.
+        assert set(extra) <= set(headline.values()) | stderrs | CONTEXT_KEYS[kind], kind
+        recorded = {metric for metric, key in headline.items() if extra.get(key) not in (None, {})}
+        assert [row["metric"] for row in mine] == [
+            metric for metric in headline if metric in recorded] + ["ok"], kind
+        for row in mine:
+            metric = row["metric"]
+            if metric == "ok":
+                assert row["value"] == str(int(manifest["ok"]))
+            elif metric.startswith("gamma_ratio_"):
+                pick = min if metric.endswith("min") else max
+                assert float(row["value"]) == pick(extra["gamma_ratios"].values())
+            else:
+                value = extra[metric]
+                assert float(row["value"]) == float(value), (kind, metric)
+                assert row["stderr"] == (repr(extra[f"{metric}_stderr"])
+                                         if f"{metric}_stderr" in extra else "")

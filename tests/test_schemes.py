@@ -26,10 +26,6 @@ def unit_ensemble():
     return PathEnsemble(n_paths=16, n_steps=64, seed=42)
 
 
-def zero_drift(t, x):
-    return np.zeros_like(x)
-
-
 # -- solver -------------------------------------------------------------------
 
 def paths(ensemble):
@@ -67,20 +63,20 @@ def test_brownian_blocks_carry_the_cumsum(unit_ensemble, monkeypatch, block, sta
 
 
 def test_solver_identity_on_brownian(unit_ensemble):
-    model = SdeModel(drift=zero_drift, sigma=1.0, x0=0.0)
+    model = SdeModel(drift=np.zeros_like, sigma=1.0, x0=0.0)
     sol = solve(model, math.inf, 8, unit_ensemble)
     assert np.array_equal(sol, paths(unit_ensemble))
 
 
 def test_solver_constant_drift(unit_ensemble):
-    model = SdeModel(drift=lambda t, x: 2.0 * np.ones_like(x), sigma=1.0, x0=0.5)
+    model = SdeModel(drift=lambda x: 2.0 * np.ones_like(x), sigma=1.0, x0=0.5)
     sol = solve(model, math.inf, 16, unit_ensemble)
-    expect = 0.5 + 2.0 * unit_ensemble.times[None, :] + paths(unit_ensemble)
+    expect = 0.5 + 2.0 * np.linspace(0.0, 1.0, 65)[None, :] + paths(unit_ensemble)
     np.testing.assert_allclose(sol, expect, atol=1e-12)
 
 
 def test_solver_linear_ode_nodes(unit_ensemble):
-    model = SdeModel(drift=lambda t, x: -x, sigma=0.0, x0=1.0)
+    model = SdeModel(drift=np.negative, sigma=0.0, x0=1.0)
     sol = solve(model, math.inf, 4, unit_ensemble)
     nodes = sol[:, ::16]
     expect = [(1.0 - 0.25) ** j for j in range(5)]
@@ -88,10 +84,10 @@ def test_solver_linear_ode_nodes(unit_ensemble):
 
 
 def test_solver_applies_clip(unit_ensemble):
-    model = SdeModel(drift=lambda t, x: 100.0 * np.ones_like(x), sigma=1.0, x0=0.0)
+    model = SdeModel(drift=lambda x: 100.0 * np.ones_like(x), sigma=1.0, x0=0.0)
     policy = TamingPolicy(scale=1.0, exponent=0.25, log_power=0.0)  # level 2 at n=16
     sol = solve(model, policy.clip_level(16), 16, unit_ensemble)
-    expect = 2.0 * unit_ensemble.times[None, :] + paths(unit_ensemble)
+    expect = 2.0 * np.linspace(0.0, 1.0, 65)[None, :] + paths(unit_ensemble)
     np.testing.assert_allclose(sol, expect, atol=1e-12)
 
 
@@ -100,9 +96,6 @@ def test_solver_applies_clip(unit_ensemble):
 def test_quadrature_error_vanishes_for_flat_fields(unit_ensemble):
     v = quadrature_error(scalar_field_registry["one"], unit_ensemble, [4])
     assert v.shape == (1, 16)
-    assert np.all(v == 0.0)
-    time_only = lambda t, x: np.sin(t) * np.ones_like(x)
-    v = quadrature_error(time_only, unit_ensemble, [4])
     assert np.all(v == 0.0)
 
 
@@ -114,9 +107,7 @@ def test_quadrature_error_vanishes_on_finest_mesh(unit_ensemble):
 def test_quadrature_error_increment_bound(unit_ensemble):
     # |V_1 - V_0| = |V_1| <= 2 for any field bounded by 1.
     v = quadrature_error(scalar_field_registry["sign"], unit_ensemble, [8])
-    times = unit_ensemble.times
-    gap = np.abs(v[0]).max()
-    assert gap <= 2.0 * (times[64] - times[0]) + 1e-12
+    assert np.abs(v[0]).max() <= 2.0 + 1e-12
 
 
 def test_quadrature_error_chunk_invariance(unit_ensemble, monkeypatch):
@@ -146,7 +137,7 @@ def test_davie_constant_field_cancels(unit_ensemble):
 def test_davie_linear_field_telescopes(unit_ensemble):
     # |B_t + 0.5| / 4 stays below 1 on this ensemble, so nothing is clipped,
     # and scaling by a power of 2 keeps the telescoping sum exact.
-    g = lambda t, y: y / 4
+    g = lambda y: y / 4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         samples = davie_functional(g, [0.5], unit_ensemble)
@@ -154,7 +145,7 @@ def test_davie_linear_field_telescopes(unit_ensemble):
 
 
 def test_davie_clip_warns_once(unit_ensemble, monkeypatch):
-    g = lambda t, y: 2.0 * np.ones_like(y)
+    g = lambda y: 2.0 * np.ones_like(y)
     monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", 4 * unit_ensemble.n_steps)
     with pytest.warns(UserWarning, match="clipping") as record:
         samples = davie_functional(g, [0.5, 0.25], unit_ensemble)
@@ -180,9 +171,8 @@ def per_shift_davie(g, shift, ensemble):
     inc = ensemble.increments()
     b = np.zeros((ensemble.n_paths, ensemble.n_steps))
     np.cumsum(inc[:, :-1], axis=1, out=b[:, 1:])
-    left_times = ensemble.times[:-1]
-    shifted = np.asarray(g(left_times, b + shift), dtype=float)
-    plain = np.asarray(g(left_times, b), dtype=float)
+    shifted = np.asarray(g(b + shift), dtype=float)
+    plain = np.asarray(g(b), dtype=float)
     # The clip is the identity where |g| <= 1, so clipping always is the same.
     np.clip(shifted, -1.0, 1.0, out=shifted)
     np.clip(plain, -1.0, 1.0, out=plain)
@@ -220,7 +210,7 @@ def test_davie_moments_frozen():
 # -- coupled strong error -----------------------------------------------------
 
 def test_strong_error_zero_drift_is_exactly_zero(unit_ensemble):
-    model = SdeModel(drift=zero_drift, sigma=1.0, x0=0.0)
+    model = SdeModel(drift=np.zeros_like, sigma=1.0, x0=0.0)
     res = strong_error(model, TamingPolicy(), [4, 8, 16], unit_ensemble)
     assert res.mean_sup_error == [0.0, 0.0, 0.0]
     assert res.l2 == [0.0, 0.0, 0.0]
@@ -240,8 +230,7 @@ def full_buffer_strong_error(model, taming, ns, fine_factor, ensemble):
         state = np.full(ensemble.n_paths, model.x0)
         drift_times = ensemble.dt * np.arange(1, ratio + 1)
         for j in range(n):
-            t_j = j / n
-            b_vals = np.clip(model.drift(t_j, state), -level, level)
+            b_vals = np.clip(model.drift(state), -level, level)
             a = j * ratio
             c = state - model.sigma * w[:, a]
             out[:, a + 1 : a + ratio + 1] = (
@@ -264,9 +253,6 @@ FULL_BUFFER_CASES = [
     ("sign", TamingPolicy(scale=1e6), -0.4, 0.5, [3, 6, 12], 5, 1, 4),
     ("neg-linear", TamingPolicy(scale=1e6), 1.5, 0.8, [3, 6, 12], 5, 1000, 4096),
     ("neg-linear", TamingPolicy(), 0.0, 1.0, [2, 8, 32], 4, 7, 6),
-    # A time-dependent drift: drift times must round as the kernel's do. At
-    # 98 steps, k / 98 and k * (1 / 98) differ for 48 of the 98 k.
-    (lambda t, x: np.sign(x) + t, TamingPolicy(), 0.2, 1.0, [2, 7, 14], 7, 7, 5),
     # Clip level 0.023 at the reference's n = 128: taming bites on every mesh.
     ("sign", TamingPolicy(scale=0.01), 0.0, 1.0, [2, 8, 32], 4, 256, 4096),
 ]
@@ -277,8 +263,7 @@ def test_strong_error_matches_full_buffer_reference(monkeypatch):
         monkeypatch.setattr(schemes, "_TIME_BLOCK", block)
         monkeypatch.setattr(schemes, "_PATH_GROUP", group)
         ens = PathEnsemble(n_paths=13, n_steps=fine_factor * max(ns), seed=8)
-        model = SdeModel(drift=scalar_field_registry[drift] if isinstance(drift, str) else drift,
-                         sigma=sigma, x0=x0)
+        model = SdeModel(drift=scalar_field_registry[drift], sigma=sigma, x0=x0)
         res = strong_error(model, taming, ns, ens)
         sup = full_buffer_strong_error(model, taming, ns, fine_factor, ens)
         assert res.mean_sup_error == [float(e.mean()) for e in sup]
@@ -289,7 +274,7 @@ def test_strong_error_matches_full_buffer_reference(monkeypatch):
 
 
 def test_strong_error_linear_ode_rate(unit_ensemble):
-    model = SdeModel(drift=lambda t, x: -x, sigma=0.0, x0=1.0)
+    model = SdeModel(drift=np.negative, sigma=0.0, x0=1.0)
     res = strong_error(model, TamingPolicy(scale=1e6), [4, 8, 16], unit_ensemble)
     # Deterministic problem: every path shows the same error.
     assert res.stderr == [0.0, 0.0, 0.0]
@@ -301,7 +286,7 @@ def test_strong_error_linear_ode_rate(unit_ensemble):
 
 
 def test_strong_error_validation(unit_ensemble):
-    model = SdeModel(drift=zero_drift, sigma=1.0)
+    model = SdeModel(drift=np.zeros_like, sigma=1.0)
     taming = TamingPolicy(scale=1e6)
     with pytest.raises(ValueError, match="positive"):
         strong_error(model, taming, [], unit_ensemble)
@@ -391,7 +376,7 @@ def test_path_chunks_stay_within_the_budget(count_draws, count_normals, monkeypa
         range(0, 23, max(1, budget // per_path)))
     # The inner draws of the nested estimators obey the same budget: paths
     # of 16 steps (markov) and of 16 and 8 fine steps (proxy anchors 0, 0.5).
-    markov_conditional_moment(field, 0.0, 1.0, [0.0, 0.5], n_inner=40, n_steps=16, seed=2)
+    markov_conditional_moment(field, 1.0, [0.0, 0.5], n_inner=40, n_steps=16, seed=2)
     quadrature_modulus_proxy(field, [2, 4], seed=2, n_outer=2, n_inner=40,
                              anchor_times=(0.0, 0.5), fine_per_block=4)
     inner = [shape for shape in count_normals if shape]
@@ -431,7 +416,7 @@ def test_strong_error_opens_each_stream_once(monkeypatch):
     monkeypatch.setattr(ensemble_module, "philox_stream", counted)
     monkeypatch.setattr(PathEnsemble, "increments", refused)
     ens = PathEnsemble(n_paths=11, n_steps=4 * 16, seed=2)
-    model = SdeModel(drift=lambda t, x: np.sign(x), sigma=1.0)
+    model = SdeModel(drift=np.sign, sigma=1.0)
     strong_error(model, TamingPolicy(), [4, 8, 16], ens)
     assert opened == [(PURPOSE_OUTER, i, 0) for i in range(11)]
 
