@@ -208,6 +208,9 @@ def _coerce(name: str, spec: _Param, raw, violations: list[str]):
                if (spec.lo is not None and v < spec.lo) or (spec.hi is not None and v > spec.hi)]
         if bad:
             return fail(f"entries must lie in [{spec.lo}, {spec.hi}]; offending: {bad}")
+        repeated = list(dict.fromkeys(v for v in vals if vals.count(v) > 1))
+        if repeated:
+            return fail(f"entries must be distinct; repeated: {repeated}")
         return vals
     raise AssertionError(spec.kind)
 

@@ -20,6 +20,9 @@ _MAX_MATERIALIZE_BYTES = 2**31  # 2 GiB
 # paths and inner paths alike, so that the per-chunk temporaries stay in cache.
 _CHUNK_ELEMENTS = 2**18
 
+# Fine steps per block of PathEnsemble.time_blocks.
+_TIME_BLOCK = 256
+
 
 def chunk_rows(n_steps: int) -> int:
     """Paths per chunk of paths of ``n_steps`` steps, at least one."""
@@ -87,40 +90,45 @@ class PathEnsemble:
         out *= math.sqrt(self.dt)
         return out
 
-    def time_blocks(self, start: int, stop: int, block: int):
-        """Yield increments of paths [start, stop) time-major, block by block.
+    def time_blocks(self, start: int, stop: int):
+        """Yield ``(t0, w)`` over the time blocks of paths [start, stop).
 
-        Each array has shape (steps, paths) with ``block`` steps, the last
-        one fewer when ``block`` does not divide ``n_steps``. Each path's
-        stream is opened once and drawn ``block`` normals at a time; a stream
-        drawn in pieces returns the same numbers as one draw, so the blocks
-        joined along time equal ``increments(start, stop)`` transposed, bit
-        for bit.
+        ``w`` holds the Brownian values at fine points t0 .. t0 + m,
+        time-major with shape (m + 1, paths), m = ``_TIME_BLOCK`` steps but
+        for a shorter last block; row 0 repeats the previous block's last row
+        (0 in the first block). Each path's stream is opened once and drawn
+        m normals at a time, and a stream drawn in pieces returns the same
+        numbers as one draw, so the joined rows equal a cumsum of
+        ``increments(start, stop)`` bit for bit. The buffer is reused: read
+        it before the next block is drawn.
         """
         if not 0 <= start <= stop <= self.n_paths:
             raise ValueError(f"path range [{start}, {stop}) out of bounds")
-        if block < 1:
-            raise ValueError("block must be positive")
         n = stop - start
-        block = min(block, self.n_steps)
-        need = n * block * 8
+        block = min(_TIME_BLOCK, self.n_steps)
+        need = n * (block + 1) * 8
         if need > _MAX_MATERIALIZE_BYTES:
             raise MemoryError(
-                f"resource cap exceeded: materializing {need} bytes of increments, "
-                f"cap is {_MAX_MATERIALIZE_BYTES}; use shorter blocks or fewer paths"
+                f"resource cap exceeded: materializing {need} bytes of Brownian values, "
+                f"cap is {_MAX_MATERIALIZE_BYTES}; use fewer paths"
             )
         streams = [philox_stream(self.seed, PURPOSE_OUTER, start + offset) for offset in range(n)]
         scale = math.sqrt(self.dt)
         # standard_normal(out=) needs a contiguous target, so each path draws
-        # into its own row before the block is transposed to time-major.
+        # into its own row before the block is scaled into w time-major.
         draws = np.empty((n, block))
+        w = np.zeros((block + 1, n))
+        m = 0
         for t0 in range(0, self.n_steps, block):
+            w[0] = w[m]
             m = min(block, self.n_steps - t0)
-            for offset, stream in enumerate(streams):
-                stream.standard_normal(out=draws[offset, :m])
-            out = np.empty((m, n))
-            np.multiply(draws[:, :m].T, scale, out=out)
-            yield out
+            for row, stream in zip(draws, streams):
+                stream.standard_normal(out=row[:m])
+            np.multiply(draws[:, :m].T, scale, out=w[1 : m + 1])
+            # inc + prev, the same bits as prev + inc.
+            for k in range(m):
+                w[k + 1] += w[k]
+            yield t0, w[: m + 1]
 
     def left_point_chunks(self):
         """Yield (start, b) over consecutive chunks of ``chunk_rows`` paths,

@@ -281,7 +281,8 @@ def _run_tamed_em(config: ExperimentConfig, out_dir: Path):
     )
     extra["monotone_within_stderr"] = monotone
     if result.fit is None:
-        ok = max(result.mean_sup_error) == 0.0
+        # The b = 0 control must also couple exactly.
+        ok = monotone and (p["drift"] != "zero" or max(result.mean_sup_error) == 0.0)
         extra["slope"] = None
     else:
         extra["slope"] = result.fit.slope

@@ -3,14 +3,15 @@ quadrature-error process, the shift-averaging functional, the coupled
 strong-error experiment for the tamed explicit Euler scheme, and the
 conditional modulus proxy of the quadrature error.
 
-All solvers consume increments from a :class:`~bmoforge.ensemble.PathEnsemble`
+All solvers read Brownian values of a :class:`~bmoforge.ensemble.PathEnsemble`
 and evaluate solutions on the ensemble's fine grid; coarse meshes must divide
 the fine step count exactly, otherwise a mesh mismatch is raised. The
-path-major consumers read Brownian values at the left points per chunk of
-paths, from :meth:`~bmoforge.ensemble.PathEnsemble.left_point_chunks`; the
-modulus proxy gets its inner means from
-:func:`~bmoforge.estimators.inner_means`, the loop it shares with the Markov
-moment.
+path-major consumers read them at the left points per chunk of paths, from
+:meth:`~bmoforge.ensemble.PathEnsemble.left_point_chunks`; the strong error
+reads them time-major per group of paths, from
+:meth:`~bmoforge.ensemble.PathEnsemble.time_blocks`; the modulus proxy gets
+its inner means from :func:`~bmoforge.estimators.inner_means`, the loop it
+shares with the Markov moment.
 """
 
 from __future__ import annotations
@@ -57,29 +58,8 @@ def _quadrature_sums(f, b: np.ndarray, ratios, h: float) -> np.ndarray:
     return out
 
 
-# Fine steps per time block, and paths per group, of the strong-error sweep.
-_TIME_BLOCK = 256
+# Paths per group of the strong-error sweep.
 _PATH_GROUP = 4096
-
-
-def _brownian_blocks(ensemble: PathEnsemble, start: int, stop: int):
-    """Yield ``(t0, w)`` over the time blocks of paths [start, stop).
-
-    ``w`` holds the Brownian values at fine points t0 .. t0 + m, time-major
-    with shape (m + 1, paths); row 0 repeats the previous block's last
-    row and each later row adds one row of increments, the same left-to-right
-    sums as a cumsum over the whole path. The buffer is reused: read it before
-    the next block is drawn.
-    """
-    buf = np.zeros((min(_TIME_BLOCK, ensemble.n_steps) + 1, stop - start))
-    t0 = m = 0
-    for inc in ensemble.time_blocks(start, stop, _TIME_BLOCK):
-        buf[0] = buf[m]
-        m = inc.shape[0]
-        for k in range(m):
-            np.add(buf[k], inc[k], out=buf[k + 1])
-        yield t0, buf[: m + 1]
-        t0 += m
 
 
 def _clipped_drift(model: SdeModel, level: float, x: np.ndarray):
@@ -113,7 +93,8 @@ class _EulerMesh:
     def advance(self, u: np.ndarray, t0: int, out: np.ndarray) -> None:
         """Write the solution at fine points t0 + 1 .. t0 + m into ``out``.
 
-        ``u`` is sigma times a block of :func:`_brownian_blocks`, shape
+        ``u`` is sigma times a block of
+        :meth:`~bmoforge.ensemble.PathEnsemble.time_blocks`, shape
         (m + 1, paths); ``out`` has shape (m, paths).
         """
         if self.ratio == 1:
@@ -269,14 +250,14 @@ def strong_error(
     sup_err = np.zeros((len(ns), ensemble.n_paths))
     for start in range(0, ensemble.n_paths, _PATH_GROUP):
         stop = min(start + _PATH_GROUP, ensemble.n_paths)
-        rows = min(_TIME_BLOCK, n_ref)
-        ref_block, seg = np.empty((2, rows, stop - start))
-        noise = np.empty((rows + 1, stop - start))
         ref = _EulerMesh(model, level_ref, n_ref, n_ref, stop - start)
         meshes = [_EulerMesh(model, level, n, n_ref, stop - start)
                   for n, level in zip(ns, levels)]
-        for t0, w in _brownian_blocks(ensemble, start, stop):
+        for t0, w in ensemble.time_blocks(start, stop):
             m = w.shape[0] - 1
+            if t0 == 0:  # the first block is the longest
+                noise = np.empty_like(w)
+                ref_block, seg = np.empty((2, m, stop - start))
             u = np.multiply(model.sigma, w, out=noise[: m + 1])
             ref.advance(u, t0, ref_block[:m])
             for k, mesh in enumerate(meshes):

@@ -69,6 +69,18 @@ def test_exit_one_when_check_fails(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_tamed_em_without_a_fit_passes_when_monotone(tmp_path, capsys):
+    # Two meshes fit no rate: the errors must fall within stderr instead.
+    cfg = write(tmp_path, "[experiment]\nkind = tamed-em\nseed = 1\n"
+                          "[tamed-em]\ndrift = sign\nns = 2, 4\nfine_factor = 8\n"
+                          "n_paths = 200\n")
+    code = main(["tamed-em", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert "tamed-em: ok" in capsys.readouterr().out
+    extra = json.loads((tmp_path / "run" / "manifest.json").read_text())["extra"]
+    assert extra["slope"] is None and extra["monotone_within_stderr"] is True
+
+
 def test_kind_mismatch_and_bad_config(tmp_path, capsys):
     cfg = write(tmp_path, JN_TINY)
     code = main(["davie", "--config", cfg, "--out", str(tmp_path / "x")])
@@ -231,7 +243,7 @@ def test_ensemble_past_the_draw_cap_exits_two(tmp_path, capsys, kind, section):
 @pytest.mark.parametrize("kind,section,problem", [
     ("davie", "moments = 2, 3\n", "moments: orders must be even"),
     ("rho-grid", "grid_times = 0.5, 0.25, 1.0\n", "grid_times: must hold"),
-    ("rho-grid", "grid_times = 0.25, 0.25, 1.0\n", "grid_times: must hold"),
+    ("rho-grid", "grid_times = 0.25, 0.25, 1.0\n", "grid_times: entries must be distinct"),
     ("rho-grid", "grid_times = 0.5\n", "grid_times: must hold"),
     ("rho-grid", "proxy = quantile\nn_outer = 99\n", "proxy: quantile equals max"),
     # TamingPolicy refuses this clip level, which used to be a traceback.

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from bmoforge.config import (
+    KIND_SCHEMAS,
     ConfigError,
     config_hash,
     parse_config,
@@ -235,7 +236,7 @@ def test_rho_grid_quantile_needs_100_outer_states():
 
 
 def test_rho_grid_times_must_increase():
-    for times in ([0.5, 0.25, 1.0], [0.25, 0.25, 1.0], [0.5]):
+    for times in ([0.5, 0.25, 1.0], [0.5]):
         assert mesh_violations("rho-grid", {"grid_times": times}) == [
             f"grid_times: must hold at least two strictly increasing times (got {times!r})"]
     cfg = parse_config(json.dumps(
@@ -244,3 +245,36 @@ def test_rho_grid_times_must_increase():
     # An out-of-range time reports its own violation only.
     (problem,) = mesh_violations("rho-grid", {"grid_times": [-0.5]})
     assert problem.startswith("grid_times: entries must lie")
+
+
+# One case per list-valued key of every kind.
+REPEATS = [
+    ("verify-finite", "p_list", [1, 1], [1]),
+    ("verify-finite", "lambda_list", [0.3, 0.3], [0.3]),
+    ("jn-check", "p_list", [2, 1, 2], [2]),
+    ("rho-grid", "grid_times", [0.25, 0.25, 1.0], [0.25]),
+    ("davie", "shifts", [0.1, 0.1], [0.1]),
+    ("davie", "moments", [2, 4, 2, 4], [2, 4]),
+    ("quadrature", "ns", [8, 16, 8], [8]),
+    ("quadrature", "anchor_times", [0.0, 0.5, 0.0], [0.0]),
+    ("tamed-em", "ns", [4, 4, 8], [4]),
+]
+
+
+def test_every_list_key_has_a_repeat_case():
+    lists = {(kind, key) for kind, schema in KIND_SCHEMAS.items()
+             for key, spec in schema.items() if spec.kind.endswith("_list")}
+    assert lists == {(kind, key) for kind, key, _, _ in REPEATS}
+
+
+@pytest.mark.parametrize("kind,key,entries,repeated", REPEATS,
+                         ids=[f"{kind}-{key}" for kind, key, _, _ in REPEATS])
+def test_list_entries_must_be_distinct(kind, key, entries, repeated):
+    # One line: a rule between keys or on the list's order skips a rejected key.
+    assert mesh_violations(kind, {key: entries}) == [
+        f"{key}: entries must be distinct; repeated: {repeated} (got {entries!r})"]
+    text = ", ".join(map(str, entries))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[experiment]\nkind = {kind}\nseed = 1\n[{kind}]\n{key} = {text}\n")
+    assert exc.value.violations == [
+        f"{key}: entries must be distinct; repeated: {repeated} (got {text!r})"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,15 +82,51 @@ def test_paths_prepend_zero_and_cumsum():
     np.testing.assert_allclose(np.diff(p, axis=1), ens.increments(), atol=1e-15)
 
 
-@pytest.mark.parametrize("block", [1, 4, 7, 9, 100])
-def test_time_blocks_join_to_increments(block):
-    # A stream drawn in pieces returns the same numbers as one draw.
-    ens = PathEnsemble(n_paths=6, n_steps=9, seed=12)
-    blocks = list(ens.time_blocks(2, 5, block))
-    assert [b.shape for b in blocks[:-1]] == [(min(block, 9), 3)] * (len(blocks) - 1)
-    assert sum(b.shape[0] for b in blocks) == 9
-    joined = np.concatenate(blocks, axis=0)
-    assert joined.tobytes() == ens.increments(2, 5).T.tobytes()
+# (n_paths, n_steps, seed, start, stop, block): block lengths that divide
+# n_steps and that do not, path ranges from the first path and from within.
+JOIN_CASES = [
+    *(pytest.param(6, 9, 12, 2, 5, block, id=str(block)) for block in (1, 4, 7, 9, 100)),
+    *(pytest.param(16, 64, 42, start, stop, block, id=f"{start}-{stop}-{block}")
+      for start, stop in ((0, 16), (5, 12)) for block in (1, 7, 64, 1000)),
+]
+
+
+@pytest.mark.parametrize("n_paths,n_steps,seed,start,stop,block", JOIN_CASES)
+def test_time_blocks_join_to_increments(monkeypatch, n_paths, n_steps, seed, start, stop, block):
+    # A stream drawn in pieces returns the same numbers as one draw, and each
+    # block carries on from the previous block's last row in the same buffer.
+    monkeypatch.setattr(ensemble_module, "_TIME_BLOCK", block)
+    ens = PathEnsemble(n_paths=n_paths, n_steps=n_steps, seed=seed)
+    rows, previous = [np.zeros(stop - start)], None
+    for t0, w in ens.time_blocks(start, stop):
+        assert t0 == len(rows) - 1
+        assert w.shape == (min(block, n_steps - t0) + 1, stop - start)
+        assert w[0].tobytes() == rows[-1].tobytes()
+        assert previous is None or np.shares_memory(previous, w)
+        rows.extend(w[1:].copy())
+        previous = w
+    assert len(rows) == n_steps + 1
+    expect = np.zeros((stop - start, n_steps + 1))
+    np.cumsum(ens.increments(start, stop), axis=1, out=expect[:, 1:])
+    assert np.stack(rows, axis=1).tobytes() == expect.tobytes()
+
+
+def test_time_blocks_hold_one_block_of_values():
+    # A sweep keeps one block of draws and one of values, each about one
+    # value buffer, plus its 256 streams; a per-block temporary would add a
+    # buffer. A first generator's one-time set-up is paid before tracing, so
+    # the peak does not depend on which tests ran first.
+    ens = PathEnsemble(n_paths=256, n_steps=4096, seed=1)
+    buffer = (ensemble_module._TIME_BLOCK + 1) * 256 * 8
+    next(ens.time_blocks(0, 1))
+    tracemalloc.start()
+    try:
+        for _ in ens.time_blocks(0, 256):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * buffer
 
 
 def test_grid_properties():
@@ -133,13 +170,13 @@ def test_validation_and_caps(monkeypatch):
     with pytest.raises(ValueError, match="out of bounds"):
         small.increments(5, 3)
     # The cap applies to the block time_blocks materializes, not the ensemble.
+    monkeypatch.setattr(ensemble_module, "_TIME_BLOCK", 64)
     with pytest.raises(MemoryError, match="resource cap"):
-        next(small.time_blocks(0, 64, 64))
-    assert sum(b.shape[0] for b in small.time_blocks(0, 64, 2)) == 64
-    with pytest.raises(ValueError, match="block"):
-        next(small.time_blocks(0, 64, 0))
+        next(small.time_blocks(0, 64))
+    monkeypatch.setattr(ensemble_module, "_TIME_BLOCK", 1)
+    assert sum(w.shape[0] - 1 for _, w in small.time_blocks(0, 64)) == 64
     with pytest.raises(ValueError, match="out of bounds"):
-        next(small.time_blocks(3, 65, 2))
+        next(small.time_blocks(3, 65))
 
 
 def test_left_points_sum_each_row_from_x0():

@@ -10,7 +10,6 @@ from bmoforge.ensemble import PathEnsemble
 from bmoforge.estimators import markov_conditional_moment, scalar_field_registry
 from bmoforge.rng import PURPOSE_OUTER, philox_stream
 from bmoforge.schemes import (
-    _brownian_blocks,
     _EulerMesh,
     davie_functional,
     davie_moments,
@@ -41,25 +40,10 @@ def solve(model, level, n, ensemble):
     mesh = _EulerMesh(model, level, n, ensemble.n_steps, ensemble.n_paths)
     out = np.empty((ensemble.n_steps + 1, ensemble.n_paths))
     out[0] = model.x0
-    for t0, w in _brownian_blocks(ensemble, 0, ensemble.n_paths):
+    for t0, w in ensemble.time_blocks(0, ensemble.n_paths):
         m = w.shape[0] - 1
         mesh.advance(model.sigma * w, t0, out[t0 + 1 : t0 + m + 1])
     return out.T
-
-
-@pytest.mark.parametrize("block", [1, 7, 64, 1000])
-@pytest.mark.parametrize("start,stop", [(0, 16), (5, 12)])
-def test_brownian_blocks_carry_the_cumsum(unit_ensemble, monkeypatch, block, start, stop):
-    monkeypatch.setattr(schemes, "_TIME_BLOCK", block)
-    rows, t_next = [np.zeros(stop - start)], 0
-    for t0, w in _brownian_blocks(unit_ensemble, start, stop):
-        assert t0 == t_next
-        np.testing.assert_array_equal(w[0], rows[-1])
-        rows.extend(w[1:].copy())
-        t_next = t0 + w.shape[0] - 1
-    assert t_next == 64
-    joined = np.stack(rows, axis=1)
-    assert joined.tobytes() == paths(unit_ensemble)[start:stop].tobytes()
 
 
 def test_solver_identity_on_brownian(unit_ensemble):
@@ -260,7 +244,7 @@ FULL_BUFFER_CASES = [
 
 def test_strong_error_matches_full_buffer_reference(monkeypatch):
     for drift, taming, x0, sigma, ns, fine_factor, block, group in FULL_BUFFER_CASES:
-        monkeypatch.setattr(schemes, "_TIME_BLOCK", block)
+        monkeypatch.setattr(ensemble_module, "_TIME_BLOCK", block)
         monkeypatch.setattr(schemes, "_PATH_GROUP", group)
         ens = PathEnsemble(n_paths=13, n_steps=fine_factor * max(ns), seed=8)
         model = SdeModel(drift=scalar_field_registry[drift], sigma=sigma, x0=x0)
@@ -403,7 +387,7 @@ def test_davie_long_paths_fit_the_materialization_cap(monkeypatch):
 def test_strong_error_opens_each_stream_once(monkeypatch):
     # Every path is drawn in one pass over time, whatever the path groups.
     monkeypatch.setattr(schemes, "_PATH_GROUP", 4)
-    monkeypatch.setattr(schemes, "_TIME_BLOCK", 7)
+    monkeypatch.setattr(ensemble_module, "_TIME_BLOCK", 7)
     opened = []
 
     def counted(seed, purpose, index, subindex=0):
