@@ -17,7 +17,8 @@ class OscillationControl:
 
     ``w[s, t]`` is the supremum of ``sum_k rho[u_k, u_{k+1}]^p`` over grid
     partitions of [s, t]; it is superadditive in adjacent windows by
-    construction and dominates ``rho^p`` cell by cell.
+    construction and dominates ``rho^p`` cell by cell. The control of a
+    stack of grids puts the case axis first.
     """
 
     w: np.ndarray
@@ -25,17 +26,18 @@ class OscillationControl:
 
     @property
     def depth(self) -> int:
-        return self.w.shape[0] - 1
+        return self.w.shape[-1] - 1
 
     @property
-    def total(self) -> float:
-        return float(self.w[0, self.depth])
+    def total(self):
+        return self.w[..., 0, self.depth][()]
 
 
 def variation_control(grid: OscillationData, p: float) -> OscillationControl:
     """Interval dynamic program for the p-variation control of ``grid.rho``.
 
-    w[s, t] = max( rho[s, t]^p, max over s < u < t of w[s, u] + w[u, t] ).
+    w[s, t] = max( rho[s, t]^p, max over s < u < t of w[s, u] + w[u, t] ),
+    one window width at a time, every case and start s at once.
     ``p`` is stored as given, so an integer exponent stays an integer.
     """
     if p < 1.0:
@@ -43,11 +45,14 @@ def variation_control(grid: OscillationData, p: float) -> OscillationControl:
     rho = grid.rho
     d = grid.depth
     w = np.zeros_like(rho)
-    for width in range(1, d + 1):
-        for s in range(0, d - width + 1):
-            t = s + width
-            best = rho[s, t] ** p
-            for u in range(s + 1, t):
-                best = max(best, w[s, u] + w[u, t])
-            w[s, t] = best
+    s, t = np.triu_indices(d + 1, 1)
+    cells = rho[..., s, t]
+    # numpy's scalar power, entry by entry: np.power on the array need not
+    # give the same bits.
+    w[..., s, t] = np.reshape([x ** p for x in cells.ravel()], cells.shape)
+    for width in range(2, d + 1):
+        s = np.arange(d - width + 1)
+        t = s + width
+        for u in range(1, width):
+            w[..., s, t] = np.maximum(w[..., s, t], w[..., s, s + u] + w[..., s + u, t])
     return OscillationControl(w=w, p=p)

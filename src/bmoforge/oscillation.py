@@ -17,6 +17,11 @@ supremum over continuations T is a finite optimal-stopping problem solved
 exactly by backward induction. The result therefore equals the brute-force
 supremum over every stopping pair, at polynomial cost and with no
 enumeration, on a tree of any size.
+
+Every function here takes one process or a stack of cases
+(``processes.stack_processes``) and keeps the case axis: a stacked sweep
+makes the ``step_expectation`` calls of one case, and each case keeps the
+sums it takes alone.
 """
 
 from __future__ import annotations
@@ -35,21 +40,21 @@ __all__ = [
 
 
 def _anchors(process: AdaptedProcess, j: int) -> np.ndarray:
-    """Stop-atom anchors at level j, one row per convention: the left limit,
-    then the own value."""
+    """Stop-atom anchors at level j, one row per convention (the left limit,
+    then the own value), each row shaped like ``process.values[j]``."""
     return np.array([process.left_limit(j), process.values[j]])
 
 
 def _stacked_payoffs(process: AdaptedProcess, anchors: dict, lo: int, k: int) -> np.ndarray:
     """|V_k - anchor| for every stop level j in [lo, k], shaped (j, anchor row,
-    level-k atom); each anchor in ``anchors[j]`` covers its atom's level-k
-    descendants."""
+    case, level-k atom); each anchor in ``anchors[j]`` covers its atom's
+    level-k descendants."""
     vk = process.values[k]
-    out = np.empty((k - lo + 1, len(anchors[k]), vk.size))
+    out = np.empty((k - lo + 1,) + anchors[k].shape)
     for j in range(lo, k + 1):
         a = anchors[j]
-        np.subtract(vk.reshape(a.shape[1], -1), a[:, :, None],
-                    out=out[j - lo].reshape(len(a), a.shape[1], -1))
+        np.subtract(vk.reshape(vk.shape[:-1] + (a.shape[-1], -1)), a[..., None],
+                    out=out[j - lo].reshape(a.shape + (-1,)))
     return np.abs(out, out=out)
 
 
@@ -74,13 +79,14 @@ def _stop_level_values(process: AdaptedProcess, anchors: dict, s: int, t: int,
     return done[::-1]
 
 
-def oscillation_modulus(process: AdaptedProcess, s: int, t: int) -> float:
-    """Exact window modulus of ``process`` over levels [s, t]: t - s
-    ``step_expectation`` calls, every stop level and anchor stacked."""
+def oscillation_modulus(process: AdaptedProcess, s: int, t: int):
+    """Exact window modulus of ``process`` over levels [s, t], one per case:
+    t - s ``step_expectation`` calls, every stop level and anchor stacked."""
     if not 0 <= s <= t <= process.space.depth:
         raise ValueError(f"window [{s}, {t}] outside [0, {process.space.depth}]")
     anchors = {j: _anchors(process, j) for j in range(s, t + 1)}
-    return max(0.0, *(float(np.max(g)) for g in _stop_level_values(process, anchors, s, t)))
+    per_stop = [g.max(axis=(0, -1)) for g in _stop_level_values(process, anchors, s, t)]
+    return np.max([np.zeros(process.case_shape), *per_stop], axis=0)[()]
 
 
 @dataclass
@@ -95,7 +101,8 @@ class OscillationData:
     deterministic pair j <= k and ``pairs_left[j, k]`` the same with anchor
     V_{j-} (NaN below the diagonal). ``jumps[k - 1]`` is ess-sup
     |V_k - V_{k-1}|; ``max_jump`` is the largest jump read off the trajectory
-    matrix instead.
+    matrix instead. A stack of cases puts the case axis first on every
+    array.
     """
 
     rho: np.ndarray
@@ -107,19 +114,19 @@ class OscillationData:
 
     @property
     def depth(self) -> int:
-        return self.rho.shape[0] - 1
+        return self.rho.shape[-1] - 1
 
     @property
-    def kappa(self) -> float:
+    def kappa(self):
         """Largest single-step oscillation, the limit of window moduli over
         shrinking windows straddling one grid time; 0 at depth 0."""
-        return float(np.max(self.jumps, initial=0.0))
+        return np.max(self.jumps, axis=-1, initial=0.0)[()]
 
-    def window(self, s: int, t: int, left_limit: bool = False) -> float:
+    def window(self, s: int, t: int, left_limit: bool = False):
         """Modulus over [s, t]; ``left_limit`` selects ``rho_left``."""
         if not 0 <= s <= t <= self.depth:
             raise ValueError(f"window [{s}, {t}] outside [0, {self.depth}]")
-        return float((self.rho_left if left_limit else self.rho)[s, t])
+        return (self.rho_left if left_limit else self.rho)[..., s, t]
 
 
 def oscillation_grid(process: AdaptedProcess) -> OscillationData:
@@ -139,11 +146,13 @@ def oscillation_grid(process: AdaptedProcess) -> OscillationData:
     """
     space = process.space
     d = process.depth
+    cases = process.case_shape
     anchors = {j: _anchors(process, j) for j in range(d + 1)}
     # stop[c, j, t]: Snell value M[j, t] under convention c (0 left limit, 1 own
-    # value); pairs[c, j, t]: the deterministic pair (j, t) under the same anchor.
-    stop = np.full((2, d + 1, d + 1), np.nan)
-    pairs = np.full((2, d + 1, d + 1), np.nan)
+    # value); pairs[c, j, t]: the deterministic pair (j, t) under the same
+    # anchor. The case axis trails until the end.
+    stop = np.full((2, d + 1, d + 1) + cases, np.nan)
+    pairs = np.full((2, d + 1, d + 1) + cases, np.nan)
     for k in range(d, -1, -1):
         # rows[q, j, c, t - k]: at level k, the Snell value (q = 0) and the
         # deterministic pair (q = 1) of stop level j <= k and horizon t >= k.
@@ -156,15 +165,22 @@ def oscillation_grid(process: AdaptedProcess) -> OscillationData:
             np.maximum(payoff, rows[0], out=rows[0])
             rows = np.concatenate([fresh, rows], axis=3)
         stop[:, k, k:], pairs[:, k, k:] = rows[:, k].max(axis=-1)
-    rho = np.full((d + 1, d + 1), np.nan)
-    rho_left = np.full((d + 1, d + 1), np.nan)
+    rho = np.full((d + 1, d + 1) + cases, np.nan)
+    rho_left = np.full((d + 1, d + 1) + cases, np.nan)
     for t in range(d + 1):
-        left, own = (np.maximum.accumulate(m[t::-1, t])[::-1] for m in stop)
+        left, own = (np.maximum.accumulate(m[t::-1, t], axis=0)[::-1] for m in stop)
         rho_left[:t + 1, t] = left
         rho[:t + 1, t] = np.maximum(left, own)
-    jumps = np.array([np.max(np.abs(inc)) for inc in process.increments()])
+    jumps = np.empty(cases + (d,))
+    for k, inc in enumerate(process.increments()):
+        jumps[..., k] = np.max(np.abs(inc), axis=-1)
     # Independent route to the largest jump: pathwise jumps off the full
     # trajectory matrix, rather than per-level increment arrays.
-    max_jump = float(np.max(np.abs(np.diff(process.paths, axis=1)))) if d > 0 else 0.0
-    return OscillationData(rho=rho, rho_left=rho_left, pairs=pairs[1], pairs_left=pairs[0],
+    max_jump = np.max(np.abs(np.diff(process.paths, axis=-1)), axis=(-2, -1), initial=0.0)[()]
+
+    def case_first(a):
+        return np.moveaxis(a, (0, 1), (-2, -1))
+
+    return OscillationData(rho=case_first(rho), rho_left=case_first(rho_left),
+                           pairs=case_first(pairs[1]), pairs_left=case_first(pairs[0]),
                            jumps=jumps, max_jump=max_jump)

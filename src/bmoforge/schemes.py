@@ -38,6 +38,16 @@ __all__ = [
 ]
 
 
+def _meshes(ns) -> list[int]:
+    """``ns`` as ints in ascending order; a repeated mesh is an error, as in
+    config validation."""
+    ns = [int(n) for n in ns]
+    repeated = list(dict.fromkeys(n for n in ns if ns.count(n) > 1))
+    if repeated:
+        raise ValueError(f"ns: entries must be distinct; repeated: {repeated}")
+    return sorted(ns)
+
+
 def _mesh_ratio(n_fine: int, n_coarse: int) -> int:
     if n_coarse < 1 or n_fine % n_coarse != 0:
         raise ValueError(
@@ -236,7 +246,7 @@ def strong_error(
     per fine step) and by every mesh; each mesh's distance to the reference
     is folded into a running per-path sup.
     """
-    ns = sorted(set(int(n) for n in ns))
+    ns = _meshes(ns)
     if not ns or ns[0] < 1:
         raise ValueError("ns must be positive integers")
     n_ref = ensemble.n_steps
@@ -309,7 +319,7 @@ def quadrature_modulus_proxy(
     :func:`~bmoforge.estimators.inner_means`, one call per anchor with all
     meshes' sums as rows; results do not depend on its chunk size.
     """
-    ns = sorted(set(int(n) for n in ns))
+    ns = _meshes(ns)
     if not ns:
         raise ValueError("ns must not be empty")
     if ns[0] < 1:

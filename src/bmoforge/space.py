@@ -4,6 +4,11 @@ A space is a uniform-branching tree of a given depth. Level k carries the
 atoms of the filtration at time k; the leaves of level ``depth`` are the
 elementary outcomes. Every expectation on such a space is a finite weighted
 sum, so conditional expectations are exact up to floating point.
+
+A stack of trees of one depth and branching is one space whose transition
+arrays carry a leading case axis; every array on it keeps that axis right
+before its atom axis, so one call steps every case with the sums each case
+takes alone.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FiniteFilteredSpace", "build_tree"]
+__all__ = ["FiniteFilteredSpace", "build_tree", "stack_spaces"]
 
 _PROB_TOL = 1e-12
 
@@ -22,7 +27,8 @@ class FiniteFilteredSpace:
     """Rooted tree with per-edge transition probabilities.
 
     ``transitions[k]`` has shape ``(branching**k, branching)``; row ``i`` is
-    the child distribution of node ``i`` at level ``k``.
+    the child distribution of node ``i`` at level ``k``. A stack of trees
+    has shape ``(cases, branching**k, branching)`` at every level.
     """
 
     depth: int
@@ -41,14 +47,15 @@ class FiniteFilteredSpace:
         clean = []
         for k, rows in enumerate(self.transitions):
             rows = np.asarray(rows, dtype=float)
-            if rows.shape != (self.level_size(k), self.branching):
+            cases = clean[0].shape[:-2] if clean else rows.shape[:-2]
+            if rows.shape != cases + (self.level_size(k), self.branching) or len(cases) > 1:
                 raise ValueError(
                     f"transition level {k} has shape {rows.shape}, "
-                    f"expected {(self.level_size(k), self.branching)}"
+                    f"expected {cases + (self.level_size(k), self.branching)}"
                 )
             if np.any(rows <= 0.0):
                 raise ValueError(f"transition level {k} has non-positive entries")
-            sums = rows.sum(axis=1)
+            sums = rows.sum(axis=-1)
             if np.max(np.abs(sums - 1.0)) > _PROB_TOL:
                 raise ValueError(f"transition level {k} rows do not sum to 1")
             clean.append(rows)
@@ -68,17 +75,19 @@ class FiniteFilteredSpace:
     def step_expectation(self, values: np.ndarray, k: int) -> np.ndarray:
         """One backward step: level-(k+1) values to level-k conditional means.
 
-        The last axis of ``values`` is indexed by level-(k+1) atoms; leading
-        axes stack independent rows, each stepped with the same sums.
+        The last axis of ``values`` is indexed by level-(k+1) atoms and, on
+        a stacked space, the one before it by case; leading axes stack
+        independent rows, each stepped with the same sums.
         """
         values = np.asarray(values, dtype=float)
         shape = values.shape[:-1] + (self.level_size(k), self.branching)
         return (values.reshape(shape) * self.transitions[k]).sum(axis=-1)
 
     def cond_expectation(self, leaf_values: np.ndarray, level: int) -> np.ndarray:
-        """Exact conditional expectation of a leaf variable given level ``level``."""
+        """Exact conditional expectation of a leaf variable given level
+        ``level``, per case along the leading axes."""
         leaf_values = np.asarray(leaf_values, dtype=float)
-        if leaf_values.shape != (self.n_leaves,):
+        if leaf_values.shape[-1:] != (self.n_leaves,):
             raise ValueError(f"expected {self.n_leaves} leaf values, got {leaf_values.shape}")
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} outside [0, {self.depth}]")
@@ -88,9 +97,9 @@ class FiniteFilteredSpace:
         return out
 
     def broadcast_to_leaves(self, values: np.ndarray, level: int) -> np.ndarray:
-        """Lift a level-``level`` variable to leaf granularity."""
+        """Lift a level-``level`` variable to leaf granularity, along its last axis."""
         values = np.asarray(values, dtype=float)
-        return np.repeat(values, self.branching ** (self.depth - level))
+        return np.repeat(values, self.branching ** (self.depth - level), axis=-1)
 
 
 def build_tree(
@@ -114,3 +123,14 @@ def build_tree(
     else:
         levels = [np.asarray(t, dtype=float) for t in transition_probs]
     return FiniteFilteredSpace(depth=depth, branching=branching, transitions=levels)
+
+
+def stack_spaces(spaces) -> FiniteFilteredSpace:
+    """One space holding the trees of ``spaces``, in order, on a leading case
+    axis; they must share depth and branching."""
+    depth, branching = spaces[0].depth, spaces[0].branching
+    if any((sp.depth, sp.branching) != (depth, branching) for sp in spaces):
+        raise ValueError("stacked trees must share depth and branching")
+    return FiniteFilteredSpace(
+        depth=depth, branching=branching,
+        transitions=[np.stack([sp.transitions[k] for sp in spaces]) for k in range(depth)])

@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 
@@ -88,18 +89,19 @@ n_processes = 1
                 built.append(args)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, "oscillation_grid", counted)
-    reports = experiments._verify_battery(cfg, 0)
+    reports, _ = experiments._verify_battery(cfg, range(1))
     assert len(built) == 1
     assert len(reports) > 10
 
 
-def test_verify_battery_step_expectation_count(monkeypatch):
-    # One batched step per level and backward sweep, 13 sweeps at depth 5:
-    # the grid (every window and deterministic pair), the running maximum's
-    # modulus, the companion's 5 one-step cell moduli, garsia's E[U | F_k]
-    # and its hypothesis sweep, and 8 conditional expectations of leaf
-    # variables (3 jn-moment, maximal, 2 energy, 2 garsia tail).
-    cfg = parse_config("""
+def test_verify_battery_step_expectation_count(monkeypatch, tmp_path):
+    # One batched step per level and backward sweep, 13 sweeps at depth 5,
+    # whatever the number of cases in the group: the grid (every window and
+    # deterministic pair), the running maximum's modulus, the companion's 5
+    # one-step cell moduli, garsia's E[U | F_k] and its hypothesis sweep, and
+    # 8 conditional expectations of leaf variables (3 jn-moment, maximal,
+    # 2 energy, 2 garsia tail). A run over two groups takes twice that.
+    text = """
 [experiment]
 kind = verify-finite
 seed = 1
@@ -107,8 +109,8 @@ seed = 1
 [verify-finite]
 depth = 5
 branching = 2
-n_processes = 1
-""")
+n_processes = {n}
+"""
     calls = []
     step = FiniteFilteredSpace.step_expectation
 
@@ -117,8 +119,17 @@ n_processes = 1
         return step(self, values, k)
 
     monkeypatch.setattr(FiniteFilteredSpace, "step_expectation", counted)
-    experiments._verify_battery(cfg, 0)
-    assert len(calls) == 65
+    for n in (1, 3):
+        calls.clear()
+        cfg = parse_config(text.format(n=n))
+        assert experiments._group_size(cfg.params) >= n
+        experiments._verify_battery(cfg, range(n))
+        assert len(calls) == 65
+    calls.clear()
+    # Two cases per group: three cases run as two groups.
+    monkeypatch.setattr(experiments.ensemble, "_CHUNK_ELEMENTS", 2 * 4 * 32 * 36)
+    run_text(tmp_path, "two", text.format(n=3))
+    assert len(calls) == 130
 
 
 def test_verify_battery_builds_each_trajectory_matrix_once(monkeypatch):
@@ -143,7 +154,7 @@ n_processes = 1
         return lift(self, values, level)
 
     monkeypatch.setattr(FiniteFilteredSpace, "broadcast_to_leaves", counted)
-    experiments._verify_battery(cfg, 0)
+    experiments._verify_battery(cfg, range(1))
     assert len(calls) == 12
 
 
@@ -169,7 +180,7 @@ lambda_list = 0.3, 0.7
         return lhs(process, lam)
 
     monkeypatch.setattr(experiments, "_exp_vmo_lhs", counted)
-    reports = experiments._verify_battery(cfg, 0)
+    reports, _ = experiments._verify_battery(cfg, range(1))
     assert lams == [0.3, 0.7]
     vmo = [rep.witness for rep in reports if rep.name == "exp-vmo"]
     assert [(w["p"], w["lam"]) for w in vmo] == [(p, lam) for p in (1, 2, 3) for lam in (0.3, 0.7)]
@@ -188,7 +199,7 @@ depth = 5
 branching = 3
 n_processes = 1
 """)
-    reports = experiments._verify_battery(cfg, 0)
+    reports, _ = experiments._verify_battery(cfg, range(1))
     assert len(reports) > 10
     assert all(rep.holds for rep in reports)
 
@@ -314,3 +325,33 @@ n_paths = 2
     assert "ellipticity" not in manifest.extra  # skipped for sigma = 0
     assert manifest.extra["slope"] == pytest.approx(1.2232428749504214, rel=1e-9)
     assert manifest.extra["monotone_within_stderr"] is True
+
+
+def test_verify_finite_counts_khasminskii_skips(tmp_path):
+    # Each (case, lam) pair writes one khasminskii-exp record or counts as a
+    # skip in the manifest; checks.jsonl and summary.csv carry no skips.
+    text = """
+[experiment]
+kind = verify-finite
+seed = 1
+
+[verify-finite]
+depth = 5
+branching = 2
+n_processes = 30
+lambda_list = 0.3, 0.9
+random_transitions = true
+"""
+    _, manifest = run_text(tmp_path, "skips", text)
+    skipped = manifest.extra["skipped"]
+    assert list(skipped) == ["khasminskii-exp"]
+    assert skipped["khasminskii-exp"]["reason"] == "lam * rho >= 1 on a unit cell"
+    with open(tmp_path / "skips" / "summary.csv", encoding="utf-8") as fh:
+        rows = {row["check"]: int(row["n_cases"]) for row in csv.DictReader(fh)}
+    count = skipped["khasminskii-exp"]["count"]
+    assert count > 0 and rows["khasminskii-exp"] > 0
+    assert count + rows["khasminskii-exp"] == 30 * 2
+    on_disk = json.loads((tmp_path / "skips" / "manifest.json").read_text())
+    assert on_disk["extra"]["skipped"] == skipped
+    _, jn = run_text(tmp_path, "jn", JN_SMALL)
+    assert jn.extra["skipped"] == {}

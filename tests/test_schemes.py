@@ -286,6 +286,15 @@ def test_strong_error_validation(unit_ensemble):
         solve(model, math.inf, 5, unit_ensemble)
 
 
+def test_strong_error_rejects_repeated_meshes(unit_ensemble):
+    # Config validation rejects the same list; the library call does too,
+    # instead of running two meshes and fitting no rate.
+    model = SdeModel(drift=np.sign, sigma=1.0)
+    with pytest.raises(ValueError, match=r"^ns: entries must be distinct; repeated: \[4\]$"):
+        strong_error(model, TamingPolicy(), [4, 4, 8], unit_ensemble)
+    assert strong_error(model, TamingPolicy(), [8, 4, 2], unit_ensemble).ns == [2, 4, 8]
+
+
 # -- one draw per path chunk --------------------------------------------------
 
 @pytest.fixture
@@ -414,6 +423,16 @@ def test_quadrature_modulus_flat_field_is_zero():
     )
     assert res.values == [0.0, 0.0]
     assert res.fit is None
+
+
+def test_quadrature_modulus_rejects_repeated_meshes():
+    f = scalar_field_registry["sign"]
+    with pytest.raises(ValueError, match=r"^ns: entries must be distinct; repeated: \[4, 2\]$"):
+        quadrature_modulus_proxy(f, [4, 2, 4, 2, 8], seed=3, n_outer=2, n_inner=4,
+                                 anchor_times=(0.0, 0.5), fine_per_block=2)
+    res = quadrature_modulus_proxy(f, [8, 2, 4], seed=3, n_outer=2, n_inner=4,
+                                   anchor_times=(0.0, 0.5), fine_per_block=2)
+    assert res.ns == [2, 4, 8]
 
 
 def test_quadrature_modulus_sign_field_structure():
