@@ -212,9 +212,10 @@ def _group_size(params: dict) -> int:
     the exact side's work per case, n_leaves * (depth + 1)^2.
 
     Four, not one, because peak memory grows with the group while run time
-    does not: in process, 200 binary depth-5 cases peaked 3.0 MiB above
-    checking them one at a time as one group of 200, 1.4 MiB in groups of
-    113 and 0.3 MiB in groups of 56 (this budget), each in 0.12-0.13 s.
+    does not: in process, 200 binary depth-5 cases peaked about 3 MiB above
+    checking them one at a time as one group of 200, about 1.4 MiB in groups
+    of 113 and 0.3-0.5 MiB in groups of 56 (this budget), in 0.12-0.13 s
+    each way.
     """
     work = params["branching"] ** params["depth"] * (params["depth"] + 1) ** 2
     return max(1, ensemble._CHUNK_ELEMENTS // (4 * work))

@@ -8,13 +8,11 @@ output files across group sizes.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
 from bmoforge import experiments
-from bmoforge.bounds import PartitionTooCoarseError
 from bmoforge.checks import (
     CheckBatch,
     _exp_vmo_lhs,
@@ -218,13 +216,15 @@ def test_case_kinds_write_the_same_bytes_in_any_group_size(tmp_path, monkeypatch
     assert outputs[1] == outputs[4] == outputs[9]
 
 
-def test_one_case_runs_as_one_group(tmp_path):
-    doc = dict(VERIFY, params=dict(VERIFY["params"], n_processes=1))
-    (checks, summary), extra = run_bytes(tmp_path, doc, "one")
-    assert extra["n_checks"] == len(checks.splitlines())
-    records = [json.loads(line) for line in checks.splitlines()]
-    assert all(math.isfinite(r["lhs"]) for r in records)
-    assert PartitionTooCoarseError.__name__ not in checks.decode()
+@pytest.mark.parametrize("doc", [VERIFY, JN], ids=["verify-finite", "jn-check"])
+def test_one_case_alone_writes_its_records_in_a_group(tmp_path, doc):
+    # n_processes = 1 is a one-row stack; its records are the first case's
+    # records of a run whose group holds all nine cases.
+    (one, _), extra = run_bytes(tmp_path, dict(doc, params=dict(doc["params"], n_processes=1)),
+                                "one")
+    (nine, _), _ = run_bytes(tmp_path, doc, "nine")
+    assert extra["n_checks"] == len(one.splitlines()) > 0
+    assert nine.splitlines()[:extra["n_checks"]] == one.splitlines()
 
 
 def test_zero_spread_cases_skip_garsia_in_any_group(tmp_path, monkeypatch):
