@@ -157,7 +157,7 @@ def _worst_case_report(name, key, lhs, rhs, where, first=None):
     lhs = rhs = 0 at ``first``; its row of the integer array ``where`` is the
     witness under ``key``. A case whose lhs - rhs is NaN is never reported.
     """
-    lhs, rhs = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     with np.errstate(invalid="ignore"):
         holds = ~np.any(lhs > rhs + check_tolerance(rhs), axis=-1)
         gap = lhs - rhs

@@ -37,7 +37,7 @@ def variation_control(grid: OscillationData, p: float) -> OscillationControl:
     """Interval dynamic program for the p-variation control of ``grid.rho``.
 
     w[s, t] = max( rho[s, t]^p, max over s < u < t of w[s, u] + w[u, t] ),
-    one window width at a time, every case and start s at once.
+    for every case at once.
     ``p`` is stored as given, so an integer exponent stays an integer.
     """
     if p < 1.0:
@@ -45,14 +45,14 @@ def variation_control(grid: OscillationData, p: float) -> OscillationControl:
     rho = grid.rho
     d = grid.depth
     w = np.zeros_like(rho)
-    s, t = np.triu_indices(d + 1, 1)
-    cells = rho[..., s, t]
+    i, j = np.triu_indices(d + 1, 1)
+    cells = rho[..., i, j]
     # numpy's scalar power, entry by entry: np.power on the array need not
     # give the same bits.
-    w[..., s, t] = np.reshape([x ** p for x in cells.ravel()], cells.shape)
+    w[..., i, j] = np.reshape([x ** p for x in cells.ravel()], cells.shape)
     for width in range(2, d + 1):
-        s = np.arange(d - width + 1)
-        t = s + width
-        for u in range(1, width):
-            w[..., s, t] = np.maximum(w[..., s, t], w[..., s, s + u] + w[..., s + u, t])
+        for s in range(d - width + 1):
+            t = s + width
+            splits = w[..., s, s + 1:t] + w[..., s + 1:t, t]
+            np.maximum(w[..., s, t], splits.max(axis=-1), out=w[..., s, t])
     return OscillationControl(w=w, p=p)
