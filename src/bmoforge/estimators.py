@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import chunk_rows, left_points
+from .ensemble import chunk_rows, left_point_slices
 from .rng import PURPOSE_INNER, PURPOSE_OUTER, philox_stream
 
 __all__ = [
@@ -75,11 +75,12 @@ def inner_means(fun, states, seed: int, sub: int, n_inner: int, n_steps: int, h:
 
     For outer state o, ``n_inner`` paths of ``n_steps`` steps of size ``h``
     are drawn from stream (seed, inner, o, sub), in chunks of
-    ``chunk_rows(n_steps)`` paths; ``fun`` maps their left points, shape
+    ``chunk_rows(n_steps)`` paths; ``fun`` maps the left points of each
+    chunk's row slices (:func:`~bmoforge.ensemble.left_point_slices`), shape
     (paths, n_steps), to shape (..., paths). Returns (means, stderrs), each of
     shape (..., len(states)), the stderr being std(ddof=1) / sqrt(n_inner).
-    Each state draws from one stream in order, so results do not depend on
-    the chunk size.
+    Each state draws from one stream in order and each path's values are
+    its own, so results depend on neither the chunk nor the slice size.
     """
     if not len(states):
         raise ValueError("need at least one outer state")
@@ -88,16 +89,18 @@ def inner_means(fun, states, seed: int, sub: int, n_inner: int, n_steps: int, h:
     for o, x0 in enumerate(states):
         rng = philox_stream(seed, PURPOSE_INNER, o, sub)
         for lo in range(0, n_inner, rows):
-            m = min(rows, n_inner - lo)
-            # b stays bound until the next chunk is drawn: freed at once, its
-            # pages go back to the system and every chunk faults them in anew.
-            b = left_points(rng.standard_normal((m, n_steps)) * math.sqrt(h), x0)
-            vals = np.abs(fun(b))
-            if samples is None:
-                samples = np.empty(vals.shape[:-1] + (n_inner,))
-                means = np.empty(vals.shape[:-1] + (len(states),))
-                errs = np.empty_like(means)
-            samples[..., lo : lo + m] = vals
+            inc = rng.standard_normal((min(rows, n_inner - lo), n_steps))
+            inc *= math.sqrt(h)
+            # fun's temporaries are slice-sized: small enough to stay in
+            # cache and to be reused by the allocator instead of being
+            # returned to the system and faulted in anew for every chunk.
+            for k, b in left_point_slices(inc, x0):
+                vals = np.abs(fun(b))
+                if samples is None:
+                    samples = np.empty(vals.shape[:-1] + (n_inner,))
+                    means = np.empty(vals.shape[:-1] + (len(states),))
+                    errs = np.empty_like(means)
+                samples[..., lo + k : lo + k + b.shape[0]] = vals
         means[..., o] = samples.mean(axis=-1)
         errs[..., o] = samples.std(axis=-1, ddof=1) / math.sqrt(n_inner)
     return means, errs

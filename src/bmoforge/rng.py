@@ -26,6 +26,17 @@ PURPOSE_MODEL = 2  # corpus generation
 
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
+# Key word 1 of every stream; word 0 is the master seed.
+_KEY_WORD = 0x9E3779B97F4A7C15
+
+
+def _check_words(*words: int) -> None:
+    """Raise the address error for a word that is negative or wider
+    than 64 bits, negatives first."""
+    if any(w < 0 for w in words):
+        raise ValueError("purpose, index, subindex must be nonnegative")
+    if any(w > _MASK for w in words):
+        raise ValueError("stream address does not fit in 64-bit words")
 
 
 def _stream_address(master_seed: int, purpose: int, index: int, subindex: int):
@@ -37,12 +48,9 @@ def _stream_address(master_seed: int, purpose: int, index: int, subindex: int):
     """
     if not 0 <= master_seed <= _MASK:
         raise ValueError("master_seed must fit in 64 bits")
-    if purpose < 0 or index < 0 or subindex < 0:
-        raise ValueError("purpose, index, subindex must be nonnegative")
-    if index > _MASK or subindex > _MASK or purpose > _MASK:
-        raise ValueError("stream address does not fit in 64-bit words")
+    _check_words(purpose, index, subindex)
     counter = np.array([0, subindex, index, purpose], dtype=_U64)
-    key = np.array([master_seed, 0x9E3779B97F4A7C15], dtype=_U64)
+    key = np.array([master_seed, _KEY_WORD], dtype=_U64)
     return counter, key
 
 
@@ -56,26 +64,31 @@ def philox_streams(master_seed: int, purpose: int, indices):
     """Yield the stream (master_seed, purpose, index, 0) of each index in
     ``indices`` in turn, from one re-keyed generator.
 
-    One Philox generator is built for the first index; for each later index
-    its state is set to that index's counter and key with the output buffer
-    emptied, so it draws exactly what ``philox_stream`` would for that
-    address. The same generator object is yielded every time: finish drawing
-    from one stream before asking for the next. Re-keying skips the
-    construction cost of a fresh generator, which dominates short draws.
+    One Philox generator is built for the first index, which also checks the
+    master seed and purpose once. For each later index, after the index
+    alone is checked, only the index word of one reused counter is written,
+    and the generator's state is set from one reused state dict holding that
+    counter, the key and an emptied output buffer, so it draws exactly what
+    ``philox_stream`` would for that address. The same generator object is
+    yielded every time: finish drawing from one stream before asking for the
+    next. Re-keying skips the construction cost of a fresh generator, which
+    dominates short draws.
     """
-    gen = None
-    empty = np.zeros(4, dtype=_U64)
+    gen = counter = state = None
     for index in indices:
-        counter, key = _stream_address(master_seed, purpose, index, 0)
         if gen is None:
-            gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
-        else:
-            gen.bit_generator.state = {
+            gen = philox_stream(master_seed, purpose, index)
+            counter = [0, 0, index, purpose]
+            state = {
                 "bit_generator": "Philox",
-                "state": {"counter": counter, "key": key},
-                "buffer": empty,
+                "state": {"counter": counter, "key": [master_seed, _KEY_WORD]},
+                "buffer": [0, 0, 0, 0],
                 "buffer_pos": 4,
                 "has_uint32": 0,
                 "uinteger": 0,
             }
+        else:
+            _check_words(index)
+            counter[2] = index
+            gen.bit_generator.state = state
         yield gen

@@ -6,12 +6,16 @@ conditional modulus proxy of the quadrature error.
 All solvers read Brownian values of a :class:`~bmoforge.ensemble.PathEnsemble`
 and evaluate solutions on the ensemble's fine grid; coarse meshes must divide
 the fine step count exactly, otherwise a mesh mismatch is raised. The
-path-major consumers read them at the left points per chunk of paths, from
+ensemble draws a chunk of paths (or a 256-step block of a path group) at a
+time and hands the kernels cache-sized slices of it, so a kernel's several
+temporaries fit in L2 together. The path-major consumers read the left
+points per row slice of a chunk, from
 :meth:`~bmoforge.ensemble.PathEnsemble.left_point_chunks`; the strong error
-reads them time-major per group of paths, from
+reads them time-major per time slice of a group of paths, from
 :meth:`~bmoforge.ensemble.PathEnsemble.time_blocks`; the modulus proxy gets
 its inner means from :func:`~bmoforge.estimators.inner_means`, the loop it
-shares with the Markov moment.
+shares with the Markov moment. Every kernel accepts any row count, so no
+result depends on the chunk or the slice size.
 """
 
 from __future__ import annotations
@@ -81,14 +85,14 @@ def _clipped_drift(model: SdeModel, level: float, x: np.ndarray):
 
 class _EulerMesh:
     """Explicit Euler on a mesh of n steps with the drift frozen at the
-    coarse anchor state, advanced over time blocks of the fine grid.
+    coarse anchor state, advanced over time slices of the fine grid.
 
     The noise is additive: with u = sigma * w the shared noise values, the
     solution at fine point a + k of a coarse step opened at a is
     (b * t_k + c) + u_{a+k}, where b is the drift at the step's opening state
     x_a, c = x_a - u_a and t_k = k * h. The noise term is a pure
     read of u, so solutions on nested meshes couple bitwise when the drift
-    contribution vanishes. A coarse step may straddle time blocks: (c, b)
+    contribution vanishes. A coarse step may straddle time slices: (c, b)
     and the anchor carry over.
     """
 
@@ -103,7 +107,7 @@ class _EulerMesh:
     def advance(self, u: np.ndarray, t0: int, out: np.ndarray) -> None:
         """Write the solution at fine points t0 + 1 .. t0 + m into ``out``.
 
-        ``u`` is sigma times a block of
+        ``u`` is sigma times a slice yielded by
         :meth:`~bmoforge.ensemble.PathEnsemble.time_blocks`, shape
         (m + 1, paths); ``out`` has shape (m, paths).
         """
@@ -148,8 +152,9 @@ def quadrature_error(f, ensemble: PathEnsemble, ns) -> np.ndarray:
 
     V_1 = integral_0^1 [f(B_r) - f(B at the last mesh-n point)] dr
     computed as a left-point Riemann sum on the fine grid, for every mesh n
-    in ``ns``. Each path chunk is drawn once and f(B_t) evaluated once for
-    all meshes. Returns an array of shape (len(ns), n_paths).
+    in ``ns``. Each path chunk is drawn once, and f(B_t) is evaluated once
+    per row slice of it for all meshes; each path's sums are its own, so the
+    slice size changes no bit. Returns an array of shape (len(ns), n_paths).
     """
     ratios = [_mesh_ratio(ensemble.n_steps, n) for n in ns]
     if not ratios:
@@ -167,9 +172,10 @@ def davie_functional(g, shifts, ensemble: PathEnsemble) -> np.ndarray:
     """Per-path samples of integral_0^1 [g(B_t + x) - g(B_t)] dt for every
     shift x in ``shifts``, shape (len(shifts), n_paths).
 
-    Each path chunk is drawn once and g(B_t) evaluated once for all shifts.
-    The averaging bound needs |g| <= 1; out-of-range values are clipped, with
-    one warning per call.
+    Each path chunk is drawn once, and g(B_t) is evaluated once per row
+    slice of it for all shifts; each path's sums are its own, so the slice
+    size changes no bit. The averaging bound needs |g| <= 1; out-of-range
+    values are clipped, with one warning per call.
     """
     shifts = list(shifts)
     if not shifts:
@@ -241,10 +247,10 @@ def strong_error(
     b = 0 control has error exactly zero.
 
     One time-major sweep per group of paths advances the reference and every
-    mesh block by block, each path's increments drawn once. Per time block,
-    sigma * w is computed once and read by the reference (one loop iteration
-    per fine step) and by every mesh; each mesh's distance to the reference
-    is folded into a running per-path sup.
+    mesh slice by slice, each path's increments drawn once, 256 steps at a
+    time. Per time slice, sigma * w is computed once and read by the
+    reference (one loop iteration per fine step) and by every mesh; each
+    mesh's distance to the reference is folded into a running per-path sup.
     """
     ns = _meshes(ns)
     if not ns or ns[0] < 1:
@@ -265,7 +271,7 @@ def strong_error(
                   for n, level in zip(ns, levels)]
         for t0, w in ensemble.time_blocks(start, stop):
             m = w.shape[0] - 1
-            if t0 == 0:  # the first block is the longest
+            if t0 == 0:  # the first slice is the longest
                 noise = np.empty_like(w)
                 ref_block, seg = np.empty((2, m, stop - start))
             u = np.multiply(model.sigma, w, out=noise[: m + 1])
