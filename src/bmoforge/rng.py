@@ -26,8 +26,6 @@ PURPOSE_MODEL = 2  # corpus generation
 
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
-# Key word 1 of every stream; word 0 is the master seed.
-_KEY_WORD = 0x9E3779B97F4A7C15
 
 
 def _check_words(*words: int) -> None:
@@ -50,7 +48,7 @@ def _stream_address(master_seed: int, purpose: int, index: int, subindex: int):
         raise ValueError("master_seed must fit in 64 bits")
     _check_words(purpose, index, subindex)
     counter = np.array([0, subindex, index, purpose], dtype=_U64)
-    key = np.array([master_seed, _KEY_WORD], dtype=_U64)
+    key = np.array([master_seed, 0x9E3779B97F4A7C15], dtype=_U64)
     return counter, key
 
 
@@ -74,14 +72,16 @@ def philox_streams(master_seed: int, purpose: int, indices):
     next. Re-keying skips the construction cost of a fresh generator, which
     dominates short draws.
     """
-    gen = counter = state = None
+    gen = words = state = None
     for index in indices:
         if gen is None:
-            gen = philox_stream(master_seed, purpose, index)
-            counter = [0, 0, index, purpose]
+            counter, key = _stream_address(master_seed, purpose, index, 0)
+            gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+            # Python ints: the state setter reads them faster than numpy words.
+            words = counter.tolist()
             state = {
                 "bit_generator": "Philox",
-                "state": {"counter": counter, "key": [master_seed, _KEY_WORD]},
+                "state": {"counter": words, "key": key.tolist()},
                 "buffer": [0, 0, 0, 0],
                 "buffer_pos": 4,
                 "has_uint32": 0,
@@ -89,6 +89,6 @@ def philox_streams(master_seed: int, purpose: int, indices):
             }
         else:
             _check_words(index)
-            counter[2] = index
+            words[2] = index
             gen.bit_generator.state = state
         yield gen
