@@ -91,9 +91,9 @@ def inner_means(fun, states, seed: int, sub: int, n_inner: int, n_steps: int, h:
         for lo in range(0, n_inner, rows):
             inc = rng.standard_normal((min(rows, n_inner - lo), n_steps))
             inc *= math.sqrt(h)
-            # fun's temporaries are slice-sized, so they stay in cache; as
-            # chunk-sized (2 MiB) arrays the allocator returned them to the
-            # system and faulted them in anew for every chunk.
+            # Slice-sized temporaries of fun stay in cache and keep their
+            # pages; chunk-sized (2 MiB) ones go back to the system when
+            # freed and are faulted in anew for every chunk.
             for k, b in left_point_slices(inc, x0):
                 vals = np.abs(fun(b))
                 if samples is None:

@@ -36,24 +36,14 @@ def ten_path_chunks(monkeypatch):
     monkeypatch.setattr(ensemble_module, "_CHUNK_ELEMENTS", CHUNK_PATHS * 32)
 
 
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    fn = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("rows", SLICES)
 def test_left_point_slices_join_to_one_draw_per_chunk(monkeypatch, ten_path_chunks, rows):
     ens = PathEnsemble(n_paths=23, n_steps=32, seed=4)
     full = left_points(ens.increments())
     rows = min(set_slice(monkeypatch, rows, 32), CHUNK_PATHS)
-    calls = count_calls(monkeypatch, PathEnsemble, "increments")
+    calls, increments = [], PathEnsemble.increments
+    monkeypatch.setattr(PathEnsemble, "increments",
+                        lambda *args: calls.append(args) or increments(*args))
     starts, pieces = zip(*ens.left_point_chunks())
     assert len(calls) == 3
     assert all(b.shape[0] <= rows for b in pieces)
